@@ -250,7 +250,7 @@ _EVALUATE_SPEC = (
     _Opt("dilation", "--dilation", _int, DEFAULT_DILATION_ITERS,
          "lesion-merging dilation iterations"),
     _Opt("connectivity", "--connectivity", _int, DEFAULT_CONNECTIVITY,
-         "component connectivity (6, 18 or 26)"),
+         "component connectivity (6 or 26)", choices=(6, 26)),
     _Opt("threads", "--threads", _int, 1, "worker processes"),
 )
 

@@ -218,7 +218,10 @@ def _lloyd(
                 sq[worst] = np.inf
                 sq[worst, c] = 0.0
         inertia = float(sq[np.arange(len(new_labels)), new_labels].sum())
-        assert inertia <= prev_inertia + 1e-9, "k-means inertia increased"
+        if inertia > prev_inertia + 1e-9:
+            raise RuntimeError(
+                f"k-means inertia increased from {prev_inertia} to {inertia}"
+            )
         prev_inertia = inertia
         if np.array_equal(new_labels, labels):
             break

@@ -87,14 +87,6 @@ class LesionMatchResult:
     def counts(self) -> tuple[int, int]:
         return (len(self.lesions), len(self.fp_components))
 
-    def gt_lesion_mask(self, lesion: LesionRecord) -> np.ndarray:
-        return np.isin(self.gt_cc.labels, lesion.gt_components)
-
-    def pred_lesion_mask(self, lesion: LesionRecord) -> np.ndarray:
-        if not lesion.pred_components:
-            return np.zeros(self.pred_cc.labels.shape, dtype=bool)
-        return np.isin(self.pred_cc.labels, lesion.pred_components)
-
 
 def _bbox_slices(masks: list[np.ndarray], pad: int, shape: tuple[int, ...]):
     """Joint bounding box of the given masks, padded, clipped to the grid."""

@@ -48,9 +48,6 @@ class ComponentLabeling:
     sizes: dict[int, int]
     count: int
 
-    def component_mask(self, component_id: int) -> np.ndarray:
-        return self.labels == component_id
-
 
 def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentLabeling:
     """Label connected components under 6- or 26-connectivity.

@@ -78,7 +78,11 @@ _HEADER_DTYPE = np.dtype(
         ("magic", "S4"),
     ]
 )
-assert _HEADER_DTYPE.itemsize == HEADER_SIZE
+if _HEADER_DTYPE.itemsize != HEADER_SIZE:
+    raise RuntimeError(
+        f"NIfTI-1 header layout is {_HEADER_DTYPE.itemsize} bytes,"
+        f" not {HEADER_SIZE}"
+    )
 
 
 class NiftiError(ValueError):

@@ -420,7 +420,7 @@ def apply_relabel_rules(seg: np.ndarray, rules: list[RelabelRule]) -> np.ndarray
     mask as modified by the previous ones.
 
     Rules staying inside the whole-tumor label set must leave the WT
-    mask voxel-identical; that invariant is asserted here.
+    mask voxel-identical; a rule that breaks this raises RuntimeError.
     """
     out = seg.copy()
     wt_set = set(WT_LABELS)
@@ -434,8 +434,10 @@ def apply_relabel_rules(seg: np.ndarray, rules: list[RelabelRule]) -> np.ndarray
         inside_wt = {rule.src, rule.dst} <= wt_set
         wt_before = np.isin(out, WT_LABELS) if inside_wt else None
         out[out == rule.src] = rule.dst
-        if inside_wt:
-            assert np.array_equal(wt_before, np.isin(out, WT_LABELS))
+        if inside_wt and not np.array_equal(wt_before, np.isin(out, WT_LABELS)):
+            raise RuntimeError(
+                f"relabel {rule.src}->{rule.dst} changed the whole-tumor mask"
+            )
     return out
 
 
@@ -458,37 +460,6 @@ def apply_policy(policy: PostProcessPolicy, case: CaseBundle) -> LabelMap:
 # ---------------------------------------------------------------------------
 # end-to-end fitting
 # ---------------------------------------------------------------------------
-
-def fit_policy(
-    cases: list[CaseBundle],
-    task: str = "gli-pre",
-    settings: ExtractionSettings = ExtractionSettings(),
-    k_range: tuple[int, ...] = None,
-    restarts: int = 10,
-    seed: int = 0,
-    pcc_grid: tuple[int, ...] = DEFAULT_PCC_GRID,
-    cutoff_grid: tuple[float, ...] = DEFAULT_CUTOFF_GRID,
-    n_confusions: int = DEFAULT_TOP_CONFUSIONS,
-    feature_matrix: FeatureMatrix | None = None,
-) -> PostProcessPolicy:
-    """Fit the complete policy on training cases that carry ground truth.
-
-    See fit_policy_report for the stages; this variant drops the report.
-    """
-    policy, _ = fit_policy_report(
-        cases,
-        task=task,
-        settings=settings,
-        k_range=k_range,
-        restarts=restarts,
-        seed=seed,
-        pcc_grid=pcc_grid,
-        cutoff_grid=cutoff_grid,
-        n_confusions=n_confusions,
-        feature_matrix=feature_matrix,
-    )
-    return policy
-
 
 def fit_policy_report(
     cases: list[CaseBundle],

@@ -29,7 +29,6 @@ from .texture import (
     glrlm_features,
     glszm_features,
     ngtdm_features,
-    texture_family_features,
 )
 
 __all__ = [
@@ -58,5 +57,4 @@ __all__ = [
     "glrlm_features",
     "glszm_features",
     "ngtdm_features",
-    "texture_family_features",
 ]

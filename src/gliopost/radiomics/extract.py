@@ -28,6 +28,8 @@ from .texture import (
     GLRLM_FEATURE_NAMES,
     GLSZM_FEATURE_NAMES,
     NGTDM_FEATURE_NAMES,
+    crop_to_mask,
+    discretize,
     glcm_features,
     gldm_features,
     glrlm_features,
@@ -35,6 +37,8 @@ from .texture import (
     ngtdm_features,
 )
 
+# The per-sequence half of the feature name contract: family order and
+# the feature order within each family.
 SEQUENCE_FAMILY_NAMES = (
     ("firstorder", FIRSTORDER_FEATURE_NAMES),
     ("glcm", GLCM_FEATURE_NAMES),
@@ -145,19 +149,22 @@ def _masked_sequence_features(
     settings: ExtractionSettings,
     voxel_volume: float,
 ) -> list[float]:
-    values: list[float] = []
-    fo = firstorder_features(intensities, mask, settings.bin_width, voxel_volume)
-    values.extend(fo[n] for n in FIRSTORDER_FEATURE_NAMES)
-    fam_values = (
-        (glcm_features(intensities, mask, settings.bin_count), GLCM_FEATURE_NAMES),
-        (glrlm_features(intensities, mask, settings.bin_count), GLRLM_FEATURE_NAMES),
-        (glszm_features(intensities, mask, settings.bin_count), GLSZM_FEATURE_NAMES),
-        (gldm_features(intensities, mask, settings.bin_count), GLDM_FEATURE_NAMES),
-        (ngtdm_features(intensities, mask, settings.bin_count), NGTDM_FEATURE_NAMES),
-    )
-    for feats, names in fam_values:
-        values.extend(feats[n] for n in names)
-    return values
+    levels = crop_to_mask(discretize(intensities, mask, settings.bin_count))
+    families = {
+        "firstorder": firstorder_features(
+            intensities, mask, settings.bin_width, voxel_volume
+        ),
+        "glcm": glcm_features(levels),
+        "glrlm": glrlm_features(levels),
+        "glszm": glszm_features(levels),
+        "gldm": gldm_features(levels),
+        "ngtdm": ngtdm_features(levels),
+    }
+    return [
+        families[family][name]
+        for family, names in SEQUENCE_FAMILY_NAMES
+        for name in names
+    ]
 
 
 def extract_case_features(
@@ -167,8 +174,6 @@ def extract_case_features(
     """Shape features of the predicted whole-tumor mask plus intensity
     and texture features of every sequence restricted to that mask."""
     names = feature_names(settings)
-    expected = len(SHAPE_FEATURE_NAMES) + len(settings.sequences) * FEATURES_PER_SEQUENCE
-    assert len(names) == expected
 
     missing = [s for s in settings.sequences if s not in case.sequences]
     if missing:

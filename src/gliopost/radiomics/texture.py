@@ -2,9 +2,18 @@
 
 Five families are implemented: co-occurrence (GLCM), run length
 (GLRLM), size zone (GLSZM), dependence (GLDM) and neighborhood gray-tone
-difference (NGTDM).  Intensities are discretized into a fixed number of
-equal-width bins over the masked range; gray levels are the 1-based bin
-indices and matrices are sized by the highest occupied level.
+difference (NGTDM).  Every family reads the same input, a level grid:
+``discretize`` bins the masked intensities of one sequence into a fixed
+number of equal-width bins over the masked range, and ``crop_to_mask``
+cuts the grid to the bounding box of the mask.  Gray levels are the
+1-based bin indices, 0 marks voxels outside the mask, and matrices are
+sized by the highest occupied level.  A grid must hold at least one
+masked voxel; the caller builds it once per sequence and passes it to
+all five families.
+
+Run-length, size-zone and dependence matrices share one set of
+statistics (``_size_matrix_features``): each has gray levels as rows and
+a run length, zone size or dependence size as columns.
 
 Directional families use the 13 unique 3D offsets (one per opposite
 pair of the 26-neighborhood); co-occurrence matrices are symmetrized per
@@ -14,7 +23,10 @@ use the full 26-neighborhood.
 Degenerate conventions, chosen so constant regions yield finite values:
 correlation and MCC are 1 when the region has a single gray level, IMC1
 is 0 when both marginal entropies vanish, and NGTDM coarseness saturates
-at 1e6 when no gray-tone differences exist.
+at 1e6 when no gray-tone differences exist.  Scattered single voxels
+give no co-occurring pair, which sets every GLCM feature to 0 except
+correlation = MCC = 1, and no neighbors, which sets every NGTDM feature
+to 0.
 """
 
 from __future__ import annotations
@@ -117,14 +129,6 @@ NGTDM_FEATURE_NAMES = (
     "strength",
 )
 
-TEXTURE_FAMILY_NAMES = {
-    "glrlm": GLRLM_FEATURE_NAMES,
-    "glszm": GLSZM_FEATURE_NAMES,
-    "gldm": GLDM_FEATURE_NAMES,
-    "ngtdm": NGTDM_FEATURE_NAMES,
-}
-
-
 def discretize(intensities: np.ndarray, mask: np.ndarray, bin_count: int) -> np.ndarray:
     """Equal-width binning of masked intensities into levels 1..bin_count.
 
@@ -164,15 +168,12 @@ def _offset_slices(shape, offset):
     return tuple(src), tuple(dst)
 
 
-def crop_to_mask(levels: np.ndarray, pad: int = 0) -> np.ndarray:
+def crop_to_mask(levels: np.ndarray) -> np.ndarray:
     """View of the level grid restricted to the mask bounding box."""
     idx = np.nonzero(levels)
     if idx[0].size == 0:
         return levels[:0, :0, :0]
-    box = tuple(
-        slice(max(int(a.min()) - pad, 0), min(int(a.max()) + pad + 1, n))
-        for a, n in zip(idx, levels.shape)
-    )
+    box = tuple(slice(int(a.min()), int(a.max()) + 1) for a in idx)
     return levels[box]
 
 
@@ -247,20 +248,18 @@ def glszm_counts(levels: np.ndarray, ng: int) -> np.ndarray:
     return counts
 
 
-def gldm_counts(levels: np.ndarray, ng: int, alpha: int = 0) -> np.ndarray:
+def gldm_counts(levels: np.ndarray, ng: int) -> np.ndarray:
     """Dependence counts; the dependence size of a voxel is 1 plus the
-    number of 26-neighbors within ``alpha`` gray levels of it."""
+    number of its 26-neighbors at the same gray level."""
     mask = levels > 0
     if not mask.any():
         return np.zeros((ng, 1), dtype=np.int64)
     dependent = np.zeros(levels.shape, dtype=np.int64)
-    lv = levels.astype(np.int64)
     for off in OFFSETS_26:
         src, dst = _offset_slices(levels.shape, off)
-        hit = mask[src] & mask[dst] & (np.abs(lv[src] - lv[dst]) <= alpha)
-        dependent[src] += hit
+        dependent[src] += mask[src] & (levels[src] == levels[dst])
     size = dependent[mask] + 1
-    glv = lv[mask]
+    glv = levels[mask].astype(np.int64)
     counts = np.zeros((ng, int(size.max())), dtype=np.int64)
     np.add.at(counts, (glv - 1, size - 1), 1)
     return counts
@@ -380,10 +379,7 @@ def _glcm_features_one(counts: np.ndarray, ng: int) -> dict[str, float]:
 
 
 def glcm_features(
-    intensities: np.ndarray,
-    mask: np.ndarray,
-    bin_count: int = DEFAULT_BIN_COUNT,
-    distances: tuple[int, ...] = (1,),
+    levels: np.ndarray,
     offsets: tuple[tuple[int, int, int], ...] = OFFSETS_13,
 ) -> dict[str, float]:
     """The 24 co-occurrence features, averaged over all offsets that
@@ -392,15 +388,12 @@ def glcm_features(
     If no offset produces a pair (scattered single voxels), all features
     are 0 except the degenerate conventions correlation = mcc = 1.
     """
-    levels = crop_to_mask(discretize(intensities, mask, bin_count))
-    ng = int(levels.max()) if levels.size else 0
+    ng = int(levels.max())
     per_angle = []
-    if ng > 0:
-        for d in distances:
-            for off in offsets:
-                counts = glcm_counts(levels, tuple(d * o for o in off), ng)
-                if counts.sum() > 0:
-                    per_angle.append(_glcm_features_one(counts, ng))
+    for off in offsets:
+        counts = glcm_counts(levels, off, ng)
+        if counts.sum() > 0:
+            per_angle.append(_glcm_features_one(counts, ng))
     if not per_angle:
         out = {name: 0.0 for name in GLCM_FEATURE_NAMES}
         out["correlation"] = 1.0
@@ -412,58 +405,50 @@ def glcm_features(
     }
 
 
-def _row_col_stats(counts: np.ndarray):
-    """Shared scaffolding for run/zone/dependence style matrices."""
+def _size_matrix_features(counts: np.ndarray, n_voxels: int) -> dict[str, float]:
+    """The 16 statistics of a matrix with gray levels as rows and run
+    length, zone size or dependence size as columns, keyed by their
+    GLRLM names; ``n_voxels`` is the denominator of the percentage."""
     total = counts.sum()
     p = counts.astype(np.float64) / total
     gray = np.arange(1, counts.shape[0] + 1, dtype=np.float64)
     size = np.arange(1, counts.shape[1] + 1, dtype=np.float64)
     pg = p.sum(axis=1)
     ps = p.sum(axis=0)
-    return total, p, gray, size, pg, ps
-
-
-def _glrlm_features_one(counts: np.ndarray, n_voxels: int) -> dict[str, float]:
-    nr, p, gray, length, pg, pl = _row_col_stats(counts)
     cg = counts.sum(axis=1).astype(np.float64)
-    cl = counts.sum(axis=0).astype(np.float64)
-    gg, ll = np.meshgrid(gray, length, indexing="ij")
+    cs = counts.sum(axis=0).astype(np.float64)
+    gg, ss = np.meshgrid(gray, size, indexing="ij")
     mu_g = float((pg * gray).sum())
-    mu_l = float((pl * length).sum())
+    mu_s = float((ps * size).sum())
     return {
-        "short_run_emphasis": float((p / ll**2).sum()),
-        "long_run_emphasis": float((p * ll**2).sum()),
-        "gray_level_nonuniformity": float((cg**2).sum() / nr),
+        "short_run_emphasis": float((p / ss**2).sum()),
+        "long_run_emphasis": float((p * ss**2).sum()),
+        "gray_level_nonuniformity": float((cg**2).sum() / total),
         "gray_level_nonuniformity_normalized": float((pg**2).sum()),
-        "run_length_nonuniformity": float((cl**2).sum() / nr),
-        "run_length_nonuniformity_normalized": float((pl**2).sum()),
-        "run_percentage": float(nr / n_voxels),
+        "run_length_nonuniformity": float((cs**2).sum() / total),
+        "run_length_nonuniformity_normalized": float((ps**2).sum()),
+        "run_percentage": float(total / n_voxels),
         "gray_level_variance": float((pg * (gray - mu_g) ** 2).sum()),
-        "run_variance": float((pl * (length - mu_l) ** 2).sum()),
+        "run_variance": float((ps * (size - mu_s) ** 2).sum()),
         "run_entropy": _entropy(p.ravel()),
         "low_gray_level_run_emphasis": float((p / gg**2).sum()),
         "high_gray_level_run_emphasis": float((p * gg**2).sum()),
-        "short_run_low_gray_level_emphasis": float((p / (gg**2 * ll**2)).sum()),
-        "short_run_high_gray_level_emphasis": float((p * gg**2 / ll**2).sum()),
-        "long_run_low_gray_level_emphasis": float((p * ll**2 / gg**2).sum()),
-        "long_run_high_gray_level_emphasis": float((p * gg**2 * ll**2).sum()),
+        "short_run_low_gray_level_emphasis": float((p / (gg**2 * ss**2)).sum()),
+        "short_run_high_gray_level_emphasis": float((p * gg**2 / ss**2).sum()),
+        "long_run_low_gray_level_emphasis": float((p * ss**2 / gg**2).sum()),
+        "long_run_high_gray_level_emphasis": float((p * gg**2 * ss**2).sum()),
     }
 
 
 def glrlm_features(
-    intensities: np.ndarray,
-    mask: np.ndarray,
-    bin_count: int = DEFAULT_BIN_COUNT,
+    levels: np.ndarray,
     offsets: tuple[tuple[int, int, int], ...] = OFFSETS_13,
 ) -> dict[str, float]:
     """The 16 run-length features, averaged over the 13 directions."""
-    levels = crop_to_mask(discretize(intensities, mask, bin_count))
     n_voxels = int((levels > 0).sum())
-    if n_voxels == 0:
-        return {name: 0.0 for name in GLRLM_FEATURE_NAMES}
     ng = int(levels.max())
     per_angle = [
-        _glrlm_features_one(glrlm_counts(levels, off, ng), n_voxels)
+        _size_matrix_features(glrlm_counts(levels, off, ng), n_voxels)
         for off in offsets
     ]
     return {
@@ -472,87 +457,26 @@ def glrlm_features(
     }
 
 
-def glszm_features(
-    intensities: np.ndarray,
-    mask: np.ndarray,
-    bin_count: int = DEFAULT_BIN_COUNT,
-) -> dict[str, float]:
+def glszm_features(levels: np.ndarray) -> dict[str, float]:
     """The 16 size-zone features of the single 26-connected zone matrix."""
-    levels = crop_to_mask(discretize(intensities, mask, bin_count))
-    n_voxels = int((levels > 0).sum())
-    if n_voxels == 0:
-        return {name: 0.0 for name in GLSZM_FEATURE_NAMES}
     counts = glszm_counts(levels, int(levels.max()))
-    nz, p, gray, size, pg, ps = _row_col_stats(counts)
-    cg = counts.sum(axis=1).astype(np.float64)
-    cs = counts.sum(axis=0).astype(np.float64)
-    gg, ss = np.meshgrid(gray, size, indexing="ij")
-    mu_g = float((pg * gray).sum())
-    mu_s = float((ps * size).sum())
-    return {
-        "small_area_emphasis": float((p / ss**2).sum()),
-        "large_area_emphasis": float((p * ss**2).sum()),
-        "gray_level_nonuniformity": float((cg**2).sum() / nz),
-        "gray_level_nonuniformity_normalized": float((pg**2).sum()),
-        "size_zone_nonuniformity": float((cs**2).sum() / nz),
-        "size_zone_nonuniformity_normalized": float((ps**2).sum()),
-        "zone_percentage": float(nz / n_voxels),
-        "gray_level_variance": float((pg * (gray - mu_g) ** 2).sum()),
-        "zone_variance": float((ps * (size - mu_s) ** 2).sum()),
-        "zone_entropy": _entropy(p.ravel()),
-        "low_gray_level_zone_emphasis": float((p / gg**2).sum()),
-        "high_gray_level_zone_emphasis": float((p * gg**2).sum()),
-        "small_area_low_gray_level_emphasis": float((p / (gg**2 * ss**2)).sum()),
-        "small_area_high_gray_level_emphasis": float((p * gg**2 / ss**2).sum()),
-        "large_area_low_gray_level_emphasis": float((p * ss**2 / gg**2).sum()),
-        "large_area_high_gray_level_emphasis": float((p * gg**2 * ss**2).sum()),
-    }
+    stats = _size_matrix_features(counts, int((levels > 0).sum()))
+    return dict(zip(GLSZM_FEATURE_NAMES, stats.values()))
 
 
-def gldm_features(
-    intensities: np.ndarray,
-    mask: np.ndarray,
-    bin_count: int = DEFAULT_BIN_COUNT,
-    alpha: int = 0,
-) -> dict[str, float]:
-    """The 14 dependence features over the 26-neighborhood."""
-    levels = crop_to_mask(discretize(intensities, mask, bin_count))
-    if not (levels > 0).any():
-        return {name: 0.0 for name in GLDM_FEATURE_NAMES}
-    counts = gldm_counts(levels, int(levels.max()), alpha)
-    nz, p, gray, size, pg, pd = _row_col_stats(counts)
-    cg = counts.sum(axis=1).astype(np.float64)
-    cd = counts.sum(axis=0).astype(np.float64)
-    gg, dd = np.meshgrid(gray, size, indexing="ij")
-    mu_g = float((pg * gray).sum())
-    mu_d = float((pd * size).sum())
-    return {
-        "small_dependence_emphasis": float((p / dd**2).sum()),
-        "large_dependence_emphasis": float((p * dd**2).sum()),
-        "gray_level_nonuniformity": float((cg**2).sum() / nz),
-        "dependence_nonuniformity": float((cd**2).sum() / nz),
-        "dependence_nonuniformity_normalized": float((pd**2).sum()),
-        "gray_level_variance": float((pg * (gray - mu_g) ** 2).sum()),
-        "dependence_variance": float((pd * (size - mu_d) ** 2).sum()),
-        "dependence_entropy": _entropy(p.ravel()),
-        "low_gray_level_emphasis": float((p / gg**2).sum()),
-        "high_gray_level_emphasis": float((p * gg**2).sum()),
-        "small_dependence_low_gray_level_emphasis": float((p / (gg**2 * dd**2)).sum()),
-        "small_dependence_high_gray_level_emphasis": float((p * gg**2 / dd**2).sum()),
-        "large_dependence_low_gray_level_emphasis": float((p * dd**2 / gg**2).sum()),
-        "large_dependence_high_gray_level_emphasis": float((p * gg**2 * dd**2).sum()),
-    }
+def gldm_features(levels: np.ndarray) -> dict[str, float]:
+    """The 14 dependence features over the 26-neighborhood: the size
+    matrix statistics without the percentage, which is 1 by
+    construction, and the normalized gray-level nonuniformity."""
+    counts = gldm_counts(levels, int(levels.max()))
+    stats = _size_matrix_features(counts, int(counts.sum()))
+    del stats["gray_level_nonuniformity_normalized"], stats["run_percentage"]
+    return dict(zip(GLDM_FEATURE_NAMES, stats.values()))
 
 
-def ngtdm_features(
-    intensities: np.ndarray,
-    mask: np.ndarray,
-    bin_count: int = DEFAULT_BIN_COUNT,
-) -> dict[str, float]:
-    """The 5 neighborhood gray-tone difference features."""
-    levels = crop_to_mask(discretize(intensities, mask, bin_count))
-    if not (levels > 0).any():
-        return {name: 0.0 for name in NGTDM_FEATURE_NAMES}
+def ngtdm_features(levels: np.ndarray) -> dict[str, float]:
+    """The 5 neighborhood gray-tone difference features; all are 0 when
+    no masked voxel has a masked neighbor."""
     ng = int(levels.max())
     n_i, s_i = ngtdm_table(levels, ng)
     nvp = int(n_i.sum())
@@ -599,22 +523,3 @@ def ngtdm_features(
         "complexity": complexity,
         "strength": strength,
     }
-
-
-def texture_family_features(
-    intensities: np.ndarray,
-    mask: np.ndarray,
-    family: str,
-    bin_count: int = DEFAULT_BIN_COUNT,
-) -> dict[str, float]:
-    """Dispatch to one of the non-GLCM texture families by name."""
-    family = family.lower()
-    if family == "glrlm":
-        return glrlm_features(intensities, mask, bin_count)
-    if family == "glszm":
-        return glszm_features(intensities, mask, bin_count)
-    if family == "gldm":
-        return gldm_features(intensities, mask, bin_count)
-    if family == "ngtdm":
-        return ngtdm_features(intensities, mask, bin_count)
-    raise ValueError(f"unknown texture family: {family!r}")

@@ -113,6 +113,13 @@ def test_rejected_flag_values(tmp_path):
     assert main(["synth", "--out", out, "--cases", "two"]) == 2
     assert main(["evaluate", "--preds", out, "--gt", out, "--out", out,
                  "--task", "nonsense"]) == 2
+    assert main(["evaluate", "--preds", out, "--gt", out, "--out", out,
+                 "--connectivity", "18"]) == 2
+    config = tmp_path / "connectivity.json"
+    config.write_text(json.dumps({"connectivity": 18}))
+    assert main(["evaluate", "--config", str(config), "--preds", out,
+                 "--gt", out, "--out", out]) == 2
+    assert not (tmp_path / "c" / "run-config.json").exists()
 
 
 def test_config_file_errors(tmp_path):

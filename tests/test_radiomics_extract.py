@@ -16,6 +16,7 @@ from gliopost.radiomics import (
     write_manifest,
 )
 from gliopost.radiomics.extract import FEATURES_PER_SEQUENCE
+from gliopost.radiomics.texture import discretize
 from gliopost.volume import SEQUENCES, CaseBundle, LabelMap, ScalarVolume, Spacing
 
 SP = Spacing(1.0, 1.0, 1.0)
@@ -77,6 +78,20 @@ def test_extract_is_deterministic():
     a = extract_case_features(_bundle(seed=5))
     b = extract_case_features(_bundle(seed=5))
     assert np.array_equal(a.values, b.values)
+
+
+def test_each_sequence_is_discretized_once(monkeypatch):
+    from gliopost.radiomics import extract
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return discretize(*args, **kwargs)
+
+    monkeypatch.setattr(extract, "discretize", counting)
+    extract_case_features(_bundle())
+    assert len(calls) == len(SEQUENCES)
 
 
 def test_degenerate_whole_tumor_sentinel():

@@ -8,6 +8,7 @@ from gliopost.morphology import OFFSETS_13
 from gliopost.radiomics.texture import (
     COARSENESS_MAX,
     GLCM_FEATURE_NAMES,
+    crop_to_mask,
     discretize,
     glcm_counts,
     glcm_features,
@@ -19,7 +20,6 @@ from gliopost.radiomics.texture import (
     glszm_features,
     ngtdm_features,
     ngtdm_table,
-    texture_family_features,
 )
 
 from oracles import (
@@ -35,6 +35,11 @@ def _pad_to(a, shape):
     out = np.zeros(shape, dtype=a.dtype)
     out[: a.shape[0], : a.shape[1]] = a
     return out
+
+
+def _levels(data, mask, bin_count):
+    """The cropped level grid the feature families take as input."""
+    return crop_to_mask(discretize(data, mask, bin_count))
 
 
 def _random_levels(rng, shape, ng, fill=0.8):
@@ -84,7 +89,7 @@ def test_discretize_validation():
 def test_glcm_constant_region():
     data = np.zeros((3, 3, 3))
     mask = np.ones((3, 3, 3), bool)
-    out = glcm_features(data, mask, bin_count=32)
+    out = glcm_features(_levels(data, mask, 32))
     assert out["joint_energy"] == 1.0
     assert out["contrast"] == 0.0
     assert out["maximum_probability"] == 1.0
@@ -96,7 +101,7 @@ def test_glcm_constant_region():
 def test_glcm_checkerboard_single_offset():
     data = np.array([[10.0, 30.0], [30.0, 10.0]]).reshape(2, 2, 1)
     mask = np.ones((2, 2, 1), bool)
-    out = glcm_features(data, mask, bin_count=2, offsets=((1, 0, 0),))
+    out = glcm_features(_levels(data, mask, 2), offsets=((1, 0, 0),))
     assert out["contrast"] == pytest.approx(1.0)
     assert out["joint_energy"] == pytest.approx(0.5)
     assert out["maximum_probability"] == pytest.approx(0.5)
@@ -120,8 +125,8 @@ def test_glcm_pairless_offsets_are_skipped():
     data = np.zeros((2, 1, 1))
     data[1, 0, 0] = 100.0
     mask = np.ones((2, 1, 1), bool)
-    all_angles = glcm_features(data, mask, bin_count=2)
-    x_only = glcm_features(data, mask, bin_count=2, offsets=((1, 0, 0),))
+    all_angles = glcm_features(_levels(data, mask, 2))
+    x_only = glcm_features(_levels(data, mask, 2), offsets=((1, 0, 0),))
     assert all_angles == x_only
 
 
@@ -131,7 +136,7 @@ def test_glcm_no_pairs_at_all():
     mask = np.zeros((5, 5, 5), bool)
     mask[0, 0, 0] = True
     mask[4, 4, 4] = True
-    out = glcm_features(data, mask, bin_count=2)
+    out = glcm_features(_levels(data, mask, 2))
     for name in GLCM_FEATURE_NAMES:
         if name in ("correlation", "mcc"):
             assert out[name] == 1.0
@@ -155,7 +160,7 @@ def test_glcm_normalization_and_feature_spot_checks():
     rng = np.random.default_rng(83)
     levels = _random_levels(rng, (8, 8, 8), ng=5)
     levels[0, 0, 0] = 1
-    levels[0, 0, 1] = 5  # pin the level range so rebinning is the identity
+    levels[0, 0, 1] = 5  # pin the level range to the oracle's 1..5
     for off in ((1, 0, 0), (0, 1, 1), (1, -1, 1)):
         counts = brute_glcm(levels, off, 5)
         if counts.sum() == 0:
@@ -164,10 +169,7 @@ def test_glcm_normalization_and_feature_spot_checks():
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         i = np.arange(1, 6, dtype=float)
         ii, jj = np.meshgrid(i, i, indexing="ij")
-        # integer levels pass through discretization unchanged, so the
-        # public entry point sees exactly the oracle's level grid
-        data = levels.astype(float)
-        got = glcm_features(data, levels > 0, bin_count=5, offsets=(off,))
+        got = glcm_features(levels, offsets=(off,))
         assert got["contrast"] == pytest.approx(float((p * (ii - jj) ** 2).sum()), abs=1e-9)
         assert got["maximum_probability"] == pytest.approx(float(p.max()), abs=1e-9)
         nz = p > 0
@@ -193,7 +195,7 @@ def test_discretize_of_integer_levels_is_identity():
 def test_glrlm_hand_case():
     data = np.array([1.0, 1.0, 2.0]).reshape(1, 1, 3)
     mask = np.ones((1, 1, 3), bool)
-    out = glrlm_features(data, mask, bin_count=2, offsets=((0, 0, 1),))
+    out = glrlm_features(_levels(data, mask, 2), offsets=((0, 0, 1),))
     assert out["short_run_emphasis"] == pytest.approx(0.625)
     assert out["long_run_emphasis"] == pytest.approx(2.5)
     assert out["gray_level_nonuniformity"] == pytest.approx(1.0)
@@ -247,7 +249,7 @@ def test_glrlm_constant_line_single_run():
 def test_glszm_constant_region_single_zone():
     data = np.zeros((2, 2, 2))
     mask = np.ones((2, 2, 2), bool)
-    out = glszm_features(data, mask, bin_count=4)
+    out = glszm_features(_levels(data, mask, 4))
     assert out["zone_entropy"] == 0.0
     assert out["zone_percentage"] == pytest.approx(1.0 / 8.0)
     assert out["small_area_emphasis"] == pytest.approx(1.0 / 64.0)
@@ -283,7 +285,7 @@ def test_gldm_single_voxel():
     data = np.zeros((3, 3, 3))
     mask = np.zeros((3, 3, 3), bool)
     mask[1, 1, 1] = True
-    out = gldm_features(data, mask, bin_count=4)
+    out = gldm_features(_levels(data, mask, 4))
     assert out["small_dependence_emphasis"] == 1.0
     assert out["large_dependence_emphasis"] == 1.0
     assert out["dependence_entropy"] == 0.0
@@ -315,7 +317,7 @@ def test_gldm_counts_match_neighbor_enumeration():
 def test_ngtdm_hand_case():
     data = np.array([1.0, 1.0, 2.0]).reshape(1, 1, 3)
     mask = np.ones((1, 1, 3), bool)
-    out = ngtdm_features(data, mask, bin_count=2)
+    out = ngtdm_features(_levels(data, mask, 2))
     assert out["coarseness"] == pytest.approx(1.5)
     assert out["contrast"] == pytest.approx(1.0 / 9.0)
     assert out["busyness"] == 0.0  # |1*(2/3) - 2*(1/3)| = 0 in the denominator
@@ -326,7 +328,7 @@ def test_ngtdm_hand_case():
 def test_ngtdm_constant_region_hits_coarseness_cap():
     data = np.zeros((3, 3, 3))
     mask = np.ones((3, 3, 3), bool)
-    out = ngtdm_features(data, mask, bin_count=8)
+    out = ngtdm_features(_levels(data, mask, 8))
     assert out["coarseness"] == COARSENESS_MAX
     assert out["contrast"] == 0.0
     assert out["busyness"] == 0.0
@@ -344,16 +346,6 @@ def test_ngtdm_table_matches_enumeration():
         assert np.abs(s_got - s_want).max() <= 1e-12
 
 
-def test_texture_family_dispatch():
-    data = np.zeros((2, 2, 2))
-    mask = np.ones((2, 2, 2), bool)
-    for family in ("glrlm", "glszm", "gldm", "ngtdm"):
-        out = texture_family_features(data, mask, family, bin_count=4)
-        assert out  # non-empty dict
-    with pytest.raises(ValueError):
-        texture_family_features(data, mask, "glcm3d", bin_count=4)
-
-
 def test_texture_translation_invariance():
     rng = np.random.default_rng(113)
     blob_mask = rng.random((5, 5, 5)) > 0.3
@@ -365,11 +357,16 @@ def test_texture_translation_invariance():
         sl = tuple(slice(o, o + 5) for o in offset)
         data[sl] = blob_data
         mask[sl] = blob_mask
+        levels = _levels(data, mask, 8)
         row = {}
-        row.update(glcm_features(data, mask, bin_count=8))
-        for fam in ("glrlm", "glszm", "gldm", "ngtdm"):
-            fam_out = texture_family_features(data, mask, fam, bin_count=8)
-            row.update({f"{fam}/{k}": v for k, v in fam_out.items()})
+        for fam, features in (
+            ("glcm", glcm_features),
+            ("glrlm", glrlm_features),
+            ("glszm", glszm_features),
+            ("gldm", gldm_features),
+            ("ngtdm", ngtdm_features),
+        ):
+            row.update({f"{fam}/{k}": v for k, v in features(levels).items()})
         results.append(row)
     assert results[0].keys() == results[1].keys()
     for key in results[0]:
