@@ -388,6 +388,14 @@ def _evaluate_metrics_case(item):
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
+def _case_ids(preds: str) -> list[str]:
+    """The case ids under ``preds``; finding none is invalid input."""
+    case_ids = discover_case_ids(preds)
+    if not case_ids:
+        raise ValueError(f"no cases found under {preds}")
+    return case_ids
+
+
 def _cmd_synth(cfg: dict) -> int:
     if cfg["cases"] < 0:
         raise ValueError(f"--cases must be >= 0, got {cfg['cases']}")
@@ -420,6 +428,7 @@ def _extract_matrix(cfg: dict, settings: ExtractionSettings,
 
 
 def _cmd_extract_features(cfg: dict) -> int:
+    case_ids = _case_ids(cfg["preds"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_run_config(out, "extract-features", cfg)
@@ -428,9 +437,6 @@ def _cmd_extract_features(cfg: dict) -> int:
         bin_count=cfg["bin_count"],
         sequences=tuple(cfg["sequences"]),
     )
-    case_ids = discover_case_ids(cfg["preds"])
-    if not case_ids:
-        raise ValueError(f"no cases found under {cfg['preds']}")
     matrix = _extract_matrix(cfg, settings, case_ids)
     write_feature_csv(out / "features.csv", matrix)
     write_manifest(out / "feature-manifest.json", settings)
@@ -486,6 +492,7 @@ def _format_fit_report(policy: PostProcessPolicy, report: FitReport) -> str:
 
 
 def _cmd_fit_policy(cfg: dict) -> int:
+    case_ids = _case_ids(cfg["preds"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_run_config(out, "fit-policy", cfg)
@@ -494,9 +501,6 @@ def _cmd_fit_policy(cfg: dict) -> int:
         bin_count=cfg["bin_count"],
         sequences=tuple(cfg["sequences"]),
     )
-    case_ids = discover_case_ids(cfg["preds"])
-    if not case_ids:
-        raise ValueError(f"no cases found under {cfg['preds']}")
     if cfg["features"]:
         matrix = read_feature_csv(cfg["features"])
     else:
@@ -526,13 +530,11 @@ def _cmd_fit_policy(cfg: dict) -> int:
 
 
 def _cmd_apply(cfg: dict) -> int:
+    load_policy(cfg["policy"])  # fail before any output
+    case_ids = _case_ids(cfg["preds"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_run_config(out, "apply", cfg)
-    load_policy(cfg["policy"])  # fail before any per-case work
-    case_ids = discover_case_ids(cfg["preds"])
-    if not case_ids:
-        raise ValueError(f"no cases found under {cfg['preds']}")
     items = [(cid, cfg["policy"], cfg["preds"], cfg["images"], str(out))
              for cid in case_ids]
     _map_ordered(_apply_case, items, cfg["threads"])
@@ -541,6 +543,7 @@ def _cmd_apply(cfg: dict) -> int:
 
 
 def _cmd_evaluate(cfg: dict) -> int:
+    case_ids = _case_ids(cfg["preds"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_run_config(out, "evaluate", cfg)
@@ -550,9 +553,6 @@ def _cmd_evaluate(cfg: dict) -> int:
         dilation_iters=cfg["dilation"],
         connectivity=cfg["connectivity"],
     )
-    case_ids = discover_case_ids(cfg["preds"])
-    if not case_ids:
-        raise ValueError(f"no cases found under {cfg['preds']}")
     items = [(cid, cfg["preds"], cfg["gt"], objective.to_dict())
              for cid in case_ids]
     rows = _map_ordered(_evaluate_metrics_case, items, cfg["threads"])

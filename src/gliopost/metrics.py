@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
 from .morphology import (
-    ComponentLabeling,
     boundary_voxels,
     connected_components,
     dilate,
@@ -74,39 +74,14 @@ class LesionRecord:
 
 @dataclass
 class LesionMatchResult:
-    """Matched lesions, false-positive components, and the grids needed
-    to score them."""
+    """Matched lesions and false-positive prediction components."""
 
-    spacing: Spacing
-    gt_cc: ComponentLabeling
-    pred_cc: ComponentLabeling
     lesions: list[LesionRecord]
     fp_components: tuple[int, ...]
 
     @property
     def counts(self) -> tuple[int, int]:
         return (len(self.lesions), len(self.fp_components))
-
-
-def _bbox_slices(masks: list[np.ndarray], pad: int, shape: tuple[int, ...]):
-    """Joint bounding box of the given masks, padded, clipped to the grid."""
-    lo = np.array(shape)
-    hi = np.zeros(len(shape), dtype=int)
-    any_fg = False
-    for m in masks:
-        if not m.any():
-            continue
-        any_fg = True
-        idx = np.nonzero(m)
-        for a in range(len(shape)):
-            lo[a] = min(lo[a], idx[a].min())
-            hi[a] = max(hi[a], idx[a].max())
-    if not any_fg:
-        return None
-    return tuple(
-        slice(max(int(l) - pad, 0), min(int(h) + pad + 1, n))
-        for l, h, n in zip(lo, hi, shape)
-    )
 
 
 def _surface_counts(
@@ -122,7 +97,9 @@ def _surface_counts(
         return {t: 1.0 for t in tolerances}
     if n_a == 0 or n_b == 0:
         return {t: 0.0 for t in tolerances}
-    box = _bbox_slices([surf_a, surf_b], pad=1, shape=surf_a.shape)
+    # joint box of both surfaces, padded by one voxel
+    idx = np.nonzero(surf_a | surf_b)
+    box = tuple(slice(max(int(i.min()) - 1, 0), int(i.max()) + 2) for i in idx)
     a = surf_a[box]
     b = surf_b[box]
     d_to_b = euclidean_distance_transform(b, spacing)
@@ -148,9 +125,10 @@ class RegionScorer:
     ground-truth region mask.
 
     The ground-truth side (components, lesion merge, dilated lesion map,
-    per-lesion surfaces and their distance fields) is computed once, so
-    scoring many candidate predictions against the same ground truth is
-    cheap.  ``match_lesions`` and ``evaluate_case`` are thin wrappers.
+    per-lesion masks and surfaces) is computed once, so scoring many
+    candidate predictions against the same ground truth is cheap.  The
+    distance fields behind NSD depend on both surfaces and are computed
+    per match.  ``match_lesions`` and ``evaluate_case`` are thin wrappers.
     """
 
     def __init__(
@@ -161,16 +139,13 @@ class RegionScorer:
         connectivity: int = DEFAULT_CONNECTIVITY,
     ):
         self.spacing = spacing
-        self.dilation_iters = dilation_iters
         self.connectivity = connectivity
-        self.gt_mask = np.asarray(gt_mask, dtype=bool)
-        self.gt_cc = connected_components(self.gt_mask, connectivity)
+        gt_cc = connected_components(gt_mask, connectivity)
 
-        # merge gt components whose dilations overlap (transitively)
-        comp_dilated: dict[int, np.ndarray] = {}
-        for c in range(1, self.gt_cc.count + 1):
-            comp_dilated[c] = dilate(self.gt_cc.labels == c, dilation_iters, connectivity)
-        parent = list(range(self.gt_cc.count + 1))
+        # merge gt components whose dilations overlap (transitively): each
+        # voxel of the owner grid holds the last component whose dilation
+        # covered it, and all components covering a voxel share one root
+        parent = list(range(gt_cc.count + 1))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -178,28 +153,33 @@ class RegionScorer:
                 x = parent[x]
             return x
 
-        comps = sorted(comp_dilated)
-        for i, a in enumerate(comps):
-            for b in comps[i + 1 :]:
-                if find(a) != find(b) and (comp_dilated[a] & comp_dilated[b]).any():
-                    parent[find(b)] = find(a)
+        owner = np.zeros(gt_cc.labels.shape, dtype=np.int32)
+        for c, box in enumerate(ndimage.find_objects(gt_cc.labels), start=1):
+            # the dilation never leaves the component's box padded by its reach
+            box = tuple(slice(max(b.start - dilation_iters, 0), b.stop + dilation_iters)
+                        for b in box)
+            dilated = dilate(gt_cc.labels[box] == c, dilation_iters, connectivity)
+            owners = owner[box]
+            for o in np.unique(owners[dilated]):
+                if o and find(o) != find(c):
+                    parent[find(o)] = find(c)
+            owners[dilated] = c
 
         groups: dict[int, list[int]] = {}
-        for c in comps:
+        for c in range(1, gt_cc.count + 1):
             groups.setdefault(find(c), []).append(c)
         # lesion ids numbered by smallest member component id
-        ordered = sorted(groups.values(), key=min)
-
-        self.lesion_members: list[tuple[int, ...]] = [tuple(g) for g in ordered]
-        # distinct lesions have disjoint dilated masks by construction
-        self.lesion_map = np.zeros(self.gt_mask.shape, dtype=np.int32)
+        self.lesion_members: list[tuple[int, ...]] = sorted(
+            (tuple(g) for g in groups.values()), key=min
+        )
+        lesion_of = np.zeros(gt_cc.count + 1, dtype=np.int32)
         for lid, members in enumerate(self.lesion_members, start=1):
-            for c in members:
-                self.lesion_map[comp_dilated[c]] = lid
+            lesion_of[list(members)] = lid
+        # distinct lesions have disjoint dilated masks by construction
+        self.lesion_map = lesion_of[owner]
 
-        self._gt_lesion_masks = [
-            np.isin(self.gt_cc.labels, members) for members in self.lesion_members
-        ]
+        gt_lesions = lesion_of[gt_cc.labels]
+        self._gt_lesion_masks = [gt_lesions == lid for lid in range(1, self.n_lesions + 1)]
         self._gt_surfaces = [boundary_voxels(m) for m in self._gt_lesion_masks]
 
     @property
@@ -208,27 +188,29 @@ class RegionScorer:
 
     def match(self, pred_mask: np.ndarray, tolerances: tuple[float, ...] = ()) -> LesionMatchResult:
         """Assign prediction components to lesions and score them."""
-        pred_mask = np.asarray(pred_mask, dtype=bool)
         pred_cc = connected_components(pred_mask, self.connectivity)
 
-        assigned: dict[int, list[int]] = {lid: [] for lid in range(1, self.n_lesions + 1)}
-        fps: list[int] = []
-        for p in range(1, pred_cc.count + 1):
-            overlaps = np.bincount(
-                self.lesion_map[pred_cc.labels == p], minlength=self.n_lesions + 1
-            )
-            overlaps[0] = 0
-            if overlaps.sum() == 0:
-                fps.append(p)
-            else:
-                assigned[int(np.argmax(overlaps))].append(p)
+        # voxels per (component, lesion) pair, counted once; each component
+        # goes to its largest overlap, the lowest lesion id on ties
+        both = (pred_cc.labels != 0) & (self.lesion_map != 0)
+        pairs, overlap = np.unique(
+            pred_cc.labels[both].astype(np.int64) * (self.n_lesions + 1)
+            + self.lesion_map[both],
+            return_counts=True,
+        )
+        comp, lesion = np.divmod(pairs, self.n_lesions + 1)
+        order = np.lexsort((lesion, -overlap, comp))
+        best = order[np.unique(comp[order], return_index=True)[1]]
+        lesion_of = np.zeros(pred_cc.count + 1, dtype=np.int32)
+        lesion_of[comp[best]] = lesion[best]
+        pred_lesions = lesion_of[pred_cc.labels]
 
         lesions = []
         for lid in range(1, self.n_lesions + 1):
             gt_m = self._gt_lesion_masks[lid - 1]
-            preds = tuple(assigned[lid])
+            preds = tuple(int(p) for p in np.flatnonzero(lesion_of == lid))
             if preds:
-                pred_m = np.isin(pred_cc.labels, preds)
+                pred_m = pred_lesions == lid
                 dice = _dice(gt_m, pred_m)
                 nsd = self._lesion_nsd(lid, pred_m, tolerances)
             else:
@@ -243,13 +225,8 @@ class RegionScorer:
                     nsd=nsd,
                 )
             )
-        return LesionMatchResult(
-            spacing=self.spacing,
-            gt_cc=self.gt_cc,
-            pred_cc=pred_cc,
-            lesions=lesions,
-            fp_components=tuple(fps),
-        )
+        fps = tuple(int(p) + 1 for p in np.flatnonzero(lesion_of[1:] == 0))
+        return LesionMatchResult(lesions=lesions, fp_components=fps)
 
     def _lesion_nsd(
         self, lid: int, pred_mask: np.ndarray, tolerances: tuple[float, ...]

@@ -57,24 +57,12 @@ def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentL
     fixed input.
     """
     mask = np.asarray(mask, dtype=bool)
-    labels, count = ndimage.label(mask, structure=_structure(connectivity))
-    if count == 0:
-        return ComponentLabeling(labels=labels.astype(np.int32), sizes={}, count=0)
-
-    # renumber to x-fastest scan order (ndimage.label scans in C order)
-    flat = labels.ravel(order="F")
-    first = np.full(count + 1, flat.size, dtype=np.int64)
-    nonzero = np.flatnonzero(flat)
-    # reversed so earlier occurrences overwrite later ones
-    first[flat[nonzero[::-1]]] = nonzero[::-1]
-    order = np.argsort(first[1:], kind="stable")  # old id-1 sorted by first voxel
-    remap = np.zeros(count + 1, dtype=np.int32)
-    remap[order + 1] = np.arange(1, count + 1, dtype=np.int32)
-    labels = remap[labels]
-
+    # ndimage.label numbers components by their first voxel in C order,
+    # and C order on the transposed grid is x-fastest order on this one
+    labels, count = ndimage.label(mask.T, structure=_structure(connectivity))
     counts = np.bincount(labels.ravel(), minlength=count + 1)
-    sizes = {int(c): int(counts[c]) for c in range(1, count + 1)}
-    return ComponentLabeling(labels=labels, sizes=sizes, count=count)
+    sizes = {c: int(counts[c]) for c in range(1, count + 1)}
+    return ComponentLabeling(labels=labels.T, sizes=sizes, count=count)
 
 
 def remove_small_components(

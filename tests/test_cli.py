@@ -229,6 +229,7 @@ def test_extract_features_io_errors(tmp_path):
                  "--images", str(empty), "--out", out]) == 3
     assert main(["extract-features", "--preds", str(empty),
                  "--images", str(empty), "--out", out]) == 4
+    assert not (tmp_path / "out" / "run-config.json").exists()
 
 
 def test_extract_features_names_missing_sequence(tmp_path, caplog):
@@ -285,6 +286,7 @@ def test_fit_policy_io_and_validation_errors(tmp_path):
                  "--gt", missing, "--out", out]) == 3
     assert main(["fit-policy", "--preds", str(empty), "--images", str(empty),
                  "--gt", str(empty), "--out", out]) == 4
+    assert not (tmp_path / "out" / "run-config.json").exists()
 
 
 # -- apply -------------------------------------------------------------------------------
@@ -314,6 +316,7 @@ def test_apply_missing_policy(tmp_path, corpus):
                  "--preds", str(corpus / "preds"),
                  "--images", str(corpus / "images"),
                  "--out", str(tmp_path / "out")]) == 3
+    assert not (tmp_path / "out" / "run-config.json").exists()
 
 
 # -- evaluate ---------------------------------------------------------------------------
@@ -339,6 +342,14 @@ def test_evaluate_post_task_scores_resection_cavity(corpus, tmp_path):
     header = (out / "metrics.csv").read_text().splitlines()[0]
     assert "LW_Dice_RC" in header
     assert "LW_NSD@1_RC" in header
+
+
+def test_evaluate_empty_preds_is_invalid(tmp_path):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["evaluate", "--preds", str(empty), "--gt", str(empty),
+                 "--out", str(tmp_path / "out")]) == 4
+    assert not (tmp_path / "out" / "run-config.json").exists()
 
 
 def test_evaluate_grid_mismatch_is_invalid(tmp_path, corpus):

@@ -90,6 +90,8 @@ def test_false_positive_halves_perfect_score():
     pred[15:17, 5:7, 5:7] = True  # island far beyond the dilation reach
     match = match_lesions(gt, pred, SP, tolerances=(1.0,))
     assert match.counts == (1, 1)
+    assert match.lesions[0].pred_components == (1,)
+    assert match.fp_components == (2,)
     assert lesionwise_dice(match) == pytest.approx(0.5)
     assert lesionwise_nsd(match, 1.0) == pytest.approx(0.5)
 
@@ -116,6 +118,16 @@ def test_lesion_merge_boundary():
     far[7, 1, 1] = True
     assert match_lesions(far, far, SP).counts == (2, 0)
 
+    # the two ends are 12 apart and never overlap directly; the bridge
+    # reaches both but comes last in scan order
+    bridged = np.zeros((13, 3, 3), dtype=bool)
+    bridged[0, 0, 0] = True
+    bridged[12, 0, 0] = True
+    bridged[6, 0, 1] = True
+    match = match_lesions(bridged, bridged, SP)
+    assert match.counts == (1, 0)
+    assert match.lesions[0].gt_components == (1, 2, 3)
+
 
 def test_equal_overlap_assigns_lowest_lesion_id():
     gt = np.zeros((16, 3, 3), dtype=bool)
@@ -125,8 +137,9 @@ def test_equal_overlap_assigns_lowest_lesion_id():
     pred[2:9, 1, 1] = True  # overlaps lesion 1 on x in {2,3}, lesion 2 on {7,8}
     match = match_lesions(gt, pred, SP)
     assert match.counts == (2, 0)
-    assert match.lesions[0].pred_components != ()
+    assert match.lesions[0].pred_components == (1,)
     assert match.lesions[1].pred_components == ()
+    assert match.fp_components == ()
 
 
 def test_shifted_cube_nsd_tolerances():
