@@ -45,7 +45,7 @@ from .radiomics import (
     feature_names,
 )
 from .ranking import rank_candidates
-from .volume import MAX_LABEL, TUMOR_LABELS, CaseBundle, LabelMap
+from .volume import MAX_LABEL, TUMOR_LABELS, CaseBundle, LabelMap, atomic_open
 
 POLICY_VERSION = "1"
 DEFAULT_PCC_GRID = (0, 10, 20, 50, 75, 100, 150, 200, 300, 500, 750, 1000)
@@ -145,7 +145,12 @@ class FitReport:
 
 @dataclass
 class PostProcessPolicy:
-    """Everything needed to post-process a new case deterministically."""
+    """Everything needed to post-process a new case deterministically.
+
+    Construction checks the array widths against the feature manifest and
+    the PCA width, and every cluster id against ``[0, k)``, so a policy
+    read from disk fails at load rather than after a case is extracted.
+    """
 
     task: str
     settings: ExtractionSettings
@@ -158,7 +163,29 @@ class PostProcessPolicy:
     version: str = POLICY_VERSION
 
     def __post_init__(self):
-        for cluster in range(self.kmeans.k):
+        n = len(feature_names(self.settings))
+        k = self.kmeans.k
+        components = self.pca.components.shape
+        m = components[0] if len(components) == 2 else None
+        widths = (
+            ("standardizer.mean", self.standardizer.mean.shape, (n,)),
+            ("standardizer.std", self.standardizer.std.shape, (n,)),
+            ("pca.center", self.pca.center.shape, (n,)),
+            ("pca.components", components, (m, n)),
+            ("kmeans.centroids", self.kmeans.centroids.shape, (k, m)),
+        )
+        for name, got, want in widths:
+            if got != want:
+                raise ValueError(
+                    f"{name} has shape {got}, expected {want}"
+                    f" ({n} features, {m} PCA components, k={k})"
+                )
+        clusters = [("pcc_thresholds", c) for c in sorted(self.thresholds)]
+        clusters += [("relabel_rules", r.cluster) for r in self.rules]
+        for name, cluster in clusters:
+            if not 0 <= cluster < k:
+                raise ValueError(f"{name} cluster {cluster} outside [0, {k})")
+        for cluster in range(k):
             if cluster not in self.thresholds:
                 raise ValueError(f"thresholds missing cluster {cluster}")
             for label in TUMOR_LABELS:
@@ -588,7 +615,7 @@ def _policy_document(policy: PostProcessPolicy) -> dict:
 
 def save_policy(policy: PostProcessPolicy, path: str | Path) -> None:
     doc = _policy_document(policy)
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ..metrics import WT, region_mask
-from ..volume import SEQUENCES, CaseBundle
+from ..volume import SEQUENCES, CaseBundle, atomic_open
 from .firstorder import DEFAULT_BIN_WIDTH, FIRSTORDER_FEATURE_NAMES, firstorder_features
 from .shape import SHAPE_FEATURE_NAMES, shape_features
 from .texture import (
@@ -35,6 +35,7 @@ from .texture import (
     glrlm_features,
     glszm_features,
     ngtdm_features,
+    pair_table,
 )
 
 # The per-sequence half of the feature name contract: family order and
@@ -149,16 +150,16 @@ def _masked_sequence_features(
     settings: ExtractionSettings,
     voxel_volume: float,
 ) -> list[float]:
-    levels = crop_to_mask(discretize(intensities, mask, settings.bin_count))
+    table = pair_table(crop_to_mask(discretize(intensities, mask, settings.bin_count)))
     families = {
         "firstorder": firstorder_features(
             intensities, mask, settings.bin_width, voxel_volume
         ),
-        "glcm": glcm_features(levels),
-        "glrlm": glrlm_features(levels),
-        "glszm": glszm_features(levels),
-        "gldm": gldm_features(levels),
-        "ngtdm": ngtdm_features(levels),
+        "glcm": glcm_features(table),
+        "glrlm": glrlm_features(table),
+        "glszm": glszm_features(table),
+        "gldm": gldm_features(table),
+        "ngtdm": ngtdm_features(table),
     }
     return [
         families[family][name]
@@ -206,7 +207,7 @@ def extract_case_features(
 # ---------------------------------------------------------------------------
 
 def write_feature_csv(path: str | Path, matrix: FeatureMatrix) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["case_id"] + list(matrix.names))
         for i, case_id in enumerate(matrix.case_ids):
@@ -239,7 +240,7 @@ def write_manifest(path: str | Path, settings: ExtractionSettings) -> None:
         "settings": settings.to_dict(),
         "connectivity": 26,
     }
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

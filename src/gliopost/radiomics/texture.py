@@ -2,23 +2,32 @@
 
 Five families are implemented: co-occurrence (GLCM), run length
 (GLRLM), size zone (GLSZM), dependence (GLDM) and neighborhood gray-tone
-difference (NGTDM).  Every family reads the same input, a level grid:
-``discretize`` bins the masked intensities of one sequence into a fixed
-number of equal-width bins over the masked range, and ``crop_to_mask``
-cuts the grid to the bounding box of the mask.  Gray levels are the
-1-based bin indices, 0 marks voxels outside the mask, and matrices are
-sized by the highest occupied level.  A grid must hold at least one
-masked voxel; the caller builds it once per sequence and passes it to
-all five families.
+difference (NGTDM).  ``discretize`` bins the masked intensities of one
+sequence into a fixed number of equal-width bins over the masked range,
+and ``crop_to_mask`` cuts the level grid to the bounding box of the
+mask.  Gray levels are the 1-based bin indices, 0 marks voxels outside
+the mask, and matrices are sized by the highest occupied level.
+
+Every family reads one neighbour-pair table (``pair_table``), built
+once per sequence from a level grid with at least one masked voxel: the
+masked voxels numbered in C order, their levels, and for each of the 13
+unique 3D offsets (one per opposite pair of the 26-neighborhood) the
+pairs of masked voxels that offset joins.  Each count matrix is then a
+``bincount`` over the table, so the work scales with the masked voxels,
+not with the bounding box:
+
+* GLCM counts the level pairs of each offset; matrices are symmetrized
+  per offset and features are averaged over offsets.
+* GLDM and NGTDM count, from both ends of every pair, the equal-level
+  neighbours and the neighbour level sums of each voxel (26-neighborhood).
+* Zones and runs are connected components: a zone is a component of
+  the graph of equal-level pairs over all 13 offsets, a run one of the
+  graph of a single offset's equal-level pairs.  Both come from one
+  ``scipy.sparse.csgraph.connected_components`` call per graph.
 
 Run-length, size-zone and dependence matrices share one set of
 statistics (``_size_matrix_features``): each has gray levels as rows and
 a run length, zone size or dependence size as columns.
-
-Directional families use the 13 unique 3D offsets (one per opposite
-pair of the 26-neighborhood); co-occurrence matrices are symmetrized per
-offset and features are averaged over offsets.  Neighborhood families
-use the full 26-neighborhood.
 
 Degenerate conventions, chosen so constant regions yield finite values:
 correlation and MCC are 1 when the region has a single gray level, IMC1
@@ -31,10 +40,13 @@ to 0.
 
 from __future__ import annotations
 
-import numpy as np
-from scipy import ndimage
+from dataclasses import dataclass
 
-from ..morphology import OFFSETS_13, OFFSETS_26
+import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
+
+from ..morphology import OFFSETS_13
 
 DEFAULT_BIN_COUNT = 32
 COARSENESS_MAX = 1.0e6
@@ -153,21 +165,6 @@ def discretize(intensities: np.ndarray, mask: np.ndarray, bin_count: int) -> np.
     return levels
 
 
-def _offset_slices(shape, offset):
-    """Slice pair (src, dst) such that grid[src] aligns with the voxel
-    displaced by ``offset``: grid[dst][k] is grid[src][k] shifted."""
-    src = []
-    dst = []
-    for n, o in zip(shape, offset):
-        if o >= 0:
-            src.append(slice(0, n - o))
-            dst.append(slice(o, n))
-        else:
-            src.append(slice(-o, n))
-            dst.append(slice(0, n + o))
-    return tuple(src), tuple(dst)
-
-
 def crop_to_mask(levels: np.ndarray) -> np.ndarray:
     """View of the level grid restricted to the mask bounding box."""
     idx = np.nonzero(levels)
@@ -178,116 +175,131 @@ def crop_to_mask(levels: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# matrix builders
+# neighbour-pair table and matrix builders
 # ---------------------------------------------------------------------------
 
-def glcm_counts(levels: np.ndarray, offset, ng: int) -> np.ndarray:
-    """Symmetric co-occurrence counts for one offset (both directions)."""
-    src, dst = _offset_slices(levels.shape, offset)
-    a = levels[src].ravel()
-    b = levels[dst].ravel()
-    valid = (a > 0) & (b > 0)
-    a = a[valid].astype(np.int64)
-    b = b[valid].astype(np.int64)
-    flat = np.bincount((a - 1) * ng + (b - 1), minlength=ng * ng)
-    counts = flat.reshape(ng, ng)
-    return counts + counts.T
+@dataclass(frozen=True)
+class PairTable:
+    """The masked voxels of a level grid and their neighbour pairs.
+
+    Voxels are numbered 0..n-1 in C order and ``levels[i]`` is the gray
+    level of voxel i.  ``pairs[k]`` holds the int32 arrays ``(a, b)`` of
+    every masked voxel ``a`` whose neighbour ``b`` at the k-th offset is
+    masked too.
+    """
+
+    levels: np.ndarray
+    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @property
+    def ng(self) -> int:
+        """The highest occupied gray level, which sizes every matrix."""
+        return int(self.levels.max())
 
 
-def glrlm_counts(levels: np.ndarray, offset, ng: int) -> np.ndarray:
-    """Run-length counts along one direction; rows are gray levels,
-    column l-1 is the number of maximal runs of length l."""
+def pair_table(
+    levels: np.ndarray,
+    offsets: tuple[tuple[int, int, int], ...] = OFFSETS_13,
+) -> PairTable:
+    """Neighbour-pair table of a level grid for offsets inside the
+    26-neighborhood; the grid must hold at least one masked voxel."""
     mask = levels > 0
-    if not mask.any():
-        return np.zeros((ng, 1), dtype=np.int64)
-    src, dst = _offset_slices(levels.shape, offset)
-    continued = np.zeros(levels.shape, dtype=bool)
-    continued[dst] = mask[dst] & mask[src] & (levels[dst] == levels[src])
-    starts = mask & ~continued
-
-    coords = np.argwhere(starts)
-    start_levels = levels[starts].astype(np.int64)
-    lengths = np.ones(coords.shape[0], dtype=np.int64)
-    step = np.asarray(offset, dtype=np.int64)
-    shape = np.asarray(levels.shape, dtype=np.int64)
-    pos = coords.astype(np.int64)
-    alive = np.arange(coords.shape[0])
-    while alive.size:
-        nxt = pos[alive] + step
-        inside = np.all((nxt >= 0) & (nxt < shape), axis=1)
-        alive = alive[inside]
-        nxt = nxt[inside]
-        same = levels[nxt[:, 0], nxt[:, 1], nxt[:, 2]] == start_levels[alive]
-        alive = alive[same]
-        if alive.size:
-            lengths[alive] += 1
-            pos[alive] += step
-
-    counts = np.zeros((ng, int(lengths.max())), dtype=np.int64)
-    np.add.at(counts, (start_levels - 1, lengths - 1), 1)
-    return counts
+    n = int(np.count_nonzero(mask))
+    # a one-voxel border of -1 lets every neighbour lookup stay in bounds
+    ids = np.full(np.add(levels.shape, 2), -1, dtype=np.int32)
+    ids[1:-1, 1:-1, 1:-1][mask] = np.arange(n, dtype=np.int32)
+    flat = ids.ravel()
+    where = np.flatnonzero(flat >= 0)
+    steps = np.array([ids.shape[1] * ids.shape[2], ids.shape[2], 1])
+    pairs = []
+    for off in offsets:
+        b = flat[where + int(np.dot(off, steps))]
+        a = np.flatnonzero(b >= 0).astype(np.int32)
+        pairs.append((a, b[a]))
+    return PairTable(levels=levels[mask].astype(np.int64), pairs=tuple(pairs))
 
 
-def glszm_counts(levels: np.ndarray, ng: int) -> np.ndarray:
-    """Size-zone counts; a zone is a 26-connected set of equal level."""
-    structure = np.ones((3, 3, 3), dtype=bool)
-    zone_levels = []
-    zone_sizes = []
-    for g in np.unique(levels[levels > 0]):
-        labeled, n = ndimage.label(levels == g, structure=structure)
-        if n == 0:
-            continue
-        sizes = np.bincount(labeled.ravel())[1:]
-        zone_levels.extend([int(g)] * n)
-        zone_sizes.extend(int(s) for s in sizes)
-    if not zone_sizes:
-        return np.zeros((ng, 1), dtype=np.int64)
-    counts = np.zeros((ng, max(zone_sizes)), dtype=np.int64)
-    for g, s in zip(zone_levels, zone_sizes):
-        counts[g - 1, s - 1] += 1
-    return counts
+def _level_size_counts(levels: np.ndarray, sizes: np.ndarray, ng: int) -> np.ndarray:
+    """Rows are gray levels 1..ng, column s-1 counts the items of size s."""
+    width = int(sizes.max())
+    flat = np.bincount((levels - 1) * width + (sizes - 1), minlength=ng * width)
+    return flat.reshape(ng, width)
 
 
-def gldm_counts(levels: np.ndarray, ng: int) -> np.ndarray:
+def _same_level(table: PairTable, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs among ``pairs`` whose two voxels share a gray level."""
+    a = np.concatenate([p[0] for p in pairs])
+    b = np.concatenate([p[1] for p in pairs])
+    keep = table.levels[a] == table.levels[b]
+    return a[keep], b[keep]
+
+
+def _component_counts(table: PairTable, pairs) -> np.ndarray:
+    """(level, size) counts of the connected components of the graph on
+    the masked voxels whose edges are the equal-level pairs of ``pairs``."""
+    a, b = _same_level(table, pairs)
+    n = table.levels.size
+    graph = coo_array((np.ones(a.size, dtype=np.int8), (a, b)), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
+    sizes = np.bincount(labels)
+    component_levels = np.empty(sizes.size, dtype=np.int64)
+    component_levels[labels] = table.levels
+    return _level_size_counts(component_levels, sizes, table.ng)
+
+
+def glcm_counts(table: PairTable) -> list[np.ndarray]:
+    """Symmetric co-occurrence counts, one matrix per table offset."""
+    ng = table.ng
+    out = []
+    for a, b in table.pairs:
+        codes = (table.levels[a] - 1) * ng + (table.levels[b] - 1)
+        counts = np.bincount(codes, minlength=ng * ng).reshape(ng, ng)
+        out.append(counts + counts.T)
+    return out
+
+
+def glrlm_counts(table: PairTable) -> list[np.ndarray]:
+    """Run-length counts, one matrix per table offset; rows are gray
+    levels, column l-1 is the number of maximal runs of length l.  A run
+    is a component of the offset's equal-level pair graph."""
+    return [_component_counts(table, [pair]) for pair in table.pairs]
+
+
+def glszm_counts(table: PairTable) -> np.ndarray:
+    """Size-zone counts; a zone is a component of the equal-level pair
+    graph over all table offsets (26-connected with the default 13)."""
+    return _component_counts(table, table.pairs)
+
+
+def gldm_counts(table: PairTable) -> np.ndarray:
     """Dependence counts; the dependence size of a voxel is 1 plus the
-    number of its 26-neighbors at the same gray level."""
-    mask = levels > 0
-    if not mask.any():
-        return np.zeros((ng, 1), dtype=np.int64)
-    dependent = np.zeros(levels.shape, dtype=np.int64)
-    for off in OFFSETS_26:
-        src, dst = _offset_slices(levels.shape, off)
-        dependent[src] += mask[src] & (levels[src] == levels[dst])
-    size = dependent[mask] + 1
-    glv = levels[mask].astype(np.int64)
-    counts = np.zeros((ng, int(size.max())), dtype=np.int64)
-    np.add.at(counts, (glv - 1, size - 1), 1)
-    return counts
+    number of its neighbours at the same gray level."""
+    a, b = _same_level(table, table.pairs)
+    n = table.levels.size
+    size = np.bincount(a, minlength=n) + np.bincount(b, minlength=n) + 1
+    return _level_size_counts(table.levels, size, table.ng)
 
 
-def ngtdm_table(levels: np.ndarray, ng: int) -> tuple[np.ndarray, np.ndarray]:
+def ngtdm_table(table: PairTable) -> tuple[np.ndarray, np.ndarray]:
     """Per-level voxel counts n_i and absolute gray-tone differences s_i.
 
-    Only voxels with at least one masked 26-neighbor participate; the
-    difference is against the mean level of those neighbors.
+    Only voxels with at least one masked neighbour participate; the
+    difference is against the mean level of those neighbours.  The
+    neighbour sums are integer-valued, so they are exact in float64, and
+    s_i is accumulated over the voxels in C order.
     """
-    mask = levels > 0
-    nbr_sum = np.zeros(levels.shape, dtype=np.float64)
-    nbr_cnt = np.zeros(levels.shape, dtype=np.int64)
-    lv = levels.astype(np.float64)
-    for off in OFFSETS_26:
-        src, dst = _offset_slices(levels.shape, off)
-        nbr_sum[src] += np.where(mask[dst], lv[dst], 0.0)
-        nbr_cnt[src] += mask[dst]
-    valid = mask & (nbr_cnt > 0)
-    n_i = np.zeros(ng, dtype=np.int64)
-    s_i = np.zeros(ng, dtype=np.float64)
-    if not valid.any():
-        return n_i, s_i
-    vl = levels[valid].astype(np.int64)
+    a = np.concatenate([p[0] for p in table.pairs])
+    b = np.concatenate([p[1] for p in table.pairs])
+    ends = np.concatenate([a, b])
+    others = np.concatenate([b, a])
+    n = table.levels.size
+    nbr_cnt = np.bincount(ends, minlength=n)
+    nbr_sum = np.bincount(ends, weights=table.levels[others], minlength=n)
+    valid = nbr_cnt > 0
+    vl = table.levels[valid]
     mean_nbr = nbr_sum[valid] / nbr_cnt[valid]
-    np.add.at(n_i, vl - 1, 1)
-    np.add.at(s_i, vl - 1, np.abs(vl - mean_nbr))
+    n_i = np.bincount(vl - 1, minlength=table.ng)
+    s_i = np.bincount(vl - 1, weights=np.abs(vl - mean_nbr), minlength=table.ng)
     return n_i, s_i
 
 
@@ -378,22 +390,18 @@ def _glcm_features_one(counts: np.ndarray, ng: int) -> dict[str, float]:
     return features
 
 
-def glcm_features(
-    levels: np.ndarray,
-    offsets: tuple[tuple[int, int, int], ...] = OFFSETS_13,
-) -> dict[str, float]:
-    """The 24 co-occurrence features, averaged over all offsets that
-    produce at least one voxel pair.
+def glcm_features(table: PairTable) -> dict[str, float]:
+    """The 24 co-occurrence features, averaged over all table offsets
+    that produce at least one voxel pair.
 
     If no offset produces a pair (scattered single voxels), all features
     are 0 except the degenerate conventions correlation = mcc = 1.
     """
-    ng = int(levels.max())
-    per_angle = []
-    for off in offsets:
-        counts = glcm_counts(levels, off, ng)
-        if counts.sum() > 0:
-            per_angle.append(_glcm_features_one(counts, ng))
+    per_angle = [
+        _glcm_features_one(counts, table.ng)
+        for counts in glcm_counts(table)
+        if counts.sum() > 0
+    ]
     if not per_angle:
         out = {name: 0.0 for name in GLCM_FEATURE_NAMES}
         out["correlation"] = 1.0
@@ -440,16 +448,11 @@ def _size_matrix_features(counts: np.ndarray, n_voxels: int) -> dict[str, float]
     }
 
 
-def glrlm_features(
-    levels: np.ndarray,
-    offsets: tuple[tuple[int, int, int], ...] = OFFSETS_13,
-) -> dict[str, float]:
-    """The 16 run-length features, averaged over the 13 directions."""
-    n_voxels = int((levels > 0).sum())
-    ng = int(levels.max())
+def glrlm_features(table: PairTable) -> dict[str, float]:
+    """The 16 run-length features, averaged over the table offsets."""
+    n_voxels = table.levels.size
     per_angle = [
-        _size_matrix_features(glrlm_counts(levels, off, ng), n_voxels)
-        for off in offsets
+        _size_matrix_features(counts, n_voxels) for counts in glrlm_counts(table)
     ]
     return {
         name: float(np.mean([f[name] for f in per_angle]))
@@ -457,28 +460,27 @@ def glrlm_features(
     }
 
 
-def glszm_features(levels: np.ndarray) -> dict[str, float]:
-    """The 16 size-zone features of the single 26-connected zone matrix."""
-    counts = glszm_counts(levels, int(levels.max()))
-    stats = _size_matrix_features(counts, int((levels > 0).sum()))
+def glszm_features(table: PairTable) -> dict[str, float]:
+    """The 16 size-zone features of the single zone matrix."""
+    stats = _size_matrix_features(glszm_counts(table), table.levels.size)
     return dict(zip(GLSZM_FEATURE_NAMES, stats.values()))
 
 
-def gldm_features(levels: np.ndarray) -> dict[str, float]:
-    """The 14 dependence features over the 26-neighborhood: the size
-    matrix statistics without the percentage, which is 1 by
-    construction, and the normalized gray-level nonuniformity."""
-    counts = gldm_counts(levels, int(levels.max()))
+def gldm_features(table: PairTable) -> dict[str, float]:
+    """The 14 dependence features: the size matrix statistics without
+    the percentage, which is 1 by construction, and the normalized
+    gray-level nonuniformity."""
+    counts = gldm_counts(table)
     stats = _size_matrix_features(counts, int(counts.sum()))
     del stats["gray_level_nonuniformity_normalized"], stats["run_percentage"]
     return dict(zip(GLDM_FEATURE_NAMES, stats.values()))
 
 
-def ngtdm_features(levels: np.ndarray) -> dict[str, float]:
+def ngtdm_features(table: PairTable) -> dict[str, float]:
     """The 5 neighborhood gray-tone difference features; all are 0 when
     no masked voxel has a masked neighbor."""
-    ng = int(levels.max())
-    n_i, s_i = ngtdm_table(levels, ng)
+    ng = table.ng
+    n_i, s_i = ngtdm_table(table)
     nvp = int(n_i.sum())
     if nvp == 0:
         return {name: 0.0 for name in NGTDM_FEATURE_NAMES}

@@ -49,7 +49,7 @@ THREADS = "4"
 TRAIN_CASES = 40
 HELD_CASES = 20
 PIPELINE_BUDGET_SECONDS = 300.0
-EXTRACTION_BUDGET_SECONDS = 10.0
+EXTRACTION_BUDGET_SECONDS = 2.0
 MIN_TRUE_LESION_VOXELS = 150
 
 # One ellipsoidal lesion per case with a thin enhancing core (label 3)

@@ -319,6 +319,19 @@ def test_apply_missing_policy(tmp_path, corpus):
     assert not (tmp_path / "out" / "run-config.json").exists()
 
 
+def test_apply_inconsistent_policy_is_invalid(tmp_path, pipeline):
+    doc = json.loads((pipeline["fit"] / "policy.json").read_text())
+    doc["standardizer"]["std"].pop()
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps(doc))
+    corpus = pipeline["corpus"]
+    assert main(["apply", "--policy", str(policy),
+                 "--preds", str(corpus / "preds"),
+                 "--images", str(corpus / "images"),
+                 "--out", str(tmp_path / "out")]) == 4
+    assert not (tmp_path / "out").exists()
+
+
 # -- evaluate ---------------------------------------------------------------------------
 
 def test_evaluate_matches_direct_scoring(pipeline):

@@ -512,6 +512,52 @@ def test_load_policy_rejects_tampered_manifest(tmp_path):
         load_policy(path)
 
 
+@pytest.mark.parametrize(
+    "field, mutate",
+    [
+        ("standardizer.mean", lambda d: d["standardizer"]["mean"].pop()),
+        ("standardizer.std", lambda d: d["standardizer"]["std"].append(1.0)),
+        ("pca.center", lambda d: d["pca"]["center"].pop()),
+        ("pca.components", lambda d: [row.pop() for row in d["pca"]["components"]]),
+        ("kmeans.centroids",
+         lambda d: d["kmeans"].update(centroids=[[0.0, 0.0]])),
+        ("kmeans.centroids",
+         lambda d: d["kmeans"]["centroids"].append([0.0])),
+        ("pcc_thresholds",
+         lambda d: d["pcc_thresholds"].update({"1": d["pcc_thresholds"]["0"]})),
+        ("relabel_rules", lambda d: d["relabel_rules"][0].update(cluster=1)),
+        ("relabel_rules", lambda d: d["relabel_rules"][0].update(cluster=-1)),
+    ],
+    ids=["mean-width", "std-width", "center-width", "components-width",
+         "centroid-width", "centroid-count", "threshold-cluster",
+         "rule-cluster-high", "rule-cluster-negative"],
+)
+def test_load_policy_rejects_inconsistent_fields(tmp_path, field, mutate):
+    path = tmp_path / "policy.json"
+    save_policy(_manual_policy(), path)
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=field.replace(".", r"\.")):
+        load_policy(path)
+
+
+def test_save_policy_failure_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "policy.json"
+    save_policy(_manual_policy(), path)
+    before = path.read_bytes()
+
+    def failing_dump(doc, fh, **kwargs):
+        fh.write('{"version": ')
+        raise RuntimeError("serializer failed")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(RuntimeError, match="serializer failed"):
+        save_policy(_manual_policy(), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["policy.json"]
+
+
 # -- objective configuration -----------------------------------------------------------
 
 def test_rank_objective_task_regions():

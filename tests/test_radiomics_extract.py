@@ -16,7 +16,7 @@ from gliopost.radiomics import (
     write_manifest,
 )
 from gliopost.radiomics.extract import FEATURES_PER_SEQUENCE
-from gliopost.radiomics.texture import discretize
+from gliopost.radiomics.texture import discretize, pair_table
 from gliopost.volume import SEQUENCES, CaseBundle, LabelMap, ScalarVolume, Spacing
 
 SP = Spacing(1.0, 1.0, 1.0)
@@ -81,17 +81,21 @@ def test_extract_is_deterministic():
 
 
 def test_each_sequence_is_discretized_once(monkeypatch):
+    """One discretize call and one pair-table build per sequence."""
     from gliopost.radiomics import extract
 
-    calls = []
+    calls = {"discretize": 0, "pair_table": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return discretize(*args, **kwargs)
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(extract, "discretize", counting)
+    monkeypatch.setattr(extract, "discretize", counting("discretize", discretize))
+    monkeypatch.setattr(extract, "pair_table", counting("pair_table", pair_table))
     extract_case_features(_bundle())
-    assert len(calls) == len(SEQUENCES)
+    assert calls == {"discretize": len(SEQUENCES), "pair_table": len(SEQUENCES)}
 
 
 def test_degenerate_whole_tumor_sentinel():
@@ -210,3 +214,35 @@ def test_manifest_name_tampering_detected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="manifest"):
         read_manifest(path)
+
+
+def test_failed_artifact_writes_keep_old_files(tmp_path, monkeypatch):
+    import csv
+    import json
+
+    matrix = FeatureMatrix.from_vectors([extract_case_features(_bundle())])
+    csv_path = tmp_path / "features.csv"
+    manifest_path = tmp_path / "feature-manifest.json"
+    write_feature_csv(csv_path, matrix)
+    write_manifest(manifest_path, ExtractionSettings())
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    class FailingWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def writerow(self, row):
+            self.fh.write("case_id,")
+            raise RuntimeError("serializer failed")
+
+    def failing_dump(doc, fh, **kwargs):
+        fh.write('{"feature_names": ')
+        raise RuntimeError("serializer failed")
+
+    monkeypatch.setattr(csv, "writer", FailingWriter)
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(RuntimeError, match="serializer failed"):
+        write_feature_csv(csv_path, matrix)
+    with pytest.raises(RuntimeError, match="serializer failed"):
+        write_manifest(manifest_path, ExtractionSettings(bin_count=8))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -3,6 +3,9 @@ and exact agreement with the pair/run/zone enumeration oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gliopost.morphology import OFFSETS_13
 from gliopost.radiomics.texture import (
@@ -20,6 +23,7 @@ from gliopost.radiomics.texture import (
     glszm_features,
     ngtdm_features,
     ngtdm_table,
+    pair_table,
 )
 
 from oracles import (
@@ -37,9 +41,9 @@ def _pad_to(a, shape):
     return out
 
 
-def _levels(data, mask, bin_count):
-    """The cropped level grid the feature families take as input."""
-    return crop_to_mask(discretize(data, mask, bin_count))
+def _table(data, mask, bin_count, offsets=OFFSETS_13):
+    """The pair table of the cropped level grid, as the caller builds it."""
+    return pair_table(crop_to_mask(discretize(data, mask, bin_count)), offsets)
 
 
 def _random_levels(rng, shape, ng, fill=0.8):
@@ -89,7 +93,7 @@ def test_discretize_validation():
 def test_glcm_constant_region():
     data = np.zeros((3, 3, 3))
     mask = np.ones((3, 3, 3), bool)
-    out = glcm_features(_levels(data, mask, 32))
+    out = glcm_features(_table(data, mask, 32))
     assert out["joint_energy"] == 1.0
     assert out["contrast"] == 0.0
     assert out["maximum_probability"] == 1.0
@@ -101,7 +105,7 @@ def test_glcm_constant_region():
 def test_glcm_checkerboard_single_offset():
     data = np.array([[10.0, 30.0], [30.0, 10.0]]).reshape(2, 2, 1)
     mask = np.ones((2, 2, 1), bool)
-    out = glcm_features(_levels(data, mask, 2), offsets=((1, 0, 0),))
+    out = glcm_features(_table(data, mask, 2, ((1, 0, 0),)))
     assert out["contrast"] == pytest.approx(1.0)
     assert out["joint_energy"] == pytest.approx(0.5)
     assert out["maximum_probability"] == pytest.approx(0.5)
@@ -125,8 +129,8 @@ def test_glcm_pairless_offsets_are_skipped():
     data = np.zeros((2, 1, 1))
     data[1, 0, 0] = 100.0
     mask = np.ones((2, 1, 1), bool)
-    all_angles = glcm_features(_levels(data, mask, 2))
-    x_only = glcm_features(_levels(data, mask, 2), offsets=((1, 0, 0),))
+    all_angles = glcm_features(_table(data, mask, 2))
+    x_only = glcm_features(_table(data, mask, 2, ((1, 0, 0),)))
     assert all_angles == x_only
 
 
@@ -136,7 +140,7 @@ def test_glcm_no_pairs_at_all():
     mask = np.zeros((5, 5, 5), bool)
     mask[0, 0, 0] = True
     mask[4, 4, 4] = True
-    out = glcm_features(_levels(data, mask, 2))
+    out = glcm_features(_table(data, mask, 2))
     for name in GLCM_FEATURE_NAMES:
         if name in ("correlation", "mcc"):
             assert out[name] == 1.0
@@ -148,8 +152,7 @@ def test_glcm_counts_match_pair_enumeration():
     rng = np.random.default_rng(79)
     for _ in range(3):
         levels = _random_levels(rng, (7, 6, 5), ng=4)
-        for off in OFFSETS_13:
-            got = glcm_counts(levels, off, 4)
+        for off, got in zip(OFFSETS_13, glcm_counts(pair_table(levels)), strict=True):
             want = brute_glcm(levels, off, 4)
             assert np.array_equal(got, want), off
             assert (got >= 0).all()
@@ -169,7 +172,7 @@ def test_glcm_normalization_and_feature_spot_checks():
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         i = np.arange(1, 6, dtype=float)
         ii, jj = np.meshgrid(i, i, indexing="ij")
-        got = glcm_features(levels, offsets=(off,))
+        got = glcm_features(pair_table(levels, (off,)))
         assert got["contrast"] == pytest.approx(float((p * (ii - jj) ** 2).sum()), abs=1e-9)
         assert got["maximum_probability"] == pytest.approx(float(p.max()), abs=1e-9)
         nz = p > 0
@@ -195,7 +198,7 @@ def test_discretize_of_integer_levels_is_identity():
 def test_glrlm_hand_case():
     data = np.array([1.0, 1.0, 2.0]).reshape(1, 1, 3)
     mask = np.ones((1, 1, 3), bool)
-    out = glrlm_features(_levels(data, mask, 2), offsets=((0, 0, 1),))
+    out = glrlm_features(_table(data, mask, 2, ((0, 0, 1),)))
     assert out["short_run_emphasis"] == pytest.approx(0.625)
     assert out["long_run_emphasis"] == pytest.approx(2.5)
     assert out["gray_level_nonuniformity"] == pytest.approx(1.0)
@@ -216,8 +219,7 @@ def test_glrlm_counts_match_run_walk():
     rng = np.random.default_rng(97)
     for _ in range(3):
         levels = _random_levels(rng, (6, 6, 6), ng=4, fill=0.7)
-        for off in OFFSETS_13:
-            got = glrlm_counts(levels, off, 4)
+        for off, got in zip(OFFSETS_13, glrlm_counts(pair_table(levels)), strict=True):
             want = brute_glrlm(levels, off, 4)
             width = max(got.shape[1], want.shape[1])
             assert np.array_equal(
@@ -228,8 +230,7 @@ def test_glrlm_counts_match_run_walk():
 def test_glrlm_total_run_voxels():
     rng = np.random.default_rng(101)
     levels = _random_levels(rng, (5, 5, 5), ng=3)
-    for off in ((1, 0, 0), (0, 0, 1), (1, 1, 1)):
-        counts = glrlm_counts(levels, off, 3)
+    for counts in glrlm_counts(pair_table(levels, ((1, 0, 0), (0, 0, 1), (1, 1, 1)))):
         lengths = np.arange(1, counts.shape[1] + 1)
         # every masked voxel belongs to exactly one run
         assert int((counts * lengths).sum()) == int((levels > 0).sum())
@@ -238,7 +239,7 @@ def test_glrlm_total_run_voxels():
 def test_glrlm_constant_line_single_run():
     data = np.zeros((1, 1, 4))
     mask = np.ones((1, 1, 4), bool)
-    counts = glrlm_counts(discretize(data, mask, 8), ((0, 0, 1))[0:3], 1)
+    (counts,) = glrlm_counts(pair_table(discretize(data, mask, 8), ((0, 0, 1),)))
     assert counts.shape == (1, 4)
     assert counts[0, 3] == 1
     assert counts.sum() == 1
@@ -249,7 +250,7 @@ def test_glrlm_constant_line_single_run():
 def test_glszm_constant_region_single_zone():
     data = np.zeros((2, 2, 2))
     mask = np.ones((2, 2, 2), bool)
-    out = glszm_features(_levels(data, mask, 4))
+    out = glszm_features(_table(data, mask, 4))
     assert out["zone_entropy"] == 0.0
     assert out["zone_percentage"] == pytest.approx(1.0 / 8.0)
     assert out["small_area_emphasis"] == pytest.approx(1.0 / 64.0)
@@ -261,7 +262,7 @@ def test_glszm_counts_match_component_enumeration():
     rng = np.random.default_rng(103)
     for _ in range(3):
         levels = _random_levels(rng, (6, 6, 6), ng=4, fill=0.6)
-        got = glszm_counts(levels, 4)
+        got = glszm_counts(pair_table(levels))
         want = brute_glszm(levels, 4)
         width = max(got.shape[1], want.shape[1])
         assert np.array_equal(_pad_to(got, (4, width)), _pad_to(want, (4, width)))
@@ -273,7 +274,7 @@ def test_glszm_two_zones_same_level():
     levels = np.zeros((7, 1, 1), dtype=np.int32)
     levels[0:2] = 1  # zone of size 2
     levels[4:7] = 1  # zone of size 3
-    counts = glszm_counts(levels, 1)
+    counts = glszm_counts(pair_table(levels))
     assert counts[0, 1] == 1
     assert counts[0, 2] == 1
     assert counts.sum() == 2
@@ -285,7 +286,7 @@ def test_gldm_single_voxel():
     data = np.zeros((3, 3, 3))
     mask = np.zeros((3, 3, 3), bool)
     mask[1, 1, 1] = True
-    out = gldm_features(_levels(data, mask, 4))
+    out = gldm_features(_table(data, mask, 4))
     assert out["small_dependence_emphasis"] == 1.0
     assert out["large_dependence_emphasis"] == 1.0
     assert out["dependence_entropy"] == 0.0
@@ -295,7 +296,7 @@ def test_gldm_single_voxel():
 def test_gldm_pair_dependence():
     data = np.zeros((2, 1, 1))
     mask = np.ones((2, 1, 1), bool)
-    counts = gldm_counts(discretize(data, mask, 8), 1)
+    counts = gldm_counts(pair_table(discretize(data, mask, 8)))
     # each voxel depends on its one equal neighbor: size 2, twice
     assert counts.shape == (1, 2)
     assert counts[0, 1] == 2
@@ -305,7 +306,7 @@ def test_gldm_counts_match_neighbor_enumeration():
     rng = np.random.default_rng(107)
     for _ in range(3):
         levels = _random_levels(rng, (6, 6, 6), ng=4, fill=0.7)
-        got = gldm_counts(levels, 4)
+        got = gldm_counts(pair_table(levels))
         want = brute_gldm(levels, 4)
         width = max(got.shape[1], want.shape[1])
         assert np.array_equal(_pad_to(got, (4, width)), _pad_to(want, (4, width)))
@@ -317,7 +318,7 @@ def test_gldm_counts_match_neighbor_enumeration():
 def test_ngtdm_hand_case():
     data = np.array([1.0, 1.0, 2.0]).reshape(1, 1, 3)
     mask = np.ones((1, 1, 3), bool)
-    out = ngtdm_features(_levels(data, mask, 2))
+    out = ngtdm_features(_table(data, mask, 2))
     assert out["coarseness"] == pytest.approx(1.5)
     assert out["contrast"] == pytest.approx(1.0 / 9.0)
     assert out["busyness"] == 0.0  # |1*(2/3) - 2*(1/3)| = 0 in the denominator
@@ -328,7 +329,7 @@ def test_ngtdm_hand_case():
 def test_ngtdm_constant_region_hits_coarseness_cap():
     data = np.zeros((3, 3, 3))
     mask = np.ones((3, 3, 3), bool)
-    out = ngtdm_features(_levels(data, mask, 8))
+    out = ngtdm_features(_table(data, mask, 8))
     assert out["coarseness"] == COARSENESS_MAX
     assert out["contrast"] == 0.0
     assert out["busyness"] == 0.0
@@ -340,7 +341,7 @@ def test_ngtdm_table_matches_enumeration():
     rng = np.random.default_rng(109)
     for _ in range(3):
         levels = _random_levels(rng, (6, 6, 6), ng=4, fill=0.7)
-        n_got, s_got = ngtdm_table(levels, 4)
+        n_got, s_got = ngtdm_table(pair_table(levels))
         n_want, s_want = brute_ngtdm(levels, 4)
         assert np.array_equal(n_got, n_want.astype(n_got.dtype))
         assert np.abs(s_got - s_want).max() <= 1e-12
@@ -357,7 +358,7 @@ def test_texture_translation_invariance():
         sl = tuple(slice(o, o + 5) for o in offset)
         data[sl] = blob_data
         mask[sl] = blob_mask
-        levels = _levels(data, mask, 8)
+        table = _table(data, mask, 8)
         row = {}
         for fam, features in (
             ("glcm", glcm_features),
@@ -366,8 +367,60 @@ def test_texture_translation_invariance():
             ("gldm", gldm_features),
             ("ngtdm", ngtdm_features),
         ):
-            row.update({f"{fam}/{k}": v for k, v in features(levels).items()})
+            row.update({f"{fam}/{k}": v for k, v in features(table).items()})
         results.append(row)
     assert results[0].keys() == results[1].keys()
     for key in results[0]:
         assert results[0][key] == pytest.approx(results[1][key], abs=1e-9), key
+
+
+# -- pair engine against the oracles --------------------------------------------
+
+@st.composite
+def level_grids(draw):
+    """Level grids of at most 6^3 with 1-4 levels: dense random, single
+    voxels on the even sublattice (no voxel has a masked neighbour), or
+    one clump and one far voxel in opposite corners of an empty box."""
+    ng = draw(st.integers(1, 4))
+    layout = draw(st.sampled_from(("dense", "scattered", "far_island")))
+    low = 4 if layout == "far_island" else 1
+    shape = draw(st.tuples(*[st.integers(low, 6)] * 3))
+    # every element drawn on its own: a fill value would make most grids constant
+    elements = st.integers(0, ng)
+    levels = draw(hnp.arrays(np.int32, shape, elements=elements, fill=st.nothing()))
+    if layout == "scattered":
+        levels[1::2] = 0
+        levels[:, 1::2] = 0
+        levels[:, :, 1::2] = 0
+    elif layout == "far_island":
+        clump = levels[:2, :2, :2].copy()
+        levels[...] = 0
+        levels[:2, :2, :2] = clump
+        levels[-1, -1, -1] = draw(st.integers(1, ng))
+    if not levels.any():
+        levels[0, 0, 0] = ng
+    return levels
+
+
+def _padded_equal(got, want):
+    width = max(got.shape[1], want.shape[1])
+    rows = want.shape[0]
+    return np.array_equal(_pad_to(got, (rows, width)), _pad_to(want, (rows, width)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(level_grids())
+def test_pair_engine_matches_oracles(levels):
+    table = pair_table(levels)
+    ng = table.ng
+    assert ng == int(levels.max())
+    for off, got in zip(OFFSETS_13, glcm_counts(table), strict=True):
+        assert np.array_equal(got, brute_glcm(levels, off, ng)), off
+    for off, got in zip(OFFSETS_13, glrlm_counts(table), strict=True):
+        assert _padded_equal(got, brute_glrlm(levels, off, ng)), off
+    assert _padded_equal(glszm_counts(table), brute_glszm(levels, ng))
+    assert _padded_equal(gldm_counts(table), brute_gldm(levels, ng))
+    n_got, s_got = ngtdm_table(table)
+    n_want, s_want = brute_ngtdm(levels, ng)
+    assert np.array_equal(n_got, n_want)
+    assert np.array_equal(s_got, s_want)
