@@ -21,8 +21,6 @@ import argparse
 import json
 import logging
 import sys
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -35,18 +33,18 @@ from .metrics import (
     read_metrics_csv,
     write_metrics_csv,
 )
+from .parallel import map_ordered
 from .policy import (
     DEFAULT_CUTOFF_GRID,
     DEFAULT_PCC_GRID,
     DEFAULT_TOP_CONFUSIONS,
-    FitReport,
-    PostProcessPolicy,
     RankObjective,
     apply_policy,
     fit_policy_report,
     load_policy,
     save_policy,
     write_confusion_csv,
+    write_fit_report,
 )
 from .radiomics import (
     DEFAULT_BIN_COUNT,
@@ -59,10 +57,9 @@ from .radiomics import (
     write_manifest,
 )
 from .ranking import rank_candidates, write_ranking_csv
-from .synth import SynthConfig, generate_case, save_case, write_inventory
+from .synth import SynthConfig, case_name, generate_case, save_case, write_inventory
 from .volume import (
     SEQUENCES,
-    TUMOR_LABELS,
     discover_case_ids,
     load_case_bundle,
     load_nifti,
@@ -99,6 +96,13 @@ def _int(value) -> int:
     if isinstance(value, str):
         return int(value)
     raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _threads(value) -> int:
+    threads = _int(value)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return threads
 
 
 def _float(value) -> float:
@@ -189,7 +193,7 @@ _SYNTH_SPEC = (
          _SYNTH_RECIPE["noise_amplitude"], "standard deviation of image noise"),
     _Opt("sequences", "--sequences", _strs, _SYNTH_RECIPE["sequences"],
          "sequence names to synthesize"),
-    _Opt("threads", "--threads", _int, 1, "worker processes"),
+    _Opt("threads", "--threads", _threads, 1, "worker processes"),
 )
 
 _EXTRACT_SPEC = (
@@ -202,7 +206,7 @@ _EXTRACT_SPEC = (
          "gray-level count for texture features"),
     _Opt("sequences", "--sequences", _strs, list(SEQUENCES),
          "sequence names to extract from"),
-    _Opt("threads", "--threads", _int, 1, "worker processes"),
+    _Opt("threads", "--threads", _threads, 1, "worker processes"),
 )
 
 _FIT_SPEC = (
@@ -229,7 +233,7 @@ _FIT_SPEC = (
          "sequence names to extract from"),
     _Opt("features", "--features", _str, None,
          "precomputed features.csv (skips extraction)"),
-    _Opt("threads", "--threads", _int, 1, "worker processes"),
+    _Opt("threads", "--threads", _threads, 1, "worker processes"),
 )
 
 _APPLY_SPEC = (
@@ -237,7 +241,7 @@ _APPLY_SPEC = (
     _Opt("preds", "--preds", _str, _REQUIRED, "directory of predicted masks"),
     _Opt("images", "--images", _str, _REQUIRED, "directory of image sequences"),
     _Opt("out", "--out", _str, _REQUIRED, "output directory for masks"),
-    _Opt("threads", "--threads", _int, 1, "worker processes"),
+    _Opt("threads", "--threads", _threads, 1, "worker processes"),
 )
 
 _EVALUATE_SPEC = (
@@ -251,7 +255,7 @@ _EVALUATE_SPEC = (
          "lesion-merging dilation iterations"),
     _Opt("connectivity", "--connectivity", _int, DEFAULT_CONNECTIVITY,
          "component connectivity (6 or 26)", choices=(6, 26)),
-    _Opt("threads", "--threads", _int, 1, "worker processes"),
+    _Opt("threads", "--threads", _threads, 1, "worker processes"),
 )
 
 _RANK_SPEC = (
@@ -328,16 +332,6 @@ def _write_run_config(out_dir: Path, command: str, cfg: dict) -> None:
 # worker functions (module level so process pools can pickle them)
 # ---------------------------------------------------------------------------
 
-def _map_ordered(worker: Callable, items: list, threads: int) -> list:
-    """Apply worker to items, results in item order regardless of threads."""
-    if threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {threads}")
-    if threads == 1 or len(items) <= 1:
-        return [worker(item) for item in items]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, items))
-
-
 def _synth_case(item):
     recipe, index, out_dir = item
     cfg = SynthConfig.from_dict(recipe)
@@ -370,7 +364,7 @@ def _evaluate_metrics_case(item):
     objective = RankObjective.from_dict(objective_dict)
     gt_path = Path(gt_dir) / seg_filename(case_id)
     if not gt_path.exists():
-        raise FileNotFoundError(f"case {case_id}: missing ground truth {gt_path}")
+        raise FileNotFoundError(f"missing ground truth {gt_path}")
     pred = load_nifti(Path(pred_dir) / seg_filename(case_id), kind="label")
     gt = load_nifti(gt_path, kind="label")
     return evaluate_case(
@@ -413,7 +407,9 @@ def _cmd_synth(cfg: dict) -> int:
     start = cfg["start_index"]
     items = [(recipe, index, str(out))
              for index in range(start, start + cfg["cases"])]
-    results = _map_ordered(_synth_case, items, cfg["threads"])
+    results = map_ordered(_synth_case, items,
+                          [case_name(index) for _, index, _ in items],
+                          cfg["threads"])
     write_inventory(out, syn, dict(results))
     log.info("wrote %d cases under %s", cfg["cases"], out)
     return EXIT_OK
@@ -423,7 +419,8 @@ def _extract_matrix(cfg: dict, settings: ExtractionSettings,
                     case_ids: list[str]) -> FeatureMatrix:
     items = [(cid, cfg["preds"], cfg["images"], settings.to_dict())
              for cid in case_ids]
-    vectors = _map_ordered(_extract_features_case, items, cfg["threads"])
+    vectors = map_ordered(_extract_features_case, items, case_ids,
+                          cfg["threads"])
     return FeatureMatrix.from_vectors(vectors)
 
 
@@ -443,52 +440,6 @@ def _cmd_extract_features(cfg: dict) -> int:
     log.info("extracted %d features for %d cases",
              len(matrix.names), len(case_ids))
     return EXIT_OK
-
-
-def _format_fit_report(policy: PostProcessPolicy, report: FitReport) -> str:
-    k = policy.kmeans.k
-    sizes = Counter(report.assignments)
-    lines = [
-        f"task: {policy.task}",
-        f"training cases: {len(report.case_ids)}",
-        f"pca components: {policy.pca.n_components}",
-        f"clusters: {k} (silhouette {policy.kmeans.silhouette:.4f})",
-        "cluster sizes: "
-        + ", ".join(f"{c}: {sizes.get(c, 0)}" for c in range(k)),
-        "",
-        "confusion after component filtering (rows truth, columns prediction):",
-        "        " + "".join(f"{p:>12}" for p in range(5)),
-    ]
-    for g in range(5):
-        row = "".join(f"{int(v):>12}" for v in report.confusion[g])
-        lines.append(f"  {g:>4}  {row}")
-    lines.append("")
-    if report.candidates:
-        pairs = ", ".join(f"{src}->{dst}" for src, dst in report.candidates)
-    else:
-        pairs = "none"
-    lines.append(f"relabel candidates (src->dst): {pairs}")
-    lines.append("")
-    lines.append("component-size thresholds:")
-    lines.append("  cluster" + "".join(f"  label {l}" for l in TUMOR_LABELS))
-    for cluster in range(k):
-        cells = "".join(
-            f"{policy.thresholds[cluster][l]:>9}" for l in TUMOR_LABELS
-        )
-        lines.append(f"  {cluster:>7}{cells}")
-    lines.append("")
-    if policy.rules:
-        lines.append("relabel rules:")
-        lines.append("  cluster  src  dst   cutoff")
-        for rule in policy.rules:
-            lines.append(
-                f"  {rule.cluster:>7}  {rule.src:>3}  {rule.dst:>3}"
-                f"  {rule.cutoff:.4f}"
-            )
-    else:
-        lines.append("relabel rules: none")
-    lines.append("")
-    return "\n".join(lines)
 
 
 def _cmd_fit_policy(cfg: dict) -> int:
@@ -520,10 +471,11 @@ def _cmd_fit_policy(cfg: dict) -> int:
         cutoff_grid=tuple(cfg["cutoff_grid"]),
         n_confusions=cfg["confusions"],
         feature_matrix=matrix,
+        threads=cfg["threads"],
     )
     save_policy(policy, out / "policy.json")
     write_confusion_csv(out / "confusion.csv", report.confusion)
-    (out / "fit-report.txt").write_text(_format_fit_report(policy, report))
+    write_fit_report(out / "fit-report.txt", policy, report)
     log.info("fitted %d clusters, %d relabel rules; policy at %s",
              policy.kmeans.k, len(policy.rules), out / "policy.json")
     return EXIT_OK
@@ -537,7 +489,7 @@ def _cmd_apply(cfg: dict) -> int:
     _write_run_config(out, "apply", cfg)
     items = [(cid, cfg["policy"], cfg["preds"], cfg["images"], str(out))
              for cid in case_ids]
-    _map_ordered(_apply_case, items, cfg["threads"])
+    map_ordered(_apply_case, items, case_ids, cfg["threads"])
     log.info("post-processed %d masks into %s", len(case_ids), out)
     return EXIT_OK
 
@@ -555,7 +507,8 @@ def _cmd_evaluate(cfg: dict) -> int:
     )
     items = [(cid, cfg["preds"], cfg["gt"], objective.to_dict())
              for cid in case_ids]
-    rows = _map_ordered(_evaluate_metrics_case, items, cfg["threads"])
+    rows = map_ordered(_evaluate_metrics_case, items, case_ids,
+                       cfg["threads"])
     write_metrics_csv(out / "metrics.csv", rows)
     log.info("evaluated %d cases into %s", len(case_ids), out / "metrics.csv")
     return EXIT_OK

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from .morphology import (
     dilate,
     euclidean_distance_transform,
 )
-from .volume import LabelMap, Spacing
+from .volume import LabelMap, Spacing, atomic_open
 
 DEFAULT_DILATION_ITERS = 3
 DEFAULT_CONNECTIVITY = 26
@@ -120,6 +121,74 @@ def _dice(a: np.ndarray, b: np.ndarray) -> float:
     return 2.0 * inter / (na + nb)
 
 
+def _assign_components(
+    labels: np.ndarray, count: int, lesion_map: np.ndarray, n_lesions: int
+) -> np.ndarray:
+    """Lesion id of each component 1..count of ``labels``, 0 for a false
+    positive: the lesion of ``lesion_map`` (same shape) it overlaps most,
+    the lowest lesion id on ties.  Voxels per (component, lesion) pair
+    are counted once."""
+    both = (labels != 0) & (lesion_map != 0)
+    pairs, overlap = np.unique(
+        labels[both].astype(np.int64) * (n_lesions + 1) + lesion_map[both],
+        return_counts=True,
+    )
+    comp, lesion = np.divmod(pairs, n_lesions + 1)
+    order = np.lexsort((lesion, -overlap, comp))
+    best = order[np.unique(comp[order], return_index=True)[1]]
+    lesion_of = np.zeros(count + 1, dtype=np.int32)
+    lesion_of[comp[best]] = lesion[best]
+    return lesion_of
+
+
+def _summary(
+    dice: list[float], nsd: list[dict[float, float]], n_fp: int,
+    tolerances: tuple[float, ...],
+) -> dict[str, float]:
+    """Lesion-wise Dice plus NSD at each tolerance, as a flat dict."""
+    out = {"LW_Dice": _aggregate(dice, n_fp, len(dice))}
+    for tol in tolerances:
+        if tol <= 0:
+            raise ValueError(f"tolerance must be > 0, got {tol}")
+        out[f"LW_NSD@{tol:g}"] = _aggregate([n[tol] for n in nsd], n_fp, len(nsd))
+    return out
+
+
+@dataclass
+class MatchState:
+    """A prediction mask matched against a ``RegionScorer``: what
+    ``RegionScorer.score_subset`` starts from.
+
+    ``labels`` holds the prediction components, ``lesion_of[c]`` the
+    lesion of component c (0: false positive), ``lesions`` the lesion of
+    every voxel, and ``dice[lid - 1]`` and ``nsd[lid - 1]`` the scores of
+    each lesion.
+    """
+
+    labels: np.ndarray
+    lesion_of: np.ndarray
+    lesions: np.ndarray
+    dice: list[float]
+    nsd: list[dict[float, float]]
+    tolerances: tuple[float, ...]
+
+    @property
+    def n_fp(self) -> int:
+        return int((self.lesion_of[1:] == 0).sum())
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        return self.labels != 0
+
+    @cached_property
+    def boxes(self) -> list[tuple[slice, ...]]:
+        return ndimage.find_objects(self.labels)
+
+    @property
+    def scores(self) -> dict[str, float]:
+        return _summary(self.dice, self.nsd, self.n_fp, self.tolerances)
+
+
 class RegionScorer:
     """Lesion-wise scoring of candidate predictions against one fixed
     ground-truth region mask.
@@ -129,6 +198,19 @@ class RegionScorer:
     candidate predictions against the same ground truth is cheap.  The
     distance fields behind NSD depend on both surfaces and are computed
     per match.  ``match_lesions`` and ``evaluate_case`` are thin wrappers.
+
+    ``score_subset`` scores a candidate that only removes voxels from a
+    mask already matched (``match_state``) without matching it again:
+    only the matched components that lost voxels are relabelled, inside
+    their ``find_objects`` boxes; each remaining part goes to the lesion
+    it overlaps most, the lowest lesion id on ties; and Dice and NSD are
+    recomputed only for the lesions that lost or gained a part.  This is
+    exact.  Removing voxels never joins components, so every untouched
+    component is a component of the candidate as well.  A component's
+    lesion depends only on its own voxels, so every untouched component
+    keeps its lesion.  Each lesion thus sees the same prediction voxels
+    as under ``score``, and the same per-lesion values reach the same
+    aggregation in the same lesion order.
     """
 
     def __init__(
@@ -186,66 +268,100 @@ class RegionScorer:
     def n_lesions(self) -> int:
         return len(self.lesion_members)
 
+    def _lesion_scores(
+        self, lid: int, pred_mask: np.ndarray | None, tolerances: tuple[float, ...]
+    ) -> tuple[float, dict[float, float]]:
+        """Dice and NSD of lesion ``lid`` against its prediction mask; a
+        lesion without prediction voxels (``None`` or empty) scores 0."""
+        if pred_mask is None or not pred_mask.any():
+            return 0.0, {t: 0.0 for t in tolerances}
+        dice = _dice(self._gt_lesion_masks[lid - 1], pred_mask)
+        if not tolerances:
+            return dice, {}
+        nsd = _surface_counts(boundary_voxels(pred_mask), self._gt_surfaces[lid - 1],
+                              self.spacing, tuple(tolerances))
+        return dice, nsd
+
+    def match_state(
+        self, pred_mask: np.ndarray, tolerances: tuple[float, ...] = ()
+    ) -> MatchState:
+        """Assign prediction components to lesions and score each lesion."""
+        pred_cc = connected_components(pred_mask, self.connectivity)
+        lesion_of = _assign_components(pred_cc.labels, pred_cc.count,
+                                       self.lesion_map, self.n_lesions)
+        lesions = lesion_of[pred_cc.labels]
+        assigned = set(lesion_of[1:].tolist())
+        per_lesion = [
+            self._lesion_scores(lid, lesions == lid if lid in assigned else None,
+                                tolerances)
+            for lid in range(1, self.n_lesions + 1)
+        ]
+        return MatchState(
+            labels=pred_cc.labels,
+            lesion_of=lesion_of,
+            lesions=lesions,
+            dice=[d for d, _ in per_lesion],
+            nsd=[n for _, n in per_lesion],
+            tolerances=tuple(tolerances),
+        )
+
     def match(self, pred_mask: np.ndarray, tolerances: tuple[float, ...] = ()) -> LesionMatchResult:
         """Assign prediction components to lesions and score them."""
-        pred_cc = connected_components(pred_mask, self.connectivity)
-
-        # voxels per (component, lesion) pair, counted once; each component
-        # goes to its largest overlap, the lowest lesion id on ties
-        both = (pred_cc.labels != 0) & (self.lesion_map != 0)
-        pairs, overlap = np.unique(
-            pred_cc.labels[both].astype(np.int64) * (self.n_lesions + 1)
-            + self.lesion_map[both],
-            return_counts=True,
-        )
-        comp, lesion = np.divmod(pairs, self.n_lesions + 1)
-        order = np.lexsort((lesion, -overlap, comp))
-        best = order[np.unique(comp[order], return_index=True)[1]]
-        lesion_of = np.zeros(pred_cc.count + 1, dtype=np.int32)
-        lesion_of[comp[best]] = lesion[best]
-        pred_lesions = lesion_of[pred_cc.labels]
-
-        lesions = []
-        for lid in range(1, self.n_lesions + 1):
-            gt_m = self._gt_lesion_masks[lid - 1]
-            preds = tuple(int(p) for p in np.flatnonzero(lesion_of == lid))
-            if preds:
-                pred_m = pred_lesions == lid
-                dice = _dice(gt_m, pred_m)
-                nsd = self._lesion_nsd(lid, pred_m, tolerances)
-            else:
-                dice = 0.0
-                nsd = {t: 0.0 for t in tolerances}
-            lesions.append(
-                LesionRecord(
-                    lesion_id=lid,
-                    gt_components=self.lesion_members[lid - 1],
-                    pred_components=preds,
-                    dice=dice,
-                    nsd=nsd,
-                )
+        state = self.match_state(pred_mask, tolerances)
+        lesions = [
+            LesionRecord(
+                lesion_id=lid,
+                gt_components=self.lesion_members[lid - 1],
+                pred_components=tuple(
+                    int(p) for p in np.flatnonzero(state.lesion_of == lid)),
+                dice=state.dice[lid - 1],
+                nsd=state.nsd[lid - 1],
             )
-        fps = tuple(int(p) + 1 for p in np.flatnonzero(lesion_of[1:] == 0))
+            for lid in range(1, self.n_lesions + 1)
+        ]
+        fps = tuple(int(p) + 1 for p in np.flatnonzero(state.lesion_of[1:] == 0))
         return LesionMatchResult(lesions=lesions, fp_components=fps)
-
-    def _lesion_nsd(
-        self, lid: int, pred_mask: np.ndarray, tolerances: tuple[float, ...]
-    ) -> dict[float, float]:
-        if not tolerances:
-            return {}
-        pred_surf = boundary_voxels(pred_mask)
-        return _surface_counts(pred_surf, self._gt_surfaces[lid - 1],
-                               self.spacing, tuple(tolerances))
 
     def score(
         self, pred_mask: np.ndarray, tolerances: tuple[float, ...] = DEFAULT_TOLERANCES_MM
     ) -> dict[str, float]:
         """Lesion-wise Dice plus NSD at each tolerance, as a flat dict."""
-        match = self.match(pred_mask, tolerances)
-        out = {"LW_Dice": lesionwise_dice(match)}
-        for tol in tolerances:
-            out[f"LW_NSD@{tol:g}"] = lesionwise_nsd(match, tol)
-        return out
+        return self.match_state(pred_mask, tolerances).scores
+
+    def score_subset(self, base: MatchState, pred_mask: np.ndarray) -> dict[str, float]:
+        """``score(pred_mask, base.tolerances)`` for a ``pred_mask`` that is
+        a subset of the mask ``base`` was matched from, computed from
+        ``base`` (see the class docstring)."""
+        touched = np.unique(base.labels[base.mask & ~pred_mask])
+        if touched.size == 0:
+            return base.scores
+        dice, nsd, n_fp = list(base.dice), list(base.nsd), base.n_fp
+        changed: set[int] = set()
+        parts = []
+        for c in touched.tolist():
+            if base.lesion_of[c]:
+                changed.add(int(base.lesion_of[c]))
+            else:
+                n_fp -= 1
+            box = base.boxes[c - 1]
+            own = base.labels[box] == c
+            kept = own & pred_mask[box]
+            part_lesions = np.zeros(own.shape, dtype=np.int32)
+            if kept.any():
+                cc = connected_components(kept, self.connectivity)
+                part_lesion = _assign_components(cc.labels, cc.count,
+                                                 self.lesion_map[box], self.n_lesions)
+                n_fp += int((part_lesion[1:] == 0).sum())
+                changed.update(int(lid) for lid in part_lesion[1:] if lid)
+                part_lesions = part_lesion[cc.labels]
+            parts.append((box, own, part_lesions))
+        for lid in changed:
+            lesion_mask = base.lesions == lid
+            for box, own, part_lesions in parts:
+                lesion_mask[box][own] = part_lesions[own] == lid
+            dice[lid - 1], nsd[lid - 1] = self._lesion_scores(
+                lid, lesion_mask, base.tolerances)
+        return _summary(dice, nsd, n_fp, base.tolerances)
 
 
 def match_lesions(
@@ -340,7 +456,7 @@ def write_metrics_csv(path: str | Path, rows: list[CaseMetrics]) -> None:
     if not rows:
         raise ValueError("no metrics rows to write")
     columns = list(rows[0].values.keys())
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["case_id"] + columns)
         for row in rows:

@@ -10,6 +10,7 @@ ranks worse than leaving predictions untouched.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,11 +34,13 @@ from .metrics import (
     REGIONS_PRE_TREATMENT,
     WT,
     CaseMetrics,
+    MatchState,
     RegionScorer,
     RegionSpec,
     region_mask,
 )
 from .morphology import connected_components, remove_small_components
+from .parallel import map_ordered
 from .radiomics import (
     ExtractionSettings,
     FeatureMatrix,
@@ -236,48 +239,162 @@ def top_confusions(cm: np.ndarray, n: int = DEFAULT_TOP_CONFUSIONS) -> list[tupl
 
 def write_confusion_csv(path: str | Path, cm: np.ndarray) -> None:
     cm = np.asarray(cm)
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         fh.write("gt\\pred," + ",".join(str(p) for p in range(cm.shape[1])) + "\n")
         for g in range(cm.shape[0]):
             fh.write(str(g) + "," + ",".join(str(int(v)) for v in cm[g]) + "\n")
+
+
+def write_fit_report(path: str | Path, policy: PostProcessPolicy,
+                     report: FitReport) -> None:
+    """The human-readable summary of a fit: clusters, confusion,
+    thresholds and rules."""
+    k = policy.kmeans.k
+    sizes = Counter(report.assignments)
+    lines = [
+        f"task: {policy.task}",
+        f"training cases: {len(report.case_ids)}",
+        f"pca components: {policy.pca.n_components}",
+        f"clusters: {k} (silhouette {policy.kmeans.silhouette:.4f})",
+        "cluster sizes: "
+        + ", ".join(f"{c}: {sizes.get(c, 0)}" for c in range(k)),
+        "",
+        "confusion after component filtering (rows truth, columns prediction):",
+        "        " + "".join(f"{p:>12}" for p in range(5)),
+    ]
+    for g in range(5):
+        row = "".join(f"{int(v):>12}" for v in report.confusion[g])
+        lines.append(f"  {g:>4}  {row}")
+    lines.append("")
+    if report.candidates:
+        pairs = ", ".join(f"{src}->{dst}" for src, dst in report.candidates)
+    else:
+        pairs = "none"
+    lines.append(f"relabel candidates (src->dst): {pairs}")
+    lines.append("")
+    lines.append("component-size thresholds:")
+    lines.append("  cluster" + "".join(f"  label {l}" for l in TUMOR_LABELS))
+    for cluster in range(k):
+        cells = "".join(
+            f"{policy.thresholds[cluster][l]:>9}" for l in TUMOR_LABELS
+        )
+        lines.append(f"  {cluster:>7}{cells}")
+    lines.append("")
+    if policy.rules:
+        lines.append("relabel rules:")
+        lines.append("  cluster  src  dst   cutoff")
+        for rule in policy.rules:
+            lines.append(
+                f"  {rule.cluster:>7}  {rule.src:>3}  {rule.dst:>3}"
+                f"  {rule.cutoff:.4f}"
+            )
+    else:
+        lines.append("relabel rules: none")
+    lines.append("")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
 # grid-search fitting
 # ---------------------------------------------------------------------------
 
-class _ScorerCache:
-    """Ground-truth side of the lesion matching, cached per case/region."""
+class _CaseScorer:
+    """Scores candidate predictions of one training case, region by
+    region, against its ground truth.
 
-    def __init__(self, objective: RankObjective):
+    Each distinct region mask is scored once.  A candidate region mask
+    that only removes voxels from the region mask of the case's own
+    prediction is scored from the match of that mask
+    (``RegionScorer.score_subset``); any other is matched in full.
+    """
+
+    def __init__(self, case: FitCase, objective: RankObjective):
+        if case.pred.dims != case.gt.dims:
+            raise ValueError(
+                f"grid mismatch: pred {case.pred.dims} vs gt {case.gt.dims}")
+        self.case = case
         self.objective = objective
-        self._scorers: dict[tuple[str, str], RegionScorer] = {}
+        self._bases: dict[str, tuple[RegionScorer, MatchState]] = {}
+        self._scores: dict[tuple[str, bytes], dict[str, float]] = {}
 
-    def score(self, case: FitCase, region: RegionSpec, pred_data: np.ndarray) -> dict[str, float]:
-        key = (case.case_id, region.name)
-        scorer = self._scorers.get(key)
-        if scorer is None:
+    def _base(self, region: RegionSpec) -> tuple[RegionScorer, MatchState]:
+        if region.name not in self._bases:
             scorer = RegionScorer(
-                region_mask(case.gt, region),
-                case.gt.spacing,
+                region_mask(self.case.gt, region),
+                self.case.gt.spacing,
                 self.objective.dilation_iters,
                 self.objective.connectivity,
             )
-            self._scorers[key] = scorer
-        raw = scorer.score(region_mask(pred_data, region), self.objective.tolerances)
-        return {f"{k}_{region.name}": v for k, v in raw.items()}
+            state = scorer.match_state(region_mask(self.case.pred, region),
+                                       self.objective.tolerances)
+            self._bases[region.name] = (scorer, state)
+        return self._bases[region.name]
+
+    def score(self, regions, pred_data: np.ndarray) -> dict[str, float]:
+        """``LW_<metric>_<region>`` scores of ``pred_data`` over ``regions``."""
+        out: dict[str, float] = {}
+        for region in regions:
+            mask = region_mask(pred_data, region)
+            key = (region.name, np.packbits(mask).tobytes())
+            if key not in self._scores:
+                scorer, state = self._base(region)
+                if (mask & ~state.mask).any():
+                    raw = scorer.score(mask, self.objective.tolerances)
+                else:
+                    raw = scorer.score_subset(state, mask)
+                self._scores[key] = {f"{k}_{region.name}": v for k, v in raw.items()}
+            out.update(self._scores[key])
+        return out
 
 
-def _group_by_cluster(cases: list[FitCase], n_clusters: int) -> dict[int, list[FitCase]]:
-    groups: dict[int, list[FitCase]] = {c: [] for c in range(n_clusters)}
-    for case in cases:
-        if case.cluster not in groups:
-            raise ValueError(f"{case.case_id}: cluster {case.cluster} out of range")
-        groups[case.cluster].append(case)
-    for cluster, members in groups.items():
-        if not members:
-            raise ValueError(f"cluster {cluster} has no training cases")
-    return groups
+def _threshold_table(item) -> dict[int, dict[int, dict[str, float]]]:
+    """Per label and grid threshold, the scores of one case with the
+    label's smaller components removed, over the regions holding the
+    label."""
+    case, (labels, grid), objective = item
+    scorer = _CaseScorer(case, objective)
+    table: dict[int, dict[int, dict[str, float]]] = {}
+    for label in labels:
+        affected = [r for r in objective.regions if label in r.labels]
+        mask = case.pred.label_mask(label)
+        cc = connected_components(mask, objective.connectivity)
+        sizes = np.array([0] + [cc.sizes[c] for c in range(1, cc.count + 1)])
+        by_removal: dict[bytes, dict[str, float]] = {}
+        table[label] = {}
+        for t in grid:
+            small = sizes < t
+            small[0] = False
+            key = small.tobytes()
+            if key not in by_removal:
+                pred_data = case.pred.data.copy()
+                pred_data[small[cc.labels]] = 0
+                by_removal[key] = scorer.score(affected, pred_data)
+            table[label][t] = by_removal[key]
+    return table
+
+
+def _relabel_table(item) -> dict[tuple[int, int], tuple]:
+    """Per candidate (src, dst) pair, the volume ratio of one case and its
+    scores without and with the relabelling, over the regions holding
+    src or dst."""
+    case, pairs, objective = item
+    scorer = _CaseScorer(case, objective)
+    seg = case.pred.data
+    wt_vol = int(np.isin(seg, WT_LABELS).sum())
+    table = {}
+    for src, dst in pairs:
+        affected = [r for r in objective.regions if src in r.labels or dst in r.labels]
+        src_vol = int((seg == src).sum())
+        ratio = src_vol / wt_vol if wt_vol > 0 else None
+        base = scorer.score(affected, seg)
+        fired = base
+        if ratio is not None and src_vol > 0:
+            changed = seg.copy()
+            changed[changed == src] = dst
+            fired = scorer.score(affected, changed)
+        table[(src, dst)] = (ratio, base, fired)
+    return table
 
 
 def _rank_select(per_candidate: dict, grid, key_of) -> object:
@@ -287,61 +404,64 @@ def _rank_select(per_candidate: dict, grid, key_of) -> object:
     return min(grid, key=lambda v: (result.scores[key_of(v)], v))
 
 
+def _tables_by_cluster(
+    worker, cases: list[FitCase], n_clusters: int, arg,
+    objective: RankObjective, threads: int,
+) -> dict[int, list[tuple[FitCase, dict]]]:
+    """Check that every case has a cluster in ``[0, n_clusters)`` and
+    every cluster a case, then run ``worker((case, arg, objective))`` for
+    each case in ``threads`` processes; (case, table) pairs per cluster."""
+    groups: dict[int, list[tuple[FitCase, dict]]] = {c: [] for c in range(n_clusters)}
+    for case in cases:
+        if case.cluster not in groups:
+            raise ValueError(f"{case.case_id}: cluster {case.cluster} out of range")
+    for cluster in groups:
+        if all(case.cluster != cluster for case in cases):
+            raise ValueError(f"cluster {cluster} has no training cases")
+    items = [(case, arg, objective) for case in cases]
+    tables = map_ordered(worker, items, [c.case_id for c in cases], threads)
+    for case, table in zip(cases, tables):
+        groups[case.cluster].append((case, table))
+    return groups
+
+
 def fit_component_thresholds(
     cases: list[FitCase],
     n_clusters: int,
     grid: tuple[int, ...] = DEFAULT_PCC_GRID,
     objective: RankObjective = RankObjective(),
+    threads: int = 1,
 ) -> dict[int, dict[int, int]]:
     """Per cluster and per label, the component size threshold whose
     candidate predictions achieve the best mean rank.
 
     Candidates are evaluated only on regions containing the label under
     search; the other regions are identical across candidates and would
-    contribute equal ranks to every candidate.
+    contribute equal ranks to every candidate.  Each case's scores are
+    computed once for every (label, threshold) pair, in ``threads``
+    worker processes; the choice does not depend on ``threads``.
     """
     grid = tuple(sorted({int(t) for t in grid}))
     if not grid or grid[0] != 0:
         raise ValueError("threshold grid must contain 0")
-    groups = _group_by_cluster(cases, n_clusters)
-    cache = _ScorerCache(objective)
+    searched = [
+        label for label in TUMOR_LABELS
+        if len(grid) > 1 and any(label in r.labels for r in objective.regions)
+    ]
+    groups = _tables_by_cluster(_threshold_table, cases, n_clusters,
+                                (searched, grid), objective, threads)
+
     thresholds: dict[int, dict[int, int]] = {}
-
     for cluster in range(n_clusters):
-        members = groups[cluster]
-        thresholds[cluster] = {}
-        for label in TUMOR_LABELS:
-            affected = [r for r in objective.regions if label in r.labels]
-            if len(grid) == 1 or not affected:
-                thresholds[cluster][label] = grid[0]
-                continue
-
-            rows_by_threshold: dict[int, list[CaseMetrics]] = {t: [] for t in grid}
-            for case in members:
-                mask = case.pred.label_mask(label)
-                cc = connected_components(mask, objective.connectivity)
-                sig_by_t = {
-                    t: frozenset(i for i, s in cc.sizes.items() if s >= t)
-                    for t in grid
-                }
-                metrics_by_sig: dict[frozenset, dict[str, float]] = {}
-                for sig in set(sig_by_t.values()):
-                    if len(sig) == cc.count:
-                        pred_data = case.pred.data
-                    else:
-                        pred_data = case.pred.data.copy()
-                        dropped = mask & ~np.isin(cc.labels, list(sig))
-                        pred_data[dropped] = 0
-                    values: dict[str, float] = {}
-                    for region in affected:
-                        values.update(cache.score(case, region, pred_data))
-                    metrics_by_sig[sig] = values
-                for t in grid:
-                    rows_by_threshold[t].append(
-                        CaseMetrics(case.case_id, metrics_by_sig[sig_by_t[t]])
-                    )
-
-            per_candidate = {f"pcc={t}": rows_by_threshold[t] for t in grid}
+        thresholds[cluster] = {label: grid[0] for label in TUMOR_LABELS}
+        for label in searched:
+            per_candidate = {
+                f"pcc={t}": [
+                    CaseMetrics(case.case_id, table[label][t])
+                    for case, table in groups[cluster]
+                ]
+                for t in grid
+            }
             best = _rank_select(per_candidate, grid, lambda t: f"pcc={t}")
             thresholds[cluster][label] = int(best)
     return thresholds
@@ -353,63 +473,46 @@ def fit_relabel_rules(
     candidates: list[tuple[int, int]],
     cutoff_grid: tuple[float, ...] = DEFAULT_CUTOFF_GRID,
     objective: RankObjective = RankObjective(),
+    threads: int = 1,
 ) -> list[RelabelRule]:
     """Per cluster and candidate (src, dst) pair, the ratio cutoff whose
     candidate predictions achieve the best mean rank; rules are emitted
     only when the winning cutoff actually fires (> 0).
 
     Each pair is searched independently on the given predictions, which
-    are expected to be the component-filtered ones.
+    are expected to be the component-filtered ones.  Each case's scores
+    are computed once for every pair, in ``threads`` worker processes;
+    the rules do not depend on ``threads``.
     """
     cutoffs = tuple(sorted({float(c) for c in cutoff_grid}))
     if not cutoffs or cutoffs[0] != 0.0:
         raise ValueError("cutoff grid must contain 0")
-    groups = _group_by_cluster(cases, n_clusters)
-    cache = _ScorerCache(objective)
+    for src, dst in candidates:
+        if src == dst:
+            raise ValueError(f"candidate pair with src == dst: {src}")
+    searched = [
+        (src, dst) for src, dst in candidates
+        if len(cutoffs) > 1
+        and any(src in r.labels or dst in r.labels for r in objective.regions)
+    ]
+    groups = _tables_by_cluster(_relabel_table, cases, n_clusters, searched,
+                                objective, threads)
+
     rules: list[RelabelRule] = []
-
     for cluster in range(n_clusters):
-        members = groups[cluster]
-        for src, dst in candidates:
-            if src == dst:
-                raise ValueError(f"candidate pair with src == dst: {src}")
-            if len(cutoffs) == 1:
-                continue
-            affected = [
-                r
-                for r in objective.regions
-                if src in r.labels or dst in r.labels
-            ]
-            if not affected:
-                continue
-
+        for pair in searched:
             rows_by_cutoff: dict[float, list[CaseMetrics]] = {c: [] for c in cutoffs}
-            for case in members:
-                seg = case.pred.data
-                wt_vol = int(np.isin(seg, WT_LABELS).sum())
-                src_vol = int((seg == src).sum())
-                ratio = src_vol / wt_vol if wt_vol > 0 else None
-
-                base: dict[str, float] = {}
-                for region in affected:
-                    base.update(cache.score(case, region, seg))
-                fired = base
-                if ratio is not None and src_vol > 0:
-                    changed = seg.copy()
-                    changed[changed == src] = dst
-                    fired = {}
-                    for region in affected:
-                        fired.update(cache.score(case, region, changed))
-
+            for case, table in groups[cluster]:
+                ratio, base, fired = table[pair]
                 for c in cutoffs:
                     hits = ratio is not None and ratio < c
                     rows_by_cutoff[c].append(
                         CaseMetrics(case.case_id, fired if hits else base)
                     )
-
             per_candidate = {f"cutoff={c!r}": rows_by_cutoff[c] for c in cutoffs}
             best = _rank_select(per_candidate, cutoffs, lambda c: f"cutoff={c!r}")
             if best > 0:
+                src, dst = pair
                 rules.append(
                     RelabelRule(cluster=cluster, src=src, dst=dst, cutoff=float(best))
                 )
@@ -499,13 +602,16 @@ def fit_policy_report(
     cutoff_grid: tuple[float, ...] = DEFAULT_CUTOFF_GRID,
     n_confusions: int = DEFAULT_TOP_CONFUSIONS,
     feature_matrix: FeatureMatrix | None = None,
+    threads: int = 1,
 ) -> tuple[PostProcessPolicy, FitReport]:
     """Fit the complete policy on training cases that carry ground truth.
 
     Stages: feature extraction, standardize + PCA + k-means, per-cluster
     component thresholds, confusion-guided relabel rules on the
     component-filtered predictions.  ``feature_matrix`` may supply
-    precomputed features (rows matched to cases by case id).
+    precomputed features (rows matched to cases by case id).  Both grid
+    searches run in ``threads`` worker processes; the policy does not
+    depend on ``threads``.
     """
     if len(cases) < 3:
         raise ValueError("policy fitting needs at least 3 cases")
@@ -548,7 +654,7 @@ def fit_policy_report(
     ]
 
     thresholds = fit_component_thresholds(
-        fit_cases, kmeans.k, pcc_grid, objective
+        fit_cases, kmeans.k, pcc_grid, objective, threads
     )
 
     filtered = [
@@ -567,7 +673,7 @@ def fit_policy_report(
     cm = confusion_matrix((fc.pred, fc.gt) for fc in filtered)
     candidates = top_confusions(cm, n_confusions)
     rules = fit_relabel_rules(
-        filtered, kmeans.k, candidates, cutoff_grid, objective
+        filtered, kmeans.k, candidates, cutoff_grid, objective, threads
     )
 
     policy = PostProcessPolicy(

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import CaseMetrics
+from .volume import atomic_open
 
 
 @dataclass
@@ -111,7 +112,7 @@ def rank_candidates(per_candidate: dict[str, list[CaseMetrics]]) -> RankingResul
 def write_ranking_csv(path: str | Path, result: RankingResult) -> None:
     """Summary CSV: one row per candidate with its mean-rank score."""
     ordered = sorted(result.candidates, key=lambda n: (result.scores[n], n))
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["candidate_id", "ranking_score"])
         for name in ordered:

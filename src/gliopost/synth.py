@@ -334,11 +334,16 @@ def corrupt_prediction(
                     raise ValueError(
                         f"no room left for a {size}-voxel island of label {spec.label}"
                     )
-                idx = tuple(np.asarray(voxels).T)
-                pred[idx] = spec.label
-                island_mask = np.zeros(gt.data.shape, dtype=bool)
-                island_mask[idx] = True
-                allowed &= ~dilate(island_mask, 1)
+                coords = np.asarray(voxels)
+                pred[tuple(coords.T)] = spec.label
+                # the island's one-voxel dilation stays inside its box
+                # padded by one voxel
+                low = np.maximum(coords.min(axis=0) - 1, 0)
+                high = np.minimum(coords.max(axis=0) + 2, gt.data.shape)
+                box = tuple(map(slice, low, high))
+                island_mask = np.zeros(high - low, dtype=bool)
+                island_mask[tuple((coords - low).T)] = True
+                allowed[box] &= ~dilate(island_mask, 1)
                 inventory["islands"].append(
                     {"label": spec.label, "voxels": [list(map(int, v)) for v in voxels]}
                 )

@@ -245,7 +245,7 @@ def load_case_bundle(
     """
     pred_path = Path(pred_dir) / seg_filename(case_id)
     if not pred_path.exists():
-        raise FileNotFoundError(f"case {case_id}: missing prediction {pred_path}")
+        raise FileNotFoundError(f"{case_id}: missing prediction {pred_path}")
     prediction = load_nifti(pred_path, kind="label")
 
     seqs: dict[str, ScalarVolume] = {}
@@ -254,14 +254,14 @@ def load_case_bundle(
         for seq in sequences:
             p = images_dir / seq_filename(case_id, seq)
             if not p.exists():
-                raise FileNotFoundError(f"case {case_id}: missing sequence file {p}")
+                raise FileNotFoundError(f"{case_id}: missing sequence file {p}")
             seqs[seq] = load_nifti(p, kind="scalar")
 
     gt = None
     if gt_dir is not None:
         p = Path(gt_dir) / seg_filename(case_id)
         if not p.exists():
-            raise FileNotFoundError(f"case {case_id}: missing ground truth {p}")
+            raise FileNotFoundError(f"{case_id}: missing ground truth {p}")
         gt = load_nifti(p, kind="label")
 
     return CaseBundle(case_id=case_id, prediction=prediction,

@@ -119,7 +119,15 @@ def test_rejected_flag_values(tmp_path):
     config.write_text(json.dumps({"connectivity": 18}))
     assert main(["evaluate", "--config", str(config), "--preds", out,
                  "--gt", out, "--out", out]) == 2
-    assert not (tmp_path / "c" / "run-config.json").exists()
+    evaluate = ["evaluate", "--preds", out, "--gt", out, "--out", out]
+    fit = ["fit-policy", "--preds", out, "--images", out, "--gt", out,
+           "--features", str(tmp_path / "features.csv"), "--out", out]
+    threads = tmp_path / "threads.json"
+    threads.write_text(json.dumps({"threads": 0}))
+    for argv in (evaluate, fit):
+        assert main(argv + ["--threads", "0"]) == 2
+        assert main(argv + ["--config", str(threads)]) == 2
+    assert not (tmp_path / "c").exists()
 
 
 def test_config_file_errors(tmp_path):
@@ -373,6 +381,26 @@ def test_evaluate_grid_mismatch_is_invalid(tmp_path, corpus):
     assert main(["evaluate", "--preds", str(corpus / "preds"),
                  "--gt", str(other / "gt"),
                  "--out", str(tmp_path / "out")]) == 4
+
+
+@pytest.mark.parametrize("threads", ("1", "2"))
+def test_evaluate_failure_names_the_case(tmp_path, corpus, caplog, threads):
+    gt = tmp_path / "gt"
+    gt.mkdir()
+    for path in (corpus / "gt").iterdir():
+        (gt / path.name).write_bytes(path.read_bytes())
+    small = tmp_path / "small"
+    recipe = _write_recipe(tmp_path, dims=[20, 20, 20], seed=44)
+    assert main(["synth", "--config", str(recipe), "--out", str(small),
+                 "--cases", "4"]) == 0
+    name = "case-0003-seg.nii.gz"
+    (gt / name).write_bytes((small / "gt" / name).read_bytes())
+    with caplog.at_level(logging.ERROR):
+        assert main(["evaluate", "--preds", str(corpus / "preds"),
+                     "--gt", str(gt), "--out", str(tmp_path / "out"),
+                     "--threads", threads]) == 4
+    assert any(r.message.startswith("case-0003: grid mismatch")
+               for r in caplog.records)
 
 
 # -- rank --------------------------------------------------------------------------------

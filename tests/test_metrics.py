@@ -3,6 +3,9 @@ cases and the pairwise brute-force oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gliopost.metrics import (
     DEFAULT_TOLERANCES_MM,
@@ -24,6 +27,7 @@ from gliopost.metrics import (
     region_mask,
     write_metrics_csv,
 )
+from gliopost.morphology import connected_components
 from gliopost.volume import LabelMap, Spacing
 
 from oracles import brute_lesionwise, random_blob_mask
@@ -242,6 +246,49 @@ def test_region_scorer_reuse_matches_fresh_match():
         assert via_scorer["LW_Dice"] == lesionwise_dice(fresh)
         assert via_scorer["LW_NSD@0.5"] == lesionwise_nsd(fresh, 0.5)
         assert via_scorer["LW_NSD@1"] == lesionwise_nsd(fresh, 1.0)
+
+
+@st.composite
+def subset_cases(draw):
+    """Ground-truth and prediction masks of at most 8^3, scorer settings,
+    and a subset of the prediction missing some whole components, some
+    axis-aligned planes (which split components, so that a part can
+    change lesion) and some single voxels."""
+    shape = draw(st.tuples(*[st.integers(2, 8)] * 3))
+    density = draw(st.integers(5, 45))
+    # every voxel drawn on its own, so sparse grids split into many parts
+    voxels = hnp.arrays(np.int8, shape, elements=st.integers(0, 99),
+                        fill=st.nothing())
+    gt = draw(voxels) < density
+    pred = draw(voxels) < density
+    connectivity = draw(st.sampled_from((6, 26)))
+    dilation = draw(st.integers(0, 3))
+    spacing = Spacing(*draw(st.tuples(*[st.sampled_from((0.5, 1.0, 1.7))] * 3)))
+    cc = connected_components(pred, connectivity)
+    subset = pred.copy()
+    for c in draw(st.sets(st.integers(1, max(cc.count, 1)))):
+        subset[cc.labels == c] = False
+    for axis, index in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 7)),
+                                     max_size=2)):
+        plane = [slice(None)] * 3
+        plane[axis] = index % shape[axis]
+        subset[tuple(plane)] = False
+    coords = np.argwhere(pred)
+    for pick in draw(st.lists(st.integers(0, 10**6), max_size=8)):
+        if len(coords):
+            subset[tuple(coords[pick % len(coords)])] = False
+    return gt, pred, subset, spacing, dilation, connectivity
+
+
+@settings(max_examples=300, deadline=None)
+@given(subset_cases())
+def test_score_subset_equals_full_scoring(case):
+    gt, pred, subset, spacing, dilation, connectivity = case
+    tolerances = (0.5, 1.0, 2.0)
+    scorer = RegionScorer(gt, spacing, dilation, connectivity)
+    base = scorer.match_state(pred, tolerances)
+    assert scorer.score_subset(base, pred) == scorer.score(pred, tolerances)
+    assert scorer.score_subset(base, subset) == scorer.score(subset, tolerances)
 
 
 # -- per-case evaluation ------------------------------------------------------

@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gliopost.clustering import ClusterModel, PcaModel, StandardizationStats
-from gliopost.metrics import REGIONS_POST_TREATMENT, REGIONS_PRE_TREATMENT
+from gliopost.metrics import REGIONS_POST_TREATMENT, REGIONS_PRE_TREATMENT, evaluate_case
 from gliopost.policy import (
     DEFAULT_CUTOFF_GRID,
     POLICY_VERSION,
@@ -14,6 +17,7 @@ from gliopost.policy import (
     PostProcessPolicy,
     RankObjective,
     RelabelRule,
+    _CaseScorer,
     apply_component_thresholds,
     apply_policy,
     apply_relabel_rules,
@@ -170,6 +174,56 @@ def test_fit_component_thresholds_cluster_errors():
         fit_component_thresholds(cases, 1, grid=(0, 10))
     with pytest.raises(ValueError, match="no training cases"):
         fit_component_thresholds(cases, 3, grid=(0, 10))
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_fit_worker_failure_names_the_case(threads):
+    bad = _clean_case("b", CUBE_B)
+    bad = FitCase("b", pred=_lm(np.zeros((8, 8, 8), np.uint8)), gt=bad.gt, cluster=0)
+    cases = [_clean_case("a", CUBE_A), bad, _clean_case("c", CUBE_A)]
+    with pytest.raises(ValueError, match=r"^b: grid mismatch"):
+        fit_component_thresholds(cases, 1, grid=(0, 10), threads=threads)
+    with pytest.raises(ValueError, match=r"^b: grid mismatch"):
+        fit_relabel_rules(cases, 1, [(1, 3)], threads=threads)
+
+
+def test_fit_is_thread_invariant():
+    cases = [
+        _island_case("a", CUBE_A, (13, 13, 13)),
+        _island_case("b", CUBE_B, (12, 13, 13), cluster=1),
+        _swap_case("c", (slice(2, 5), slice(2, 5), slice(2, 5))),
+        _clean_case("d", CUBE_B, cluster=1),
+    ]
+    for threads in (2, 3):
+        assert fit_component_thresholds(cases, 2, threads=threads) == \
+            fit_component_thresholds(cases, 2)
+        assert fit_relabel_rules(cases, 2, [(1, 3), (3, 2)], threads=threads) == \
+            fit_relabel_rules(cases, 2, [(1, 3), (3, 2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.data(),
+    st.tuples(*[st.integers(3, 7)] * 3),
+    st.sampled_from((6, 26)),
+)
+def test_case_scorer_matches_evaluate_case(data, shape, connectivity):
+    labels = hnp.arrays(np.uint8, shape, elements=st.sampled_from((0, 0, 1, 2, 3)),
+                        fill=st.nothing())
+    gt, pred = data.draw(labels), data.draw(labels)
+    objective = RankObjective(regions=REGIONS_POST_TREATMENT, dilation_iters=1,
+                              connectivity=connectivity)
+    scorer = _CaseScorer(FitCase("c", _lm(pred), _lm(gt), 0), objective)
+    # candidates as the grid searches make them: the case itself, a label
+    # removed (a subset), a label relabelled (a subset of the source's
+    # regions, a superset of the destination's), and both at once
+    src, dst = data.draw(st.sampled_from([(1, 3), (3, 1), (1, 2), (2, 3)]))
+    relabelled = np.where(pred == src, dst, pred)
+    for candidate in (pred, np.where(pred == src, 0, pred), relabelled,
+                      np.where(relabelled == dst, 0, relabelled), pred):
+        want = evaluate_case(_lm(candidate), _lm(gt), regions=objective.regions,
+                             dilation_iters=1, connectivity=connectivity).values
+        assert scorer.score(objective.regions, candidate) == want
 
 
 # -- relabel rule fitting ---------------------------------------------------------

@@ -246,3 +246,52 @@ def test_failed_artifact_writes_keep_old_files(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="serializer failed"):
         write_manifest(manifest_path, ExtractionSettings(bin_count=8))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    # metrics.csv, ranking.csv, confusion.csv and fit-report.txt: the
+    # handle atomic_open writes through fails after a few characters
+    from gliopost import volume
+    from gliopost.metrics import CaseMetrics, write_metrics_csv
+    from gliopost.policy import FitReport, write_confusion_csv, write_fit_report
+    from gliopost.ranking import rank_candidates, write_ranking_csv
+    from test_policy import _manual_policy
+
+    monkeypatch.undo()
+
+    def writes(value):
+        rows = [CaseMetrics("a", {"LW_Dice_ET": value})]
+        other = [CaseMetrics("a", {"LW_Dice_ET": 0.5})]
+        cm = np.full((5, 5), int(value * 100))
+        report = FitReport(["a"], [0], cm, [])
+        return {
+            "metrics.csv": lambda p: write_metrics_csv(p, rows),
+            "ranking.csv": lambda p: write_ranking_csv(
+                p, rank_candidates({"x": rows, "y": other})),
+            "confusion.csv": lambda p: write_confusion_csv(p, cm),
+            "fit-report.txt": lambda p: write_fit_report(p, _manual_policy(), report),
+        }
+
+    for name, write in writes(0.25).items():
+        write(tmp_path / name)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    class FailingHandle:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, text):
+            self.fh.write(text[:3])
+            raise RuntimeError("write failed")
+
+    monkeypatch.setattr(volume, "open",
+                        lambda *a, **k: FailingHandle(open(*a, **k)),
+                        raising=False)
+    for name, write in writes(0.75).items():
+        with pytest.raises(RuntimeError, match="write failed"):
+            write(tmp_path / name)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
