@@ -350,13 +350,13 @@ def _extract_features_case(item):
 
 
 def _apply_case(item):
-    case_id, policy_path, pred_dir, images_dir, out_dir = item
-    policy = load_policy(policy_path)
+    """Post-process one case; True when its cluster had to be computed."""
+    case_id, policy, pred_dir, images_dir, out_dir = item
     case = load_case_bundle(case_id, pred_dir, images_dir,
                             sequences=policy.settings.sequences)
-    processed = apply_policy(policy, case)
+    processed, cluster = apply_policy(policy, case)
     save_nifti(processed, Path(out_dir) / seg_filename(case_id))
-    return case_id
+    return cluster is not None
 
 
 def _evaluate_metrics_case(item):
@@ -482,15 +482,16 @@ def _cmd_fit_policy(cfg: dict) -> int:
 
 
 def _cmd_apply(cfg: dict) -> int:
-    load_policy(cfg["policy"])  # fail before any output
+    policy = load_policy(cfg["policy"])  # fail before any output
     case_ids = _case_ids(cfg["preds"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_run_config(out, "apply", cfg)
-    items = [(cid, cfg["policy"], cfg["preds"], cfg["images"], str(out))
+    items = [(cid, policy, cfg["preds"], cfg["images"], str(out))
              for cid in case_ids]
-    map_ordered(_apply_case, items, case_ids, cfg["threads"])
-    log.info("post-processed %d masks into %s", len(case_ids), out)
+    clustered = map_ordered(_apply_case, items, case_ids, cfg["threads"])
+    log.info("post-processed %d masks into %s; %d needed clustering",
+             len(case_ids), out, sum(clustered))
     return EXIT_OK
 
 

@@ -24,7 +24,8 @@ from .morphology import (
     dilate,
     euclidean_distance_transform,
 )
-from .volume import LabelMap, Spacing, atomic_open
+from .nifti import atomic_open
+from .volume import LabelMap, Spacing
 
 DEFAULT_DILATION_ITERS = 3
 DEFAULT_CONNECTIVITY = 26

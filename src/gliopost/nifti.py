@@ -5,11 +5,18 @@ frame, scalar datatypes, spacing from ``pixdim``, orientation fields
 (qform/sform) read and carried through verbatim.  Data is stored on disk
 in the standard NIfTI layout (x fastest), which is how arrays are kept
 in memory here as well.
+
+``atomic_open`` also lives here, at the bottom of the import graph:
+every output file but the ``run-config.json`` echo, volumes included, is
+written through it.
 """
 
 from __future__ import annotations
 
 import gzip
+import os
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -244,12 +251,33 @@ def write_nifti(raw: RawNifti, path: str | Path) -> None:
     hdr["magic"] = MAGIC_SINGLE
 
     blob = hdr.tobytes() + b"\x00\x00\x00\x00" + np.asfortranarray(data).tobytes(order="F")
-    if path.suffix == ".gz":
-        # mtime pinned and filename suppressed so identical volumes
-        # produce byte-identical files
-        with open(path, "wb") as fh:
+    with atomic_open(path, binary=True) as fh:
+        if path.suffix == ".gz":
+            # mtime pinned and filename suppressed so identical volumes
+            # produce byte-identical files
             with gzip.GzipFile(fileobj=fh, mode="wb", mtime=0, filename="") as gz:
                 gz.write(blob)
-    else:
-        with open(path, "wb") as fh:
+        else:
             fh.write(blob)
+
+
+@contextmanager
+def atomic_open(path: str | Path, newline: str | None = None,
+                binary: bool = False):
+    """Text handle, or binary with ``binary``, that replaces ``path`` whole.
+
+    Writes go to a temporary file beside ``path``.  It replaces ``path``
+    only when the block exits cleanly and is removed otherwise, so a
+    failed or killed write never leaves a truncated ``path``.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
+    try:
+        with open(tmp, "xb" if binary else "x", newline=newline) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -39,7 +39,8 @@ from .metrics import (
     RegionSpec,
     region_mask,
 )
-from .morphology import connected_components, remove_small_components
+from .morphology import connected_components
+from .nifti import atomic_open
 from .parallel import map_ordered
 from .radiomics import (
     ExtractionSettings,
@@ -48,7 +49,7 @@ from .radiomics import (
     feature_names,
 )
 from .ranking import rank_candidates
-from .volume import MAX_LABEL, TUMOR_LABELS, CaseBundle, LabelMap, atomic_open
+from .volume import MAX_LABEL, TUMOR_LABELS, CaseBundle, LabelMap
 
 POLICY_VERSION = "1"
 DEFAULT_PCC_GRID = (0, 10, 20, 50, 75, 100, 150, 200, 300, 500, 750, 1000)
@@ -359,7 +360,7 @@ def _threshold_table(item) -> dict[int, dict[int, dict[str, float]]]:
         affected = [r for r in objective.regions if label in r.labels]
         mask = case.pred.label_mask(label)
         cc = connected_components(mask, objective.connectivity)
-        sizes = np.array([0] + [cc.sizes[c] for c in range(1, cc.count + 1)])
+        sizes = _component_sizes(cc)
         by_removal: dict[bytes, dict[str, float]] = {}
         table[label] = {}
         for t in grid:
@@ -523,6 +524,83 @@ def fit_relabel_rules(
 # application
 # ---------------------------------------------------------------------------
 
+def _component_sizes(cc) -> np.ndarray:
+    """Voxel count per component id of a labeling; id 0 counts 0."""
+    return np.array([0] + [cc.sizes[c] for c in range(1, cc.count + 1)])
+
+
+def _label_components(seg: np.ndarray, labels, connectivity: int) -> dict:
+    """Per label present in ``seg``, its component grid and sizes.
+
+    Removing other labels' voxels never changes a label's own mask, so
+    one labeling per label serves every threshold and every cluster.
+    """
+    out = {}
+    for label in labels:
+        mask = seg == label
+        if mask.any():
+            cc = connected_components(mask, connectivity)
+            out[label] = (cc.labels, _component_sizes(cc))
+    return out
+
+
+def _actions(labelings: dict, counts, thresholds: dict[int, int],
+             rules: list[RelabelRule]) -> tuple:
+    """What size thresholds and relabel rules do to one case, decided
+    from its component sizes and voxel counts alone.
+
+    Returns the ids of the removed components per label, then the
+    ``(src, dst)`` relabelings in firing order.  A rule is skipped when
+    the case has no whole-tumor voxels or ``vol(src) / vol(WT)`` is at
+    least its cutoff, and each rule sees the counts the earlier ones
+    left.  A rule that fires on an empty ``src`` changes nothing and is
+    left out, so equal actions mean equal output masks.
+    """
+    counts = [int(c) for c in counts]
+    removed = []
+    for label, (_, sizes) in labelings.items():
+        ids = np.flatnonzero(sizes[1:] < thresholds.get(label, 0)) + 1
+        if ids.size:
+            removed.append((label, tuple(ids.tolist())))
+            counts[label] -= int(sizes[ids].sum())
+    fired = []
+    for rule in rules:
+        wt_vol = sum(counts[label] for label in WT_LABELS)
+        if wt_vol == 0 or counts[rule.src] / wt_vol >= rule.cutoff:
+            continue
+        if counts[rule.src]:
+            fired.append((rule.src, rule.dst))
+            counts[rule.dst] += counts[rule.src]
+            counts[rule.src] = 0
+    return tuple(removed), tuple(fired)
+
+
+def _carry_out(seg: np.ndarray, labelings: dict, actions: tuple) -> np.ndarray:
+    """``seg`` with ``actions`` (from ``_actions``) done to a copy.
+
+    Relabelings that stay inside the whole-tumor label set must leave the
+    WT mask voxel-identical; one that breaks this raises RuntimeError.
+    """
+    removed, fired = actions
+    out = seg.copy()
+    for label, ids in removed:
+        grid, sizes = labelings[label]
+        drop = np.zeros(sizes.size, dtype=bool)
+        drop[list(ids)] = True
+        out[drop[grid]] = 0
+    for src, dst in fired:
+        inside_wt = src in WT_LABELS and dst in WT_LABELS
+        wt_before = np.isin(out, WT_LABELS) if inside_wt else None
+        out[out == src] = dst
+        if inside_wt and not np.array_equal(wt_before, np.isin(out, WT_LABELS)):
+            raise RuntimeError(f"relabel {src}->{dst} changed the whole-tumor mask")
+    return out
+
+
+def _label_counts(seg: np.ndarray) -> np.ndarray:
+    return np.bincount(seg.ravel(), minlength=MAX_LABEL + 1)
+
+
 def apply_component_thresholds(
     seg: np.ndarray,
     thresholds: dict[int, int],
@@ -532,17 +610,10 @@ def apply_component_thresholds(
 
     Removed voxels become background.  Never adds voxels.
     """
-    out = seg.copy()
-    for label in sorted(thresholds):
-        min_size = thresholds[label]
-        if min_size <= 0:
-            continue
-        mask = out == label
-        if not mask.any():
-            continue
-        kept = remove_small_components(mask, min_size, connectivity)
-        out[mask & ~kept] = 0
-    return out
+    labels = [label for label in sorted(thresholds) if thresholds[label] > 0]
+    labelings = _label_components(seg, labels, connectivity)
+    return _carry_out(seg, labelings,
+                      _actions(labelings, _label_counts(seg), thresholds, []))
 
 
 def apply_relabel_rules(seg: np.ndarray, rules: list[RelabelRule]) -> np.ndarray:
@@ -552,39 +623,41 @@ def apply_relabel_rules(seg: np.ndarray, rules: list[RelabelRule]) -> np.ndarray
     Rules staying inside the whole-tumor label set must leave the WT
     mask voxel-identical; a rule that breaks this raises RuntimeError.
     """
-    out = seg.copy()
-    wt_set = set(WT_LABELS)
-    for rule in rules:
-        wt_vol = int(np.isin(out, WT_LABELS).sum())
-        if wt_vol == 0:
-            continue
-        src_vol = int((out == rule.src).sum())
-        if src_vol / wt_vol >= rule.cutoff:
-            continue
-        inside_wt = {rule.src, rule.dst} <= wt_set
-        wt_before = np.isin(out, WT_LABELS) if inside_wt else None
-        out[out == rule.src] = rule.dst
-        if inside_wt and not np.array_equal(wt_before, np.isin(out, WT_LABELS)):
-            raise RuntimeError(
-                f"relabel {rule.src}->{rule.dst} changed the whole-tumor mask"
-            )
-    return out
+    return _carry_out(seg, {}, _actions({}, _label_counts(seg), {}, rules))
 
 
-def apply_policy(policy: PostProcessPolicy, case: CaseBundle) -> LabelMap:
-    """Cluster the case by its features, then run both stages of the
-    cluster's post-processing."""
-    features = extract_case_features(case, policy.settings)
-    cluster = assign_cluster(
-        policy.standardizer, policy.pca, policy.kmeans, features.values
-    )
-    seg = apply_component_thresholds(
-        case.prediction.data,
-        policy.thresholds[cluster],
-        policy.objective.connectivity,
-    )
-    seg = apply_relabel_rules(seg, [r for r in policy.rules if r.cluster == cluster])
-    return case.prediction.with_data(seg)
+def apply_policy(policy: PostProcessPolicy,
+                 case: CaseBundle) -> tuple[LabelMap, int | None]:
+    """Run the size thresholds and relabel rules of the case's cluster.
+
+    Every cluster's actions are first decided from the case's component
+    sizes and voxel counts.  When all clusters would do the same, the
+    case's features are not extracted and the cluster returned is None.
+    Otherwise the features assign the cluster, which is returned with
+    the post-processed mask.
+    """
+    missing = [s for s in policy.settings.sequences if s not in case.sequences]
+    if missing:
+        raise ValueError(f"{case.case_id}: missing sequences {missing}")
+    seg = case.prediction.data
+    k = policy.kmeans.k
+    labels = [label for label in TUMOR_LABELS
+              if any(policy.thresholds[c][label] > 0 for c in range(k))]
+    labelings = _label_components(seg, labels, policy.objective.connectivity)
+    counts = _label_counts(seg)
+    actions = [
+        _actions(labelings, counts, policy.thresholds[c],
+                 [r for r in policy.rules if r.cluster == c])
+        for c in range(k)
+    ]
+    cluster = None
+    if any(a != actions[0] for a in actions):
+        features = extract_case_features(case, policy.settings)
+        cluster = assign_cluster(
+            policy.standardizer, policy.pca, policy.kmeans, features.values
+        )
+    chosen = actions[0 if cluster is None else cluster]
+    return case.prediction.with_data(_carry_out(seg, labelings, chosen)), cluster
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from ..metrics import WT, region_mask
-from ..volume import SEQUENCES, CaseBundle, atomic_open
+from ..nifti import atomic_open
+from ..volume import SEQUENCES, CaseBundle
 from .firstorder import DEFAULT_BIN_WIDTH, FIRSTORDER_FEATURE_NAMES, firstorder_features
 from .shape import SHAPE_FEATURE_NAMES, shape_features
 from .texture import (

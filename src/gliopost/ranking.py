@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import CaseMetrics
-from .volume import atomic_open
+from .nifti import atomic_open
 
 
 @dataclass

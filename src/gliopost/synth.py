@@ -20,6 +20,7 @@ import numpy as np
 from scipy import ndimage
 
 from .morphology import dilate
+from .nifti import atomic_open
 from .volume import (
     SEQUENCES,
     CaseBundle,
@@ -404,7 +405,7 @@ def write_inventory(out_dir: str | Path, cfg: SynthConfig,
                     case_inventories: dict[str, dict]) -> dict:
     doc = {"config": cfg.to_dict(),
            "cases": dict(sorted(case_inventories.items()))}
-    with open(Path(out_dir) / "inventory.json", "w") as fh:
+    with atomic_open(Path(out_dir) / "inventory.json") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return doc

@@ -13,9 +13,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import os
-import uuid
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -185,27 +182,6 @@ def save_nifti(volume: ScalarVolume | LabelMap, path: str | Path) -> None:
     raw = RawNifti(data=data, spacing=volume.spacing.as_tuple(),
                    orientation=volume.orientation)
     write_nifti(raw, path)
-
-
-@contextmanager
-def atomic_open(path: str | Path, newline: str | None = None):
-    """Text handle that replaces ``path`` whole.
-
-    Writes go to a temporary file beside ``path``.  It replaces ``path``
-    only when the block exits cleanly and is removed otherwise, so a
-    failed or killed write never leaves a truncated ``path``.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex[:12]}.tmp")
-    try:
-        with open(tmp, "x", newline=newline) as fh:
-            yield fh
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 # ---------------------------------------------------------------------------

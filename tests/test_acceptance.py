@@ -48,7 +48,7 @@ from oracles import brute_edt, brute_lesionwise, random_blob_mask
 THREADS = "4"
 TRAIN_CASES = 40
 HELD_CASES = 20
-PIPELINE_BUDGET_SECONDS = 300.0
+PIPELINE_BUDGET_SECONDS = 120.0
 EXTRACTION_BUDGET_SECONDS = 2.0
 MIN_TRUE_LESION_VOXELS = 150
 
@@ -441,7 +441,7 @@ def test_criterion_6_saved_policy_matches_direct_apply(pipeline, tmp_path):
     for cid in _case_ids(TRAIN_CASES, HELD_CASES):
         bundle = load_case_bundle(cid, held / "preds", held / "images",
                                   sequences=policy.settings.sequences)
-        direct = apply_policy(policy, bundle)
+        direct, _ = apply_policy(policy, bundle)
         save_nifti(direct, direct_dir / seg_filename(cid))
         produced = (direct_dir / seg_filename(cid)).read_bytes()
         via_cli = (applied_held / seg_filename(cid)).read_bytes()

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +318,25 @@ def test_apply_is_thread_invariant(pipeline, tmp_path):
                  "--images", str(corpus / "images"),
                  "--out", str(out), "--threads", "3"]) == 0
     assert _tree_bytes(out) == _tree_bytes(pipeline["applied"])
+
+
+def test_apply_loads_the_policy_once(pipeline, tmp_path, monkeypatch, caplog):
+    from gliopost import cli
+
+    calls = []
+    real = cli.load_policy
+    monkeypatch.setattr(cli, "load_policy",
+                        lambda path: calls.append(path) or real(path))
+    corpus = pipeline["corpus"]
+    with caplog.at_level(logging.INFO, logger="gliopost.cli"):
+        assert main(["apply", "--policy", str(pipeline["fit"] / "policy.json"),
+                     "--preds", str(corpus / "preds"),
+                     "--images", str(corpus / "images"),
+                     "--out", str(tmp_path / "out"), "--threads", "1"]) == 0
+    assert len(calls) == 1
+    assert _tree_bytes(tmp_path / "out") == _tree_bytes(pipeline["applied"])
+    assert re.search(r"post-processed 6 masks into .*; [0-6] needed clustering",
+                     caplog.text)
 
 
 def test_apply_missing_policy(tmp_path, corpus):

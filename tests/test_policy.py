@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gliopost.clustering import ClusterModel, PcaModel, StandardizationStats
+from gliopost.clustering import (
+    ClusterModel,
+    PcaModel,
+    StandardizationStats,
+    assign_cluster,
+)
 from gliopost.metrics import REGIONS_POST_TREATMENT, REGIONS_PRE_TREATMENT, evaluate_case
 from gliopost.policy import (
     DEFAULT_CUTOFF_GRID,
@@ -30,7 +35,8 @@ from gliopost.policy import (
     top_confusions,
     write_confusion_csv,
 )
-from gliopost.radiomics import ExtractionSettings, feature_names
+from gliopost.morphology import connected_components, remove_small_components
+from gliopost.radiomics import ExtractionSettings, extract_case_features, feature_names
 from gliopost.volume import CaseBundle, LabelMap, ScalarVolume, Spacing
 
 SP = Spacing(1.0, 1.0, 1.0)
@@ -401,12 +407,176 @@ def test_apply_policy_runs_both_stages():
     pred[14, 14, 14] = 3  # stray voxel below the size threshold
     pred[9:11, 4:6, 4:6] = 1  # 8 voxels; ratio 8/72 after filtering
     policy = _manual_policy()
-    out = apply_policy(policy, _bundle("c0", pred))
+    out, _ = apply_policy(policy, _bundle("c0", pred))
     expected = _seg()
     expected[4:8, 4:8, 4:8] = 3
     expected[9:11, 4:6, 4:6] = 3
     assert np.array_equal(out.data, expected)
     assert out.spacing == SP
+
+
+def _clustered_policy(thresholds, rules, centroids, connectivity=26):
+    """A policy whose k = len(centroids) clusters split cases by their
+    first feature, the whole-tumor voxel volume."""
+    base = _manual_policy()
+    k = len(centroids)
+    return PostProcessPolicy(
+        task=base.task,
+        settings=base.settings,
+        standardizer=base.standardizer,
+        pca=base.pca,
+        kmeans=ClusterModel(k=k, centroids=np.asarray(centroids, float).reshape(k, 1),
+                            silhouette=0.0, seed=0, inertia=0.0),
+        thresholds=thresholds,
+        rules=rules,
+        objective=RankObjective(connectivity=connectivity),
+    )
+
+
+def _naive_apply(policy, case):
+    """The case's cluster from its features, then every threshold and
+    rule of the cluster carried out on the grid, one full pass each."""
+    features = extract_case_features(case, policy.settings)
+    cluster = assign_cluster(policy.standardizer, policy.pca, policy.kmeans,
+                             features.values)
+    return cluster, [_naive_actions(case.prediction.data, policy, c)
+                     for c in range(policy.kmeans.k)]
+
+
+def _naive_actions(seg, policy, cluster):
+    out = seg.copy()
+    for label, min_size in sorted(policy.thresholds[cluster].items()):
+        if min_size > 0:
+            mask = out == label
+            kept = remove_small_components(mask, min_size,
+                                           policy.objective.connectivity)
+            out[mask & ~kept] = 0
+    for rule in policy.rules:
+        if rule.cluster != cluster:
+            continue
+        wt = int(np.isin(out, (1, 2, 3)).sum())
+        if wt and int((out == rule.src).sum()) / wt < rule.cutoff:
+            out[out == rule.src] = rule.dst
+    return out
+
+
+def _counting_extraction(monkeypatch):
+    from gliopost import policy as policy_module
+
+    calls = []
+    real = policy_module.extract_case_features
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].case_id)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(policy_module, "extract_case_features", counting)
+    return calls
+
+
+def _stray_voxel_case():
+    pred = _seg()
+    pred[4:8, 4:8, 4:8] = 3  # 64 voxels
+    pred[14, 14, 14] = 3  # stray voxel
+    pred[9:11, 4:6, 4:6] = 1  # 8 voxels
+    return _bundle("c0", pred)
+
+
+def test_apply_policy_skips_features_when_clusters_agree(monkeypatch):
+    calls = _counting_extraction(monkeypatch)
+    case = _stray_voxel_case()
+    # different thresholds and rules that do the same to this case: both
+    # remove the stray voxel only, and neither rule fires
+    thresholds = {0: {1: 0, 2: 0, 3: 2, 4: 0}, 1: {1: 0, 2: 7, 3: 60, 4: 0}}
+    rules = [RelabelRule(0, 1, 3, 0.05), RelabelRule(1, 2, 3, 0.5)]
+    policy = _clustered_policy(thresholds, rules, [[0.0], [1e6]])
+    out, cluster = apply_policy(policy, case)
+    assert calls == [] and cluster is None
+    expected = case.prediction.data.copy()
+    expected[14, 14, 14] = 0
+    assert np.array_equal(out.data, expected)
+
+
+@pytest.mark.parametrize("nearest", (0, 1))
+def test_apply_policy_extracts_once_when_clusters_differ(monkeypatch, nearest):
+    calls = _counting_extraction(monkeypatch)
+    case = _stray_voxel_case()
+    # only cluster 1 removes the stray voxel and relabels 1 -> 3
+    thresholds = {0: {1: 0, 2: 0, 3: 0, 4: 0}, 1: {1: 0, 2: 0, 3: 2, 4: 0}}
+    rules = [RelabelRule(1, 1, 3, 0.5)]
+    volume = 73.0  # whole-tumor voxels, the first feature
+    centroids = [[volume], [volume + 1e6]] if nearest == 0 else [[-1e6], [volume]]
+    policy = _clustered_policy(thresholds, rules, centroids)
+    out, cluster = apply_policy(policy, case)
+    assert calls == ["c0"] and cluster == nearest
+    _, naive = _naive_apply(policy, case)
+    assert np.array_equal(out.data, naive[nearest])
+    assert not np.array_equal(naive[0], naive[1])
+
+
+def test_apply_policy_needs_the_sequences_even_when_clusters_agree():
+    case = _stray_voxel_case()
+    case.sequences.popitem()
+    with pytest.raises(ValueError, match="c0: missing sequences"):
+        apply_policy(_manual_policy(), case)
+
+
+@st.composite
+def _policy_and_case(draw):
+    """A small labelled grid, and a policy of 2-4 clusters whose
+    thresholds include the grid's component sizes (half the time the
+    same for every cluster) and whose cutoffs include its volume
+    ratios."""
+    palette = draw(st.lists(st.sampled_from((1, 2, 3, 4)), min_size=1,
+                            max_size=4, unique=True))
+    seg = draw(hnp.arrays(np.uint8, (6, 6, 6),
+                          elements=st.sampled_from((0, 0, 0, *palette))))
+    connectivity = draw(st.sampled_from((6, 26)))
+    k = draw(st.integers(2, 4))
+    sizes = {0, 1, 2}
+    for label in palette:
+        cc = connected_components(seg == label, connectivity)
+        sizes |= {s + d for s in cc.sizes.values() for d in (0, 1)}
+    counts = np.bincount(seg.ravel(), minlength=5)
+    wt = int(counts[1:4].sum())
+    cutoffs = {0.0, 0.05, 0.5, 1.0}
+    if wt:
+        cutoffs |= {int(c) / wt for c in counts[1:] if int(c) <= wt}
+    size_st = st.sampled_from(sorted(sizes))
+    thresholds = {c: {label: draw(size_st) for label in (1, 2, 3, 4)}
+                  for c in range(k)}
+    if draw(st.booleans()):  # the clusters differ in their rules alone
+        thresholds = {c: thresholds[0] for c in range(k)}
+    pair_st = st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(
+        lambda p: p[0] != p[1])
+    rules = [
+        RelabelRule(c, src, dst, draw(st.sampled_from(sorted(cutoffs))))
+        for c in range(k)
+        for src, dst in draw(st.lists(pair_st, max_size=3))
+    ]
+    centroids = sorted(draw(st.floats(0, 216)) for _ in range(k))
+    policy = _clustered_policy(thresholds, rules, [[c] for c in centroids],
+                               connectivity)
+    return policy, _bundle("h", seg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_policy_and_case())
+def test_apply_policy_matches_naive_reference(drawn):
+    policy, case = drawn
+    out, cluster = apply_policy(policy, case)
+    assigned, naive = _naive_apply(policy, case)
+    assert np.array_equal(out.data, naive[assigned])
+    if cluster is None:
+        assert all(np.array_equal(n, naive[0]) for n in naive)
+    else:
+        assert cluster == assigned
+    # the public single-stage functions agree with the grid passes too
+    seg = case.prediction.data
+    filtered = apply_component_thresholds(seg, policy.thresholds[assigned],
+                                          policy.objective.connectivity)
+    rules = [r for r in policy.rules if r.cluster == assigned]
+    assert np.array_equal(apply_relabel_rules(filtered, rules), naive[assigned])
 
 
 def test_policy_validates_threshold_coverage():
@@ -485,7 +655,7 @@ def test_fit_policy_end_to_end_removes_islands():
         assert policy.thresholds[cluster][2] == 0
 
     for case in cases:
-        out = apply_policy(policy, case)
+        out, _ = apply_policy(policy, case)
         assert np.array_equal(out.data, case.ground_truth.data)
 
 
@@ -539,8 +709,8 @@ def test_policy_round_trip(tmp_path):
     pred[4:8, 4:8, 4:8] = 3
     pred[14, 14, 14] = 3
     bundle = _bundle("c0", pred)
-    direct = apply_policy(policy, bundle)
-    via_disk = apply_policy(loaded, bundle)
+    direct, _ = apply_policy(policy, bundle)
+    via_disk, _ = apply_policy(loaded, bundle)
     assert np.array_equal(direct.data, via_disk.data)
 
 

@@ -247,12 +247,15 @@ def test_failed_artifact_writes_keep_old_files(tmp_path, monkeypatch):
         write_manifest(manifest_path, ExtractionSettings(bin_count=8))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
-    # metrics.csv, ranking.csv, confusion.csv and fit-report.txt: the
-    # handle atomic_open writes through fails after a few characters
-    from gliopost import volume
+    # metrics.csv, ranking.csv, confusion.csv, fit-report.txt, masks
+    # (gzipped or not) and inventory.json: the handle atomic_open writes
+    # through fails after a few characters or bytes
+    from gliopost import nifti
     from gliopost.metrics import CaseMetrics, write_metrics_csv
     from gliopost.policy import FitReport, write_confusion_csv, write_fit_report
     from gliopost.ranking import rank_candidates, write_ranking_csv
+    from gliopost.synth import SynthConfig, write_inventory
+    from gliopost.volume import LabelMap, Spacing, save_nifti
     from test_policy import _manual_policy
 
     monkeypatch.undo()
@@ -262,12 +265,18 @@ def test_failed_artifact_writes_keep_old_files(tmp_path, monkeypatch):
         other = [CaseMetrics("a", {"LW_Dice_ET": 0.5})]
         cm = np.full((5, 5), int(value * 100))
         report = FitReport(["a"], [0], cm, [])
+        mask = LabelMap(np.full((4, 4, 4), int(value * 4), dtype=np.uint8),
+                        Spacing(1.0, 1.0, 1.0))
         return {
             "metrics.csv": lambda p: write_metrics_csv(p, rows),
             "ranking.csv": lambda p: write_ranking_csv(
                 p, rank_candidates({"x": rows, "y": other})),
             "confusion.csv": lambda p: write_confusion_csv(p, cm),
             "fit-report.txt": lambda p: write_fit_report(p, _manual_policy(), report),
+            "case-seg.nii.gz": lambda p: save_nifti(mask, p),
+            "case-seg.nii": lambda p: save_nifti(mask, p),
+            "inventory.json": lambda p: write_inventory(
+                p.parent, SynthConfig(), {"a": {"value": value}}),
         }
 
     for name, write in writes(0.25).items():
@@ -288,7 +297,7 @@ def test_failed_artifact_writes_keep_old_files(tmp_path, monkeypatch):
             self.fh.write(text[:3])
             raise RuntimeError("write failed")
 
-    monkeypatch.setattr(volume, "open",
+    monkeypatch.setattr(nifti, "open",
                         lambda *a, **k: FailingHandle(open(*a, **k)),
                         raising=False)
     for name, write in writes(0.75).items():
