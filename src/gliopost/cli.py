@@ -11,6 +11,8 @@ Subcommands:
 Option values are resolved as defaults < --config JSON < explicit flags,
 and the effective configuration is echoed to <out>/run-config.json (the
 thread count is omitted there because it never changes any output).
+When the command succeeds, that file is rewritten with a ``run`` record:
+wall time, peak RSS and the package, numpy and scipy versions.
 
 Exit codes: 0 success, 2 bad configuration, 3 I/O failure, 4 invalid data.
 """
@@ -20,11 +22,17 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import resource
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+import scipy
+
+from . import __version__
 from .metrics import (
     DEFAULT_CONNECTIVITY,
     DEFAULT_DILATION_ITERS,
@@ -33,6 +41,7 @@ from .metrics import (
     read_metrics_csv,
     write_metrics_csv,
 )
+from .nifti import atomic_open
 from .parallel import map_ordered
 from .policy import (
     DEFAULT_CUTOFF_GRID,
@@ -320,12 +329,34 @@ def _json_safe(value):
     return value
 
 
-def _write_run_config(out_dir: Path, command: str, cfg: dict) -> None:
+def _write_run_config(out_dir: Path, command: str, cfg: dict,
+                      run: dict | None = None) -> None:
     echo = {k: _json_safe(v) for k, v in cfg.items() if k != "threads"}
-    with open(out_dir / "run-config.json", "w") as fh:
-        json.dump({"command": command, "config": echo}, fh,
-                  indent=2, sort_keys=True)
+    doc = {"command": command, "config": echo}
+    if run is not None:
+        doc["run"] = run
+    with atomic_open(out_dir / "run-config.json") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _peak_rss_mb(who: int) -> float:
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    unit = 1 if sys.platform == "darwin" else 1024
+    return round(resource.getrusage(who).ru_maxrss * unit / 1e6, 1)
+
+
+def _run_record(start: float) -> dict:
+    """What a finished command cost: wall seconds since ``start``, the peak
+    RSS of this process and of its waited-for children (pool workers),
+    and the versions that ran."""
+    return {
+        "wall_s": round(time.perf_counter() - start, 3),
+        "peak_rss_mb": {"process": _peak_rss_mb(resource.RUSAGE_SELF),
+                        "children": _peak_rss_mb(resource.RUSAGE_CHILDREN)},
+        "versions": {"gliopost": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    start = time.perf_counter()
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
     parser = build_parser()
@@ -603,7 +635,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     try:
-        return handler(cfg)
+        code = handler(cfg)
+        _write_run_config(Path(cfg["out"]), ns.command, cfg,
+                          run=_run_record(start))
+        return code
     except json.JSONDecodeError as exc:
         log.error("malformed JSON: %s", exc)
         return EXIT_CONFIG

@@ -65,22 +65,6 @@ def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentL
     return ComponentLabeling(labels=labels.T, sizes=sizes, count=count)
 
 
-def remove_small_components(
-    mask: np.ndarray, min_size: int, connectivity: int = 26
-) -> np.ndarray:
-    """Keep only components with size >= min_size; min_size 0 is identity."""
-    if min_size < 0:
-        raise ValueError(f"min_size must be >= 0, got {min_size}")
-    mask = np.asarray(mask, dtype=bool)
-    if min_size == 0 or not mask.any():
-        return mask.copy()
-    cc = connected_components(mask, connectivity)
-    keep = np.array(
-        [False] + [cc.sizes[c] >= min_size for c in range(1, cc.count + 1)]
-    )
-    return keep[cc.labels]
-
-
 def dilate(mask: np.ndarray, iterations: int, connectivity: int = 26) -> np.ndarray:
     """Binary dilation by the connectivity neighborhood, ``iterations`` times."""
     if iterations < 0:

@@ -7,7 +7,7 @@ in the standard NIfTI layout (x fastest), which is how arrays are kept
 in memory here as well.
 
 ``atomic_open`` also lives here, at the bottom of the import graph:
-every output file but the ``run-config.json`` echo, volumes included, is
+every output file, volumes and the ``run-config.json`` echo included, is
 written through it.
 """
 

@@ -8,7 +8,6 @@ measured between voxel centers.  No mesh is built.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from ..morphology import boundary_voxels
 from ..volume import Spacing
@@ -44,6 +43,9 @@ def _max_pairwise_distance(points: np.ndarray) -> float:
     if points.shape[0] <= 32:
         diff = points[:, None, :] - points[None, :, :]
         return float(np.sqrt((diff**2).sum(axis=2)).max())
+    # imported here: stages that extract no features must not pay for it
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(points)
         candidates = points[hull.vertices]

@@ -43,8 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_array
-from scipy.sparse.csgraph import connected_components
 
 from ..morphology import OFFSETS_13
 
@@ -237,6 +235,10 @@ def _same_level(table: PairTable, pairs) -> tuple[np.ndarray, np.ndarray]:
 def _component_counts(table: PairTable, pairs) -> np.ndarray:
     """(level, size) counts of the connected components of the graph on
     the masked voxels whose edges are the equal-level pairs of ``pairs``."""
+    # imported here: stages that extract no features must not pay for it
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
     a, b = _same_level(table, pairs)
     n = table.levels.size
     graph = coo_array((np.ones(a.size, dtype=np.int8), (a, b)), shape=(n, n))

@@ -65,6 +65,16 @@ def union_find_components(mask, connectivity: int = 26) -> list[set]:
     )
 
 
+def brute_remove_small(mask, min_size: int, connectivity: int = 26) -> np.ndarray:
+    """``mask`` without its components of fewer than ``min_size`` voxels."""
+    out = np.zeros(np.shape(mask), dtype=bool)
+    for comp in union_find_components(mask, connectivity):
+        if len(comp) >= min_size:
+            for voxel in comp:
+                out[voxel] = True
+    return out
+
+
 def mask_of(voxels, shape) -> np.ndarray:
     out = np.zeros(shape, dtype=bool)
     for v in voxels:

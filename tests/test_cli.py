@@ -3,11 +3,15 @@
 import json
 import logging
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import gliopost
 from gliopost.cli import main
 from gliopost.metrics import evaluate_case, read_metrics_csv
 from gliopost.radiomics import read_feature_csv
@@ -163,6 +167,60 @@ def test_flags_override_config_file(tmp_path):
     assert echoed["config"]["islands"] == RECIPE["islands"]  # config beats default
     assert echoed["config"]["cases"] == 0
     assert "threads" not in echoed["config"]
+
+
+def test_cli_import_loads_no_feature_only_scipy_packages():
+    """Stages that extract no features never load scipy.spatial or
+    scipy.sparse; scipy.ndimage is loaded, so a pool parent holds it
+    before it forks its workers."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import gliopost.cli; "
+            "print('\\n'.join(sorted(sys.modules)))")
+    loaded = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True,
+                            timeout=120).stdout.split()
+    assert "scipy.ndimage" in loaded
+    assert [m for m in loaded
+            if m.split(".")[:2] in (["scipy", "spatial"], ["scipy", "sparse"])
+            ] == []
+
+
+def test_run_record_is_added_after_success(pipeline, tmp_path, monkeypatch):
+    from gliopost import cli
+
+    out = tmp_path / "rank"
+    raw = str(pipeline["raw_metrics"] / "metrics.csv")
+    post = str(pipeline["post_metrics"] / "metrics.csv")
+    echoes = []
+    real = cli.write_ranking_csv
+
+    def snapshot(*args, **kwargs):
+        echoes.append(json.loads((out / "run-config.json").read_text()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "write_ranking_csv", snapshot)
+    assert main(["rank", f"identity={raw}", f"fitted={post}",
+                 "--out", str(out)]) == 0
+    (echo,) = echoes
+    assert "run" not in echo
+    done = json.loads((out / "run-config.json").read_text())
+    assert done["command"] == echo["command"] == "rank"
+    assert done["config"] == echo["config"]
+    run = done["run"]
+    assert set(run) == {"wall_s", "peak_rss_mb", "versions"}
+    assert run["wall_s"] > 0
+    assert set(run["peak_rss_mb"]) == {"process", "children"}
+    assert run["peak_rss_mb"]["process"] > 0
+    assert run["peak_rss_mb"]["children"] >= 0
+    assert run["versions"] == {"gliopost": gliopost.__version__,
+                               "numpy": np.__version__,
+                               "scipy": scipy.__version__}
+    assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
+
+    # a failed command keeps the early echo, without a run record
+    failed = tmp_path / "failed"
+    assert main(["rank", f"a={raw}", f"a={post}", "--out", str(failed)]) == 4
+    assert "run" not in json.loads((failed / "run-config.json").read_text())
 
 
 # -- synth ------------------------------------------------------------------------

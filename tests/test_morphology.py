@@ -12,7 +12,6 @@ from gliopost.morphology import (
     connected_components,
     dilate,
     euclidean_distance_transform,
-    remove_small_components,
 )
 from gliopost.volume import Spacing
 
@@ -94,28 +93,6 @@ def test_component_ids_follow_scan_order():
             firsts[comp_id] = min(scan_index(tuple(v), mask.shape) for v in voxels)
         ordered = sorted(firsts, key=firsts.get)
         assert ordered == list(range(1, cc.count + 1))
-
-
-def test_remove_small_components_examples():
-    mask = np.zeros((20, 8, 8), dtype=bool)
-    mask[0:1, 0:1, 0:5] = True                  # 5 voxels
-    mask[4:14, 0:8, 0:7] = True                 # 560 voxels
-    out = remove_small_components(mask, 10)
-    assert not out[0, 0, 0]
-    assert out[5, 5, 5]
-    assert int(out.sum()) == 560
-
-    assert np.array_equal(remove_small_components(mask, 0), mask)
-    assert not remove_small_components(mask, 561).any()
-
-
-def test_remove_small_components_idempotent():
-    rng = np.random.default_rng(77)
-    for _ in range(5):
-        mask = random_blob_mask(rng, (12, 12, 12), density=0.3)
-        once = remove_small_components(mask, 4)
-        assert np.array_equal(remove_small_components(once, 4), once)
-        assert not (once & ~mask).any()  # never creates voxels
 
 
 def test_dilate_single_voxel():

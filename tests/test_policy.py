@@ -35,9 +35,11 @@ from gliopost.policy import (
     top_confusions,
     write_confusion_csv,
 )
-from gliopost.morphology import connected_components, remove_small_components
+from gliopost.morphology import connected_components
 from gliopost.radiomics import ExtractionSettings, extract_case_features, feature_names
 from gliopost.volume import CaseBundle, LabelMap, ScalarVolume, Spacing
+
+from oracles import brute_remove_small, random_blob_mask
 
 SP = Spacing(1.0, 1.0, 1.0)
 
@@ -327,6 +329,39 @@ def test_apply_component_thresholds_connectivity():
     assert (apply_component_thresholds(seg, {3: 2}, connectivity=6) == 0).all()
 
 
+def test_apply_component_thresholds_examples():
+    seg = _seg((20, 8, 8))
+    seg[0:1, 0:1, 0:5] = 2  # 5 voxels
+    seg[4:14, 0:8, 0:7] = 2  # 560 voxels
+    out = apply_component_thresholds(seg, {2: 10})
+    assert out[0, 0, 0] == 0
+    assert out[5, 5, 5] == 2
+    assert int((out == 2).sum()) == 560
+
+    assert np.array_equal(apply_component_thresholds(seg, {2: 0}), seg)
+    assert np.array_equal(apply_component_thresholds(seg, {2: 560}), out)
+    assert not apply_component_thresholds(seg, {2: 561}).any()
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+def test_apply_component_thresholds_matches_oracle_and_is_idempotent(connectivity):
+    rng = np.random.default_rng(77)
+    for _ in range(5):
+        seg = _seg((12, 12, 12))
+        seg[random_blob_mask(rng, seg.shape, density=0.3)] = 1
+        seg[random_blob_mask(rng, seg.shape, density=0.2) & (seg == 0)] = 3
+        thresholds = {1: 4, 2: 0, 3: 6}
+        once = apply_component_thresholds(seg, thresholds, connectivity)
+        expected = seg.copy()
+        for label in (1, 3):
+            mask = seg == label
+            expected[mask & ~brute_remove_small(mask, thresholds[label],
+                                                connectivity)] = 0
+        assert np.array_equal(once, expected)
+        assert np.array_equal(
+            apply_component_thresholds(once, thresholds, connectivity), once)
+
+
 def test_apply_relabel_rules_cutoff_is_strict():
     seg = _seg((10, 10, 1))
     seg[:, 0, 0] = 1  # 10 voxels
@@ -448,8 +483,8 @@ def _naive_actions(seg, policy, cluster):
     for label, min_size in sorted(policy.thresholds[cluster].items()):
         if min_size > 0:
             mask = out == label
-            kept = remove_small_components(mask, min_size,
-                                           policy.objective.connectivity)
+            kept = brute_remove_small(mask, min_size,
+                                      policy.objective.connectivity)
             out[mask & ~kept] = 0
     for rule in policy.rules:
         if rule.cluster != cluster:

@@ -248,9 +248,10 @@ def test_failed_artifact_writes_keep_old_files(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     # metrics.csv, ranking.csv, confusion.csv, fit-report.txt, masks
-    # (gzipped or not) and inventory.json: the handle atomic_open writes
-    # through fails after a few characters or bytes
+    # (gzipped or not), inventory.json and run-config.json: the handle
+    # atomic_open writes through fails after a few characters or bytes
     from gliopost import nifti
+    from gliopost.cli import _write_run_config
     from gliopost.metrics import CaseMetrics, write_metrics_csv
     from gliopost.policy import FitReport, write_confusion_csv, write_fit_report
     from gliopost.ranking import rank_candidates, write_ranking_csv
@@ -277,6 +278,9 @@ def test_failed_artifact_writes_keep_old_files(tmp_path, monkeypatch):
             "case-seg.nii": lambda p: save_nifti(mask, p),
             "inventory.json": lambda p: write_inventory(
                 p.parent, SynthConfig(), {"a": {"value": value}}),
+            "run-config.json": lambda p: _write_run_config(
+                p.parent, "rank", {"out": str(p.parent)},
+                run={"wall_s": value}),
         }
 
     for name, write in writes(0.25).items():
