@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import resource
 import sys
 import time
@@ -114,6 +115,13 @@ def _threads(value) -> int:
     return threads
 
 
+def _dilation(value) -> int:
+    dilation = _int(value)
+    if dilation < 0:
+        raise ValueError(f"dilation must be >= 0, got {dilation}")
+    return dilation
+
+
 def _float(value) -> float:
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
@@ -145,6 +153,16 @@ def _ints(value) -> tuple[int, ...]:
 
 def _floats(value) -> tuple[float, ...]:
     return _items(value, _float)
+
+
+def _tolerances(value) -> tuple[float, ...]:
+    tolerances = _floats(value)
+    if not all(math.isfinite(tol) and tol > 0 for tol in tolerances):
+        raise ValueError(f"tolerances must be finite and > 0, got {list(tolerances)}")
+    # distinct as the metric columns print them (LW_NSD@<tol:g>)
+    if len({f"{tol:g}" for tol in tolerances}) != len(tolerances):
+        raise ValueError(f"tolerances must be distinct, got {list(tolerances)}")
+    return tolerances
 
 
 def _strs(value) -> tuple[str, ...]:
@@ -258,9 +276,9 @@ _EVALUATE_SPEC = (
     _Opt("gt", "--gt", _str, _REQUIRED, "directory of ground-truth masks"),
     _Opt("out", "--out", _str, _REQUIRED, "output directory"),
     _Opt("task", "--task", _str, "gli-pre", "challenge task", choices=TASKS),
-    _Opt("tolerances", "--tolerances", _floats, list(DEFAULT_TOLERANCES_MM),
+    _Opt("tolerances", "--tolerances", _tolerances, list(DEFAULT_TOLERANCES_MM),
          "surface tolerances in mm"),
-    _Opt("dilation", "--dilation", _int, DEFAULT_DILATION_ITERS,
+    _Opt("dilation", "--dilation", _dilation, DEFAULT_DILATION_ITERS,
          "lesion-merging dilation iterations"),
     _Opt("connectivity", "--connectivity", _int, DEFAULT_CONNECTIVITY,
          "component connectivity (6 or 26)", choices=(6, 26)),

@@ -11,7 +11,7 @@ with false positives scoring 0.  A region empty in both masks scores 1.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -61,29 +61,6 @@ def region_mask(seg: LabelMap | np.ndarray, region: RegionSpec) -> np.ndarray:
     for label in region.labels:
         mask |= data == label
     return mask
-
-
-@dataclass
-class LesionRecord:
-    """One merged ground-truth lesion and its matched prediction parts."""
-
-    lesion_id: int
-    gt_components: tuple[int, ...]
-    pred_components: tuple[int, ...]
-    dice: float
-    nsd: dict[float, float] = field(default_factory=dict)
-
-
-@dataclass
-class LesionMatchResult:
-    """Matched lesions and false-positive prediction components."""
-
-    lesions: list[LesionRecord]
-    fp_components: tuple[int, ...]
-
-    @property
-    def counts(self) -> tuple[int, int]:
-        return (len(self.lesions), len(self.fp_components))
 
 
 def _surface_counts(
@@ -146,12 +123,14 @@ def _summary(
     dice: list[float], nsd: list[dict[float, float]], n_fp: int,
     tolerances: tuple[float, ...],
 ) -> dict[str, float]:
-    """Lesion-wise Dice plus NSD at each tolerance, as a flat dict."""
-    out = {"LW_Dice": _aggregate(dice, n_fp, len(dice))}
+    """Lesion-wise Dice plus NSD at each tolerance, as a flat dict: each a
+    mean over the lesions and the false positives, which score 0."""
+    units = len(dice) + n_fp
+    out = {"LW_Dice": sum(dice) / units if units else 1.0}
     for tol in tolerances:
-        if tol <= 0:
+        if not tol > 0:  # NaN included
             raise ValueError(f"tolerance must be > 0, got {tol}")
-        out[f"LW_NSD@{tol:g}"] = _aggregate([n[tol] for n in nsd], n_fp, len(nsd))
+        out[f"LW_NSD@{tol:g}"] = sum(n[tol] for n in nsd) / units if units else 1.0
     return out
 
 
@@ -198,7 +177,7 @@ class RegionScorer:
     per-lesion masks and surfaces) is computed once, so scoring many
     candidate predictions against the same ground truth is cheap.  The
     distance fields behind NSD depend on both surfaces and are computed
-    per match.  ``match_lesions`` and ``evaluate_case`` are thin wrappers.
+    per match.
 
     ``score_subset`` scores a candidate that only removes voxels from a
     mask already matched (``match_state``) without matching it again:
@@ -306,23 +285,6 @@ class RegionScorer:
             tolerances=tuple(tolerances),
         )
 
-    def match(self, pred_mask: np.ndarray, tolerances: tuple[float, ...] = ()) -> LesionMatchResult:
-        """Assign prediction components to lesions and score them."""
-        state = self.match_state(pred_mask, tolerances)
-        lesions = [
-            LesionRecord(
-                lesion_id=lid,
-                gt_components=self.lesion_members[lid - 1],
-                pred_components=tuple(
-                    int(p) for p in np.flatnonzero(state.lesion_of == lid)),
-                dice=state.dice[lid - 1],
-                nsd=state.nsd[lid - 1],
-            )
-            for lid in range(1, self.n_lesions + 1)
-        ]
-        fps = tuple(int(p) + 1 for p in np.flatnonzero(state.lesion_of[1:] == 0))
-        return LesionMatchResult(lesions=lesions, fp_components=fps)
-
     def score(
         self, pred_mask: np.ndarray, tolerances: tuple[float, ...] = DEFAULT_TOLERANCES_MM
     ) -> dict[str, float]:
@@ -365,47 +327,6 @@ class RegionScorer:
         return _summary(dice, nsd, n_fp, base.tolerances)
 
 
-def match_lesions(
-    gt_mask: np.ndarray,
-    pred_mask: np.ndarray,
-    spacing: Spacing,
-    dilation_iters: int = DEFAULT_DILATION_ITERS,
-    connectivity: int = DEFAULT_CONNECTIVITY,
-    tolerances: tuple[float, ...] = DEFAULT_TOLERANCES_MM,
-) -> LesionMatchResult:
-    """Match prediction components to dilation-merged ground-truth lesions."""
-    scorer = RegionScorer(gt_mask, spacing, dilation_iters, connectivity)
-    return scorer.match(np.asarray(pred_mask, dtype=bool), tolerances)
-
-
-def _aggregate(per_lesion: list[float], n_fp: int, n_lesions: int) -> float:
-    if n_lesions == 0 and n_fp == 0:
-        return 1.0
-    total = sum(per_lesion)  # false positives contribute 0
-    return total / (n_lesions + n_fp)
-
-
-def lesionwise_dice(match: LesionMatchResult) -> float:
-    """Mean per-lesion Dice over gt lesions plus false positives."""
-    return _aggregate([l.dice for l in match.lesions],
-                      len(match.fp_components), len(match.lesions))
-
-
-def lesionwise_nsd(match: LesionMatchResult, tolerance: float) -> float:
-    """Mean per-lesion surface agreement at the given tolerance (mm)."""
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
-    values = []
-    for lesion in match.lesions:
-        if tolerance not in lesion.nsd:
-            raise KeyError(
-                f"NSD at {tolerance} mm was not computed for this match"
-                f" (available: {sorted(lesion.nsd)})"
-            )
-        values.append(lesion.nsd[tolerance])
-    return _aggregate(values, len(match.fp_components), len(match.lesions))
-
-
 @dataclass
 class CaseMetrics:
     """Per-region lesion-wise scores for one case.
@@ -427,6 +348,68 @@ class CaseMetrics:
         return cols
 
 
+class CaseScorer:
+    """Lesion-wise scoring of one case's prediction, and of candidates
+    made from it, against the case's ground truth.
+
+    ``evaluate`` scores the prediction itself, dropping each region's
+    ``RegionScorer`` once it has scored.  ``score`` serves the policy
+    fit: each distinct region mask is scored once, and one that only
+    removes voxels from the prediction's own region mask is scored from
+    the match of that mask (``RegionScorer.score_subset``), which is
+    kept for the life of the scorer; any other is matched in full.
+    """
+
+    def __init__(
+        self,
+        pred: LabelMap,
+        gt: LabelMap,
+        tolerances: tuple[float, ...] = DEFAULT_TOLERANCES_MM,
+        dilation_iters: int = DEFAULT_DILATION_ITERS,
+        connectivity: int = DEFAULT_CONNECTIVITY,
+    ):
+        if pred.dims != gt.dims:
+            raise ValueError(f"grid mismatch: pred {pred.dims} vs gt {gt.dims}")
+        self.pred = pred
+        self.gt = gt
+        self.tolerances = tuple(tolerances)
+        self._scorer_args = (gt.spacing, dilation_iters, connectivity)
+        self._bases: dict[str, tuple[RegionScorer, MatchState]] = {}
+        self._scores: dict[tuple[str, bytes], dict[str, float]] = {}
+
+    def evaluate(self, regions) -> dict[str, float]:
+        """``LW_<metric>_<region>`` scores of the case's prediction."""
+        out: dict[str, float] = {}
+        for region in regions:
+            scorer = RegionScorer(region_mask(self.gt, region), *self._scorer_args)
+            raw = scorer.score(region_mask(self.pred, region), self.tolerances)
+            out.update({f"{k}_{region.name}": v for k, v in raw.items()})
+        return out
+
+    def _base(self, region: RegionSpec) -> tuple[RegionScorer, MatchState]:
+        if region.name not in self._bases:
+            scorer = RegionScorer(region_mask(self.gt, region), *self._scorer_args)
+            state = scorer.match_state(region_mask(self.pred, region), self.tolerances)
+            self._bases[region.name] = (scorer, state)
+        return self._bases[region.name]
+
+    def score(self, regions, pred_data: np.ndarray) -> dict[str, float]:
+        """``LW_<metric>_<region>`` scores of ``pred_data`` over ``regions``."""
+        out: dict[str, float] = {}
+        for region in regions:
+            mask = region_mask(pred_data, region)
+            key = (region.name, np.packbits(mask).tobytes())
+            if key not in self._scores:
+                scorer, state = self._base(region)
+                if (mask & ~state.mask).any():
+                    raw = scorer.score(mask, self.tolerances)
+                else:
+                    raw = scorer.score_subset(state, mask)
+                self._scores[key] = {f"{k}_{region.name}": v for k, v in raw.items()}
+            out.update(self._scores[key])
+        return out
+
+
 def evaluate_case(
     pred: LabelMap,
     gt: LabelMap,
@@ -437,16 +420,8 @@ def evaluate_case(
     case_id: str = "",
 ) -> CaseMetrics:
     """Lesion-wise Dice and NSD for every region of one case."""
-    if pred.dims != gt.dims:
-        raise ValueError(f"grid mismatch: pred {pred.dims} vs gt {gt.dims}")
-    values: dict[str, float] = {}
-    for region in regions:
-        scorer = RegionScorer(region_mask(gt, region), gt.spacing,
-                              dilation_iters, connectivity)
-        scores = scorer.score(region_mask(pred, region), tuple(tolerances))
-        for key, v in scores.items():
-            values[f"{key}_{region.name}"] = v
-    return CaseMetrics(case_id=case_id, values=values)
+    scorer = CaseScorer(pred, gt, tolerances, dilation_iters, connectivity)
+    return CaseMetrics(case_id=case_id, values=scorer.evaluate(regions))
 
 
 # ---------------------------------------------------------------------------

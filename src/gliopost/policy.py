@@ -34,10 +34,8 @@ from .metrics import (
     REGIONS_PRE_TREATMENT,
     WT,
     CaseMetrics,
-    MatchState,
-    RegionScorer,
+    CaseScorer,
     RegionSpec,
-    region_mask,
 )
 from .morphology import connected_components
 from .nifti import atomic_open
@@ -300,61 +298,13 @@ def write_fit_report(path: str | Path, policy: PostProcessPolicy,
 # grid-search fitting
 # ---------------------------------------------------------------------------
 
-class _CaseScorer:
-    """Scores candidate predictions of one training case, region by
-    region, against its ground truth.
-
-    Each distinct region mask is scored once.  A candidate region mask
-    that only removes voxels from the region mask of the case's own
-    prediction is scored from the match of that mask
-    (``RegionScorer.score_subset``); any other is matched in full.
-    """
-
-    def __init__(self, case: FitCase, objective: RankObjective):
-        if case.pred.dims != case.gt.dims:
-            raise ValueError(
-                f"grid mismatch: pred {case.pred.dims} vs gt {case.gt.dims}")
-        self.case = case
-        self.objective = objective
-        self._bases: dict[str, tuple[RegionScorer, MatchState]] = {}
-        self._scores: dict[tuple[str, bytes], dict[str, float]] = {}
-
-    def _base(self, region: RegionSpec) -> tuple[RegionScorer, MatchState]:
-        if region.name not in self._bases:
-            scorer = RegionScorer(
-                region_mask(self.case.gt, region),
-                self.case.gt.spacing,
-                self.objective.dilation_iters,
-                self.objective.connectivity,
-            )
-            state = scorer.match_state(region_mask(self.case.pred, region),
-                                       self.objective.tolerances)
-            self._bases[region.name] = (scorer, state)
-        return self._bases[region.name]
-
-    def score(self, regions, pred_data: np.ndarray) -> dict[str, float]:
-        """``LW_<metric>_<region>`` scores of ``pred_data`` over ``regions``."""
-        out: dict[str, float] = {}
-        for region in regions:
-            mask = region_mask(pred_data, region)
-            key = (region.name, np.packbits(mask).tobytes())
-            if key not in self._scores:
-                scorer, state = self._base(region)
-                if (mask & ~state.mask).any():
-                    raw = scorer.score(mask, self.objective.tolerances)
-                else:
-                    raw = scorer.score_subset(state, mask)
-                self._scores[key] = {f"{k}_{region.name}": v for k, v in raw.items()}
-            out.update(self._scores[key])
-        return out
-
-
 def _threshold_table(item) -> dict[int, dict[int, dict[str, float]]]:
     """Per label and grid threshold, the scores of one case with the
     label's smaller components removed, over the regions holding the
     label."""
     case, (labels, grid), objective = item
-    scorer = _CaseScorer(case, objective)
+    scorer = CaseScorer(case.pred, case.gt, objective.tolerances,
+                        objective.dilation_iters, objective.connectivity)
     table: dict[int, dict[int, dict[str, float]]] = {}
     for label in labels:
         affected = [r for r in objective.regions if label in r.labels]
@@ -380,7 +330,8 @@ def _relabel_table(item) -> dict[tuple[int, int], tuple]:
     scores without and with the relabelling, over the regions holding
     src or dst."""
     case, pairs, objective = item
-    scorer = _CaseScorer(case, objective)
+    scorer = CaseScorer(case.pred, case.gt, objective.tolerances,
+                        objective.dilation_iters, objective.connectivity)
     seg = case.pred.data
     wt_vol = int(np.isin(seg, WT_LABELS).sum())
     table = {}

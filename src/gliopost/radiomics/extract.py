@@ -107,9 +107,6 @@ class FeatureVector:
             bad = [self.names[i] for i in np.nonzero(~np.isfinite(self.values))[0]]
             raise ValueError(f"{self.case_id}: non-finite features {bad[:5]}")
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.names, self.values.tolist()))
-
 
 @dataclass
 class FeatureMatrix:

@@ -409,21 +409,3 @@ def write_inventory(out_dir: str | Path, cfg: SynthConfig,
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return doc
-
-
-def write_corpus(
-    cfg: SynthConfig,
-    n_cases: int,
-    out_dir: str | Path,
-    start_index: int = 0,
-) -> dict:
-    """Generate ``n_cases`` cases and write the standard corpus layout:
-    images/, preds/, gt/ and inventory.json; returns the inventory."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    inventories: dict[str, dict] = {}
-    for index in range(start_index, start_index + n_cases):
-        bundle, inventory = generate_case(cfg, index)
-        save_case(bundle, out / "images", out / "preds", out / "gt")
-        inventories[bundle.case_id] = inventory
-    return write_inventory(out, cfg, inventories)

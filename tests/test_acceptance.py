@@ -18,12 +18,7 @@ import pytest
 
 from gliopost.cli import main
 from gliopost.clustering import fit_kmeans, fit_pca
-from gliopost.metrics import (
-    CaseMetrics,
-    lesionwise_dice,
-    lesionwise_nsd,
-    match_lesions,
-)
+from gliopost.metrics import CaseMetrics, RegionScorer
 from gliopost.morphology import connected_components, euclidean_distance_transform
 from gliopost.policy import (
     apply_component_thresholds,
@@ -222,12 +217,12 @@ def test_criterion_2_metrics_match_brute_force():
             pred = random_blob_mask(rng, shape, density=float(rng.uniform(0.05, 0.28)))
         spacing = spacings[trial % 2]
 
-        match = match_lesions(gt, pred, Spacing(*spacing), tolerances=tolerances)
+        scores = RegionScorer(gt, Spacing(*spacing)).score(pred, tolerances)
         ref_dice, ref_nsd = brute_lesionwise(gt, pred, spacing, tolerances)
-        worst_dice = max(worst_dice, abs(lesionwise_dice(match) - ref_dice))
-        assert abs(lesionwise_dice(match) - ref_dice) <= 1e-9
+        worst_dice = max(worst_dice, abs(scores["LW_Dice"] - ref_dice))
+        assert abs(scores["LW_Dice"] - ref_dice) <= 1e-9
         for tol in tolerances:
-            diff = abs(lesionwise_nsd(match, tol) - ref_nsd[tol])
+            diff = abs(scores[f"LW_NSD@{tol:g}"] - ref_nsd[tol])
             worst_nsd = max(worst_nsd, diff)
             assert diff <= 1e-9
 

@@ -132,6 +132,17 @@ def test_rejected_flag_values(tmp_path):
     for argv in (evaluate, fit):
         assert main(argv + ["--threads", "0"]) == 2
         assert main(argv + ["--config", str(threads)]) == 2
+    # tolerances must be finite, > 0 and distinct; the dilation >= 0
+    for flag, value in (("--tolerances", "0"), ("--tolerances", "-1"),
+                        ("--tolerances", "nan"), ("--tolerances", "inf"),
+                        ("--tolerances", "1,1"), ("--tolerances", "0.5,1,1.0"),
+                        ("--dilation", "-1")):
+        assert main(evaluate + [flag, value]) == 2, (flag, value)
+    metric = tmp_path / "metric.json"
+    for doc in ({"tolerances": [0]}, {"tolerances": "nan"}, {"tolerances": [1, 1.0]},
+                {"dilation": -1}):
+        metric.write_text(json.dumps(doc))
+        assert main(evaluate + ["--config", str(metric)]) == 2, doc
     assert not (tmp_path / "c").exists()
 
 

@@ -18,11 +18,9 @@ from gliopost.metrics import (
     TC,
     WT,
     CaseMetrics,
+    CaseScorer,
     RegionScorer,
     evaluate_case,
-    lesionwise_dice,
-    lesionwise_nsd,
-    match_lesions,
     read_metrics_csv,
     region_mask,
     write_metrics_csv,
@@ -69,22 +67,38 @@ def test_region_mask_counts():
 
 # -- matching ----------------------------------------------------------------
 
+def _match(gt, pred, spacing=SP, tolerances=DEFAULT_TOLERANCES_MM):
+    """The ground-truth scorer of ``gt`` and its match of ``pred``."""
+    scorer = RegionScorer(gt, spacing)
+    return scorer, scorer.match_state(pred, tolerances)
+
+
+def _counts(scorer, state):
+    """(lesions, false-positive components)."""
+    return scorer.n_lesions, state.n_fp
+
+
+def _components_of(state, lid):
+    """Prediction components assigned to lesion ``lid`` (0: false positives)."""
+    return tuple(c for c in range(1, len(state.lesion_of)) if state.lesion_of[c] == lid)
+
+
 def test_match_both_empty():
     empty = np.zeros((4, 4, 4), dtype=bool)
-    match = match_lesions(empty, empty, SP)
-    assert match.counts == (0, 0)
-    assert lesionwise_dice(match) == 1.0
-    assert lesionwise_nsd(match_lesions(empty, empty, SP, tolerances=(1.0,)), 1.0) == 1.0
+    scorer, state = _match(empty, empty)
+    assert _counts(scorer, state) == (0, 0)
+    assert state.scores["LW_Dice"] == 1.0
+    assert scorer.score(empty, (1.0,))["LW_NSD@1"] == 1.0
 
 
 def test_match_identical_blob():
     mask = np.zeros((8, 8, 8), dtype=bool)
     mask[2:5, 2:5, 2:5] = True
-    match = match_lesions(mask, mask, SP, tolerances=(0.5, 1.0))
-    assert match.counts == (1, 0)
-    assert lesionwise_dice(match) == 1.0
-    assert lesionwise_nsd(match, 0.5) == 1.0
-    assert lesionwise_nsd(match, 1.0) == 1.0
+    scorer, state = _match(mask, mask, tolerances=(0.5, 1.0))
+    assert _counts(scorer, state) == (1, 0)
+    assert state.dice == [1.0]
+    assert state.nsd == [{0.5: 1.0, 1.0: 1.0}]
+    assert state.scores == {"LW_Dice": 1.0, "LW_NSD@0.5": 1.0, "LW_NSD@1": 1.0}
 
 
 def test_false_positive_halves_perfect_score():
@@ -92,21 +106,21 @@ def test_false_positive_halves_perfect_score():
     gt[1:4, 1:4, 1:4] = True
     pred = gt.copy()
     pred[15:17, 5:7, 5:7] = True  # island far beyond the dilation reach
-    match = match_lesions(gt, pred, SP, tolerances=(1.0,))
-    assert match.counts == (1, 1)
-    assert match.lesions[0].pred_components == (1,)
-    assert match.fp_components == (2,)
-    assert lesionwise_dice(match) == pytest.approx(0.5)
-    assert lesionwise_nsd(match, 1.0) == pytest.approx(0.5)
+    scorer, state = _match(gt, pred, tolerances=(1.0,))
+    assert _counts(scorer, state) == (1, 1)
+    assert _components_of(state, 1) == (1,)
+    assert _components_of(state, 0) == (2,)
+    assert state.scores["LW_Dice"] == pytest.approx(0.5)
+    assert state.scores["LW_NSD@1"] == pytest.approx(0.5)
 
 
 def test_empty_prediction_scores_zero():
     gt = np.zeros((6, 6, 6), dtype=bool)
     gt[1:4, 1:4, 1:4] = True
-    match = match_lesions(gt, np.zeros_like(gt), SP, tolerances=(1.0,))
-    assert match.counts == (1, 0)
-    assert lesionwise_dice(match) == 0.0
-    assert lesionwise_nsd(match, 1.0) == 0.0
+    scorer, state = _match(gt, np.zeros_like(gt), tolerances=(1.0,))
+    assert _counts(scorer, state) == (1, 0)
+    assert state.scores["LW_Dice"] == 0.0
+    assert state.scores["LW_NSD@1"] == 0.0
 
 
 def test_lesion_merge_boundary():
@@ -115,12 +129,12 @@ def test_lesion_merge_boundary():
     near = np.zeros((12, 3, 3), dtype=bool)
     near[0, 1, 1] = True
     near[6, 1, 1] = True
-    assert match_lesions(near, near, SP).counts == (1, 0)
+    assert _counts(*_match(near, near)) == (1, 0)
 
     far = np.zeros((12, 3, 3), dtype=bool)
     far[0, 1, 1] = True
     far[7, 1, 1] = True
-    assert match_lesions(far, far, SP).counts == (2, 0)
+    assert _counts(*_match(far, far)) == (2, 0)
 
     # the two ends are 12 apart and never overlap directly; the bridge
     # reaches both but comes last in scan order
@@ -128,9 +142,9 @@ def test_lesion_merge_boundary():
     bridged[0, 0, 0] = True
     bridged[12, 0, 0] = True
     bridged[6, 0, 1] = True
-    match = match_lesions(bridged, bridged, SP)
-    assert match.counts == (1, 0)
-    assert match.lesions[0].gt_components == (1, 2, 3)
+    scorer, state = _match(bridged, bridged)
+    assert _counts(scorer, state) == (1, 0)
+    assert scorer.lesion_members == [(1, 2, 3)]
 
 
 def test_equal_overlap_assigns_lowest_lesion_id():
@@ -139,11 +153,11 @@ def test_equal_overlap_assigns_lowest_lesion_id():
     gt[10, 1, 1] = True  # two separate lesions (dilations span x 0..3 and 7..13)
     pred = np.zeros_like(gt)
     pred[2:9, 1, 1] = True  # overlaps lesion 1 on x in {2,3}, lesion 2 on {7,8}
-    match = match_lesions(gt, pred, SP)
-    assert match.counts == (2, 0)
-    assert match.lesions[0].pred_components == (1,)
-    assert match.lesions[1].pred_components == ()
-    assert match.fp_components == ()
+    scorer, state = _match(gt, pred)
+    assert _counts(scorer, state) == (2, 0)
+    assert _components_of(state, 1) == (1,)
+    assert _components_of(state, 2) == ()
+    assert _components_of(state, 0) == ()
 
 
 def test_shifted_cube_nsd_tolerances():
@@ -151,11 +165,11 @@ def test_shifted_cube_nsd_tolerances():
     gt[2:5, 2:5, 2:5] = True
     pred = np.zeros_like(gt)
     pred[3:6, 2:5, 2:5] = True  # one-voxel shift along x
-    match = match_lesions(gt, pred, SP, tolerances=(0.5, 1.0))
-    assert lesionwise_dice(match) == pytest.approx(2 * 18 / 54)
-    assert lesionwise_nsd(match, 1.0) == pytest.approx(1.0)
+    scores = RegionScorer(gt, SP).score(pred, (0.5, 1.0))
+    assert scores["LW_Dice"] == pytest.approx(2 * 18 / 54)
+    assert scores["LW_NSD@1"] == pytest.approx(1.0)
 
-    got_half = lesionwise_nsd(match, 0.5)
+    got_half = scores["LW_NSD@0.5"]
     _, brute = brute_lesionwise(gt, pred, (1, 1, 1), (0.5, 1.0))
     assert got_half == pytest.approx(brute[0.5], abs=1e-12)
     assert got_half < 1.0
@@ -166,8 +180,8 @@ def test_nsd_monotone_in_tolerance():
     for _ in range(4):
         gt = random_blob_mask(rng, (10, 10, 10), density=0.25)
         pred = random_blob_mask(rng, (10, 10, 10), density=0.25)
-        match = match_lesions(gt, pred, SP, tolerances=(0.5, 1.0, 2.0))
-        vals = [lesionwise_nsd(match, t) for t in (0.5, 1.0, 2.0)]
+        scores = RegionScorer(gt, SP).score(pred, (0.5, 1.0, 2.0))
+        vals = [scores[f"LW_NSD@{t:g}"] for t in (0.5, 1.0, 2.0)]
         assert vals[0] <= vals[1] + 1e-12 <= vals[2] + 2e-12
 
 
@@ -177,12 +191,13 @@ def test_adding_false_positive_never_helps():
     gt[2:6, 2:6, 2:6] = True
     pred = np.zeros_like(gt)
     pred[2:6, 2:6, 3:7] = True
-    base = match_lesions(gt, pred, SP, tolerances=(1.0,))
+    scorer = RegionScorer(gt, SP)
+    base = scorer.score(pred, (1.0,))
     noisy_pred = pred.copy()
     noisy_pred[20:22, 7:9, 7:9] = True
-    noisy = match_lesions(gt, noisy_pred, SP, tolerances=(1.0,))
-    assert lesionwise_dice(noisy) < lesionwise_dice(base)
-    assert lesionwise_nsd(noisy, 1.0) < lesionwise_nsd(base, 1.0)
+    noisy = scorer.score(noisy_pred, (1.0,))
+    assert noisy["LW_Dice"] < base["LW_Dice"]
+    assert noisy["LW_NSD@1"] < base["LW_NSD@1"]
 
 
 def test_single_lesion_dice_equals_classical():
@@ -199,9 +214,9 @@ def test_single_lesion_dice_equals_classical():
         pred[4, 4, 4] = True
         pred[2:7, 4, 4] = True
         pred[4, 4, 2:7] = True
-        match = match_lesions(gt, pred, SP)
+        scores = RegionScorer(gt, SP).score(pred)
         classical = 2 * int((gt & pred).sum()) / (int(gt.sum()) + int(pred.sum()))
-        assert lesionwise_dice(match) == pytest.approx(classical, abs=1e-12)
+        assert scores["LW_Dice"] == pytest.approx(classical, abs=1e-12)
 
 
 @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (1.0, 1.25, 2.5)])
@@ -215,24 +230,26 @@ def test_lesionwise_matches_brute_force(spacing):
             pred = gt ^ (rng.random(shape) > 0.9)
         else:
             pred = random_blob_mask(rng, shape, density=float(rng.uniform(0.08, 0.3)))
-        match = match_lesions(gt, pred, Spacing(*spacing), tolerances=tolerances)
-        dice = lesionwise_dice(match)
+        scores = RegionScorer(gt, Spacing(*spacing)).score(pred, tolerances)
         ref_dice, ref_nsd = brute_lesionwise(gt, pred, spacing, tolerances)
-        assert dice == pytest.approx(ref_dice, abs=1e-9)
+        assert scores["LW_Dice"] == pytest.approx(ref_dice, abs=1e-9)
         for tol in tolerances:
-            assert lesionwise_nsd(match, tol) == pytest.approx(ref_nsd[tol], abs=1e-9)
+            assert scores[f"LW_NSD@{tol:g}"] == pytest.approx(ref_nsd[tol], abs=1e-9)
 
 
 def test_nsd_validation():
     empty = np.zeros((3, 3, 3), dtype=bool)
-    match = match_lesions(empty, empty, SP, tolerances=(1.0,))
-    with pytest.raises(ValueError):
-        lesionwise_nsd(match, 0.0)
     mask = empty.copy()
     mask[1, 1, 1] = True
-    match = match_lesions(mask, mask, SP, tolerances=(1.0,))
-    with pytest.raises(KeyError):
-        lesionwise_nsd(match, 2.0)
+    for gt in (empty, mask):
+        scorer = RegionScorer(gt, SP)
+        for tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                scorer.score(gt, (tol,))
+    # NSD is computed, and reported, at exactly the tolerances asked for
+    scorer, state = _match(mask, mask, tolerances=(1.0,))
+    assert state.nsd == [{1.0: 1.0}]
+    assert set(state.scores) == {"LW_Dice", "LW_NSD@1"}
 
 
 def test_region_scorer_reuse_matches_fresh_match():
@@ -242,10 +259,9 @@ def test_region_scorer_reuse_matches_fresh_match():
     for _ in range(3):
         pred = random_blob_mask(rng, (12, 12, 12), density=0.2)
         via_scorer = scorer.score(pred, (0.5, 1.0))
-        fresh = match_lesions(gt, pred, SP, tolerances=(0.5, 1.0))
-        assert via_scorer["LW_Dice"] == lesionwise_dice(fresh)
-        assert via_scorer["LW_NSD@0.5"] == lesionwise_nsd(fresh, 0.5)
-        assert via_scorer["LW_NSD@1"] == lesionwise_nsd(fresh, 1.0)
+        _, fresh = _match(gt, pred, tolerances=(0.5, 1.0))
+        assert via_scorer == fresh.scores
+        assert set(via_scorer) == {"LW_Dice", "LW_NSD@0.5", "LW_NSD@1"}
 
 
 @st.composite
@@ -336,6 +352,58 @@ def test_evaluate_case_empty_prediction():
 def test_evaluate_case_grid_mismatch():
     with pytest.raises(ValueError):
         evaluate_case(_case(_labels((4, 4, 4))), _case(_labels((5, 4, 4))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.data(),
+    st.tuples(*[st.integers(3, 7)] * 3),
+    st.sampled_from((6, 26)),
+)
+def test_case_scorer_matches_evaluate_case(data, shape, connectivity):
+    labels = hnp.arrays(np.uint8, shape, elements=st.sampled_from((0, 0, 1, 2, 3)),
+                        fill=st.nothing())
+    gt, pred = data.draw(labels), data.draw(labels)
+    regions = REGIONS_POST_TREATMENT
+    scorer = CaseScorer(_case(pred), _case(gt), dilation_iters=1,
+                        connectivity=connectivity)
+    # candidates as the grid searches make them: the case itself, a label
+    # removed (a subset), a label relabelled (a subset of the source's
+    # regions, a superset of the destination's), and both at once
+    src, dst = data.draw(st.sampled_from([(1, 3), (3, 1), (1, 2), (2, 3)]))
+    relabelled = np.where(pred == src, dst, pred)
+    for candidate in (pred, np.where(pred == src, 0, pred), relabelled,
+                      np.where(relabelled == dst, 0, relabelled), pred):
+        want = evaluate_case(_case(candidate), _case(gt), regions=regions,
+                             dilation_iters=1, connectivity=connectivity).values
+        assert scorer.score(regions, candidate) == want
+    assert scorer.evaluate(regions) == scorer.score(regions, pred)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_evaluate_case_bounded_and_perfect_on_itself(data):
+    shape = data.draw(st.tuples(*[st.integers(1, 8)] * 3))
+    # every voxel drawn on its own, so grids hold many small components
+    labels = hnp.arrays(np.uint8, shape, elements=st.sampled_from((0, 0, 0, 1, 2, 3, 4)),
+                        fill=st.nothing())
+    gt, pred = data.draw(labels), data.draw(labels)
+    spacing = Spacing(*data.draw(st.tuples(*[st.sampled_from((0.5, 1.0, 1.7))] * 3)))
+    tolerances = (0.5, 1.0, 2.0)
+    kwargs = dict(regions=REGIONS_POST_TREATMENT, tolerances=tolerances,
+                  dilation_iters=data.draw(st.integers(0, 3)),
+                  connectivity=data.draw(st.sampled_from((6, 26))))
+    columns = CaseMetrics.columns(REGIONS_POST_TREATMENT, tolerances)
+
+    def evaluate(p, g):
+        values = evaluate_case(LabelMap(data=p, spacing=spacing),
+                               LabelMap(data=g, spacing=spacing), **kwargs).values
+        assert list(values) == columns
+        return values
+
+    assert all(0.0 <= v <= 1.0 for v in evaluate(pred, gt).values())
+    for seg in (gt, pred):
+        assert all(v == 1.0 for v in evaluate(seg, seg).values())
 
 
 def test_metrics_csv_round_trip(tmp_path):

@@ -14,7 +14,7 @@ from gliopost.clustering import (
     StandardizationStats,
     assign_cluster,
 )
-from gliopost.metrics import REGIONS_POST_TREATMENT, REGIONS_PRE_TREATMENT, evaluate_case
+from gliopost.metrics import REGIONS_POST_TREATMENT, REGIONS_PRE_TREATMENT
 from gliopost.policy import (
     DEFAULT_CUTOFF_GRID,
     POLICY_VERSION,
@@ -22,7 +22,6 @@ from gliopost.policy import (
     PostProcessPolicy,
     RankObjective,
     RelabelRule,
-    _CaseScorer,
     apply_component_thresholds,
     apply_policy,
     apply_relabel_rules,
@@ -207,31 +206,6 @@ def test_fit_is_thread_invariant():
             fit_component_thresholds(cases, 2)
         assert fit_relabel_rules(cases, 2, [(1, 3), (3, 2)], threads=threads) == \
             fit_relabel_rules(cases, 2, [(1, 3), (3, 2)])
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.data(),
-    st.tuples(*[st.integers(3, 7)] * 3),
-    st.sampled_from((6, 26)),
-)
-def test_case_scorer_matches_evaluate_case(data, shape, connectivity):
-    labels = hnp.arrays(np.uint8, shape, elements=st.sampled_from((0, 0, 1, 2, 3)),
-                        fill=st.nothing())
-    gt, pred = data.draw(labels), data.draw(labels)
-    objective = RankObjective(regions=REGIONS_POST_TREATMENT, dilation_iters=1,
-                              connectivity=connectivity)
-    scorer = _CaseScorer(FitCase("c", _lm(pred), _lm(gt), 0), objective)
-    # candidates as the grid searches make them: the case itself, a label
-    # removed (a subset), a label relabelled (a subset of the source's
-    # regions, a superset of the destination's), and both at once
-    src, dst = data.draw(st.sampled_from([(1, 3), (3, 1), (1, 2), (2, 3)]))
-    relabelled = np.where(pred == src, dst, pred)
-    for candidate in (pred, np.where(pred == src, 0, pred), relabelled,
-                      np.where(relabelled == dst, 0, relabelled), pred):
-        want = evaluate_case(_lm(candidate), _lm(gt), regions=objective.regions,
-                             dilation_iters=1, connectivity=connectivity).values
-        assert scorer.score(objective.regions, candidate) == want
 
 
 # -- relabel rule fitting ---------------------------------------------------------

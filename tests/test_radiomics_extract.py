@@ -69,7 +69,7 @@ def test_extract_full_case():
     assert not vec.degenerate
     assert vec.values.shape == (386,)
     assert np.isfinite(vec.values).all()
-    d = vec.as_dict()
+    d = dict(zip(vec.names, vec.values))
     assert d["shape/voxel_count"] == float(5 * 5 * 5 + 2 * 3 * 3)
     assert d["t1n/firstorder/mean"] != 0.0
 

@@ -10,6 +10,7 @@ import pytest
 from oracles import mask_of, union_find_components
 from test_policy_gate import CORPORA
 
+from gliopost.cli import main
 from gliopost.synth import (
     IslandSpec,
     ShellSpec,
@@ -17,7 +18,6 @@ from gliopost.synth import (
     SynthConfig,
     case_name,
     generate_case,
-    write_corpus,
 )
 from gliopost.volume import load_case_bundle
 
@@ -224,7 +224,7 @@ def test_sequences_reflect_labels():
     assert abs(float(t2w[gt == 0].mean()) - 130.0) < 3.0
 
 
-def test_write_corpus_layout_and_round_trip(tmp_path):
+def test_synth_command_layout_and_round_trip(tmp_path):
     cfg = SynthConfig(
         seed=21,
         dims=(24, 24, 24),
@@ -233,13 +233,14 @@ def test_write_corpus_layout_and_round_trip(tmp_path):
         islands=(IslandSpec(2, (1, 1), (2, 5)),),
         island_margin=5,
     )
+    recipe = tmp_path / "recipe.json"
+    recipe.write_text(json.dumps(cfg.to_dict()))
     out = tmp_path / "corpus"
-    doc = write_corpus(cfg, 2, out)
+    assert main(["synth", "--config", str(recipe), "--out", str(out), "--cases", "2"]) == 0
 
+    doc = json.loads((out / "inventory.json").read_text())
     assert sorted(doc["cases"]) == ["case-0000", "case-0001"]
     assert SynthConfig.from_dict(doc["config"]) == cfg
-    on_disk = json.loads((out / "inventory.json").read_text())
-    assert on_disk == doc
 
     for index in range(2):
         cid = case_name(index)
@@ -248,7 +249,8 @@ def test_write_corpus_layout_and_round_trip(tmp_path):
         assert (out / "preds" / f"{cid}-seg.nii.gz").exists()
         assert (out / "gt" / f"{cid}-seg.nii.gz").exists()
 
-        bundle, _ = generate_case(cfg, index)
+        bundle, inventory = generate_case(cfg, index)
+        assert doc["cases"][cid] == json.loads(json.dumps(inventory))
         loaded = load_case_bundle(
             cid, out / "preds", out / "images", gt_dir=out / "gt"
         )
@@ -258,9 +260,10 @@ def test_write_corpus_layout_and_round_trip(tmp_path):
             assert np.array_equal(loaded.sequences[seq].data, bundle.sequences[seq].data)
         assert loaded.prediction.spacing == bundle.prediction.spacing
 
-    # regeneration is reproducible down to the file bytes
+    # regeneration is reproducible down to the file bytes, at any --threads
     second = tmp_path / "again"
-    write_corpus(cfg, 2, second)
+    assert main(["synth", "--config", str(recipe), "--out", str(second), "--cases", "2",
+                 "--threads", "2"]) == 0
     assert (second / "inventory.json").read_bytes() == (out / "inventory.json").read_bytes()
     name = f"{case_name(0)}-seg.nii.gz"
     assert (second / "preds" / name).read_bytes() == (out / "preds" / name).read_bytes()
