@@ -16,7 +16,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .morphology import (
     boundary_voxels,
@@ -69,25 +68,15 @@ def _surface_counts(
     spacing: Spacing,
     tolerances: tuple[float, ...],
 ) -> dict[float, float]:
-    """Per tolerance: (|a within tol of b| + |b within tol of a|) / (|a| + |b|)."""
-    n_a = int(surf_a.sum())
-    n_b = int(surf_b.sum())
-    if n_a == 0 and n_b == 0:
-        return {t: 1.0 for t in tolerances}
-    if n_a == 0 or n_b == 0:
-        return {t: 0.0 for t in tolerances}
-    # joint box of both surfaces, padded by one voxel
-    idx = np.nonzero(surf_a | surf_b)
-    box = tuple(slice(max(int(i.min()) - 1, 0), int(i.max()) + 2) for i in idx)
-    a = surf_a[box]
-    b = surf_b[box]
-    d_to_b = euclidean_distance_transform(b, spacing)
-    d_to_a = euclidean_distance_transform(a, spacing)
-    out = {}
-    for tol in tolerances:
-        hits = int((d_to_b[a] <= tol).sum()) + int((d_to_a[b] <= tol).sum())
-        out[tol] = hits / (n_a + n_b)
-    return out
+    """Per tolerance: (|a within tol of b| + |b within tol of a|) / (|a| + |b|),
+    for two non-empty surfaces."""
+    d_to_b = euclidean_distance_transform(surf_b, spacing)
+    d_to_a = euclidean_distance_transform(surf_a, spacing)
+    n = int(surf_a.sum()) + int(surf_b.sum())
+    return {
+        tol: (int((d_to_b[surf_a] <= tol).sum()) + int((d_to_a[surf_b] <= tol).sum())) / n
+        for tol in tolerances
+    }
 
 
 def _dice(a: np.ndarray, b: np.ndarray) -> float:
@@ -99,16 +88,38 @@ def _dice(a: np.ndarray, b: np.ndarray) -> float:
     return 2.0 * inter / (na + nb)
 
 
+def _corners(boxes) -> np.ndarray:
+    """The ``(start, stop)`` corners of ``find_objects`` boxes, shape (n, 2, 3)."""
+    return np.array([[[s.start for s in box], [s.stop for s in box]] for box in boxes],
+                    dtype=np.intp).reshape(-1, 2, 3)
+
+
+def _padded_box(corners: np.ndarray, pad: int, shape: tuple[int, ...]) -> tuple[slice, ...]:
+    """The smallest box holding every box of ``corners``, padded by ``pad``
+    voxels and clipped to a grid of ``shape``."""
+    lo = corners[:, 0].min(axis=0) - pad
+    hi = corners[:, 1].max(axis=0) + pad
+    return tuple(slice(max(int(a), 0), min(int(b), n)) for a, b, n in zip(lo, hi, shape))
+
+
+def _scatter(shape: tuple[int, ...], voxels: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """An int32 grid holding ``values`` at the flat indices ``voxels``, 0
+    elsewhere."""
+    out = np.zeros(shape, dtype=np.int32)
+    out.ravel()[voxels] = values
+    return out
+
+
 def _assign_components(
-    labels: np.ndarray, count: int, lesion_map: np.ndarray, n_lesions: int
+    comps: np.ndarray, lesions: np.ndarray, count: int, n_lesions: int
 ) -> np.ndarray:
-    """Lesion id of each component 1..count of ``labels``, 0 for a false
-    positive: the lesion of ``lesion_map`` (same shape) it overlaps most,
-    the lowest lesion id on ties.  Voxels per (component, lesion) pair
-    are counted once."""
-    both = (labels != 0) & (lesion_map != 0)
+    """Lesion id of each component 1..count, 0 for a false positive: the
+    lesion it overlaps most, the lowest lesion id on ties.  ``comps`` and
+    ``lesions`` hold the component and the dilated lesion map of every
+    foreground voxel, whose (component, lesion) pairs are counted once."""
+    hit = lesions != 0
     pairs, overlap = np.unique(
-        labels[both].astype(np.int64) * (n_lesions + 1) + lesion_map[both],
+        comps[hit].astype(np.int64) * (n_lesions + 1) + lesions[hit],
         return_counts=True,
     )
     comp, lesion = np.divmod(pairs, n_lesions + 1)
@@ -139,13 +150,15 @@ class MatchState:
     """A prediction mask matched against a ``RegionScorer``: what
     ``RegionScorer.score_subset`` starts from.
 
-    ``labels`` holds the prediction components, ``lesion_of[c]`` the
+    ``labels`` holds the prediction components and ``corners[c - 1]``
+    the box of component c (see ``_corners``), ``lesion_of[c]`` the
     lesion of component c (0: false positive), ``lesions`` the lesion of
     every voxel, and ``dice[lid - 1]`` and ``nsd[lid - 1]`` the scores of
-    each lesion.
+    each lesion.  All grids are the scorer's grid.
     """
 
     labels: np.ndarray
+    corners: np.ndarray
     lesion_of: np.ndarray
     lesions: np.ndarray
     dice: list[float]
@@ -160,10 +173,6 @@ class MatchState:
     def mask(self) -> np.ndarray:
         return self.labels != 0
 
-    @cached_property
-    def boxes(self) -> list[tuple[slice, ...]]:
-        return ndimage.find_objects(self.labels)
-
     @property
     def scores(self) -> dict[str, float]:
         return _summary(self.dice, self.nsd, self.n_fp, self.tolerances)
@@ -173,24 +182,35 @@ class RegionScorer:
     """Lesion-wise scoring of candidate predictions against one fixed
     ground-truth region mask.
 
-    The ground-truth side (components, lesion merge, dilated lesion map,
-    per-lesion masks and surfaces) is computed once, so scoring many
-    candidate predictions against the same ground truth is cheap.  The
-    distance fields behind NSD depend on both surfaces and are computed
-    per match.
+    The ground-truth side is computed once, so scoring many candidate
+    predictions against the same ground truth is cheap.  It is one grid
+    of ground-truth lesion ids, the owner grid behind the dilated lesion
+    map that prediction components are assigned by, and the box of each
+    lesion.  No per-lesion grid is kept.
+
+    Each lesion is scored inside one box: the box of its ground-truth
+    voxels joined with the ``find_objects`` boxes of the prediction
+    components assigned to it, padded by one voxel so that every surface
+    voxel has its six neighbours in the box.  This is exact.  Both masks
+    lie wholly inside the box, so Dice counts the same voxels.
+    ``boundary_voxels`` counts the voxels beyond the box as background,
+    and none of them belongs to either mask, so both surfaces are the
+    grid's.  An EDT measures distances to a surface's own voxels, which
+    are all inside the box.
 
     ``score_subset`` scores a candidate that only removes voxels from a
     mask already matched (``match_state``) without matching it again:
     only the matched components that lost voxels are relabelled, inside
     their ``find_objects`` boxes; each remaining part goes to the lesion
     it overlaps most, the lowest lesion id on ties; and Dice and NSD are
-    recomputed only for the lesions that lost or gained a part.  This is
-    exact.  Removing voxels never joins components, so every untouched
-    component is a component of the candidate as well.  A component's
-    lesion depends only on its own voxels, so every untouched component
-    keeps its lesion.  Each lesion thus sees the same prediction voxels
-    as under ``score``, and the same per-lesion values reach the same
-    aggregation in the same lesion order.
+    recomputed only for the lesions that lost or gained a part, each in
+    the box of its new components.  This is exact.  Removing voxels
+    never joins components, so every untouched component is a component
+    of the candidate as well.  A component's lesion depends only on its
+    own voxels, so every untouched component keeps its lesion.  Each
+    lesion thus sees the same prediction voxels as under ``score``, and
+    the same per-lesion values reach the same aggregation in the same
+    lesion order.
     """
 
     def __init__(
@@ -216,7 +236,7 @@ class RegionScorer:
             return x
 
         owner = np.zeros(gt_cc.labels.shape, dtype=np.int32)
-        for c, box in enumerate(ndimage.find_objects(gt_cc.labels), start=1):
+        for c, box in enumerate(gt_cc.boxes, start=1):
             # the dilation never leaves the component's box padded by its reach
             box = tuple(slice(max(b.start - dilation_iters, 0), b.stop + dilation_iters)
                         for b in box)
@@ -237,28 +257,43 @@ class RegionScorer:
         lesion_of = np.zeros(gt_cc.count + 1, dtype=np.int32)
         for lid, members in enumerate(self.lesion_members, start=1):
             lesion_of[list(members)] = lid
-        # distinct lesions have disjoint dilated masks by construction
-        self.lesion_map = lesion_of[owner]
-
-        gt_lesions = lesion_of[gt_cc.labels]
-        self._gt_lesion_masks = [gt_lesions == lid for lid in range(1, self.n_lesions + 1)]
-        self._gt_surfaces = [boundary_voxels(m) for m in self._gt_lesion_masks]
+        # distinct lesions have disjoint dilated masks by construction, so
+        # the owner's lesion is the dilated lesion map
+        self._owner = owner
+        self._lesion_of = lesion_of
+        self._gt_lesions = _scatter(owner.shape, gt_cc.voxels,
+                                    lesion_of[gt_cc.labels.ravel()[gt_cc.voxels]])
+        corners = _corners(gt_cc.boxes)
+        self._gt_corners = [corners[np.array(m) - 1] for m in self.lesion_members]
 
     @property
     def n_lesions(self) -> int:
         return len(self.lesion_members)
 
+    def _assign(self, cc, box=()) -> np.ndarray:
+        """Lesion id of each component of ``cc``, a labeling of the scorer's
+        grid or of ``box`` in it (see ``_assign_components``)."""
+        comps = cc.labels.ravel()[cc.voxels]
+        lesions = self._lesion_of[self._owner[box].ravel()[cc.voxels]]
+        return _assign_components(comps, lesions, cc.count, self.n_lesions)
+
     def _lesion_scores(
-        self, lid: int, pred_mask: np.ndarray | None, tolerances: tuple[float, ...]
+        self, lid: int, lesions: np.ndarray, corners: np.ndarray,
+        tolerances: tuple[float, ...],
     ) -> tuple[float, dict[float, float]]:
-        """Dice and NSD of lesion ``lid`` against its prediction mask; a
-        lesion without prediction voxels (``None`` or empty) scores 0."""
-        if pred_mask is None or not pred_mask.any():
+        """Dice and NSD of lesion ``lid`` against the voxels of ``lesions``
+        equal to ``lid``, whose components have the boxes ``corners``; a
+        lesion without prediction components scores 0."""
+        if not len(corners):
             return 0.0, {t: 0.0 for t in tolerances}
-        dice = _dice(self._gt_lesion_masks[lid - 1], pred_mask)
+        box = _padded_box(np.concatenate((self._gt_corners[lid - 1], corners)), 1,
+                          lesions.shape)
+        gt_mask = self._gt_lesions[box] == lid
+        pred_mask = lesions[box] == lid
+        dice = _dice(gt_mask, pred_mask)
         if not tolerances:
             return dice, {}
-        nsd = _surface_counts(boundary_voxels(pred_mask), self._gt_surfaces[lid - 1],
+        nsd = _surface_counts(boundary_voxels(pred_mask), boundary_voxels(gt_mask),
                               self.spacing, tuple(tolerances))
         return dice, nsd
 
@@ -267,17 +302,17 @@ class RegionScorer:
     ) -> MatchState:
         """Assign prediction components to lesions and score each lesion."""
         pred_cc = connected_components(pred_mask, self.connectivity)
-        lesion_of = _assign_components(pred_cc.labels, pred_cc.count,
-                                       self.lesion_map, self.n_lesions)
-        lesions = lesion_of[pred_cc.labels]
-        assigned = set(lesion_of[1:].tolist())
+        lesion_of = self._assign(pred_cc)
+        lesions = _scatter(pred_mask.shape, pred_cc.voxels,
+                           lesion_of[pred_cc.labels.ravel()[pred_cc.voxels]])
+        corners = _corners(pred_cc.boxes)
         per_lesion = [
-            self._lesion_scores(lid, lesions == lid if lid in assigned else None,
-                                tolerances)
+            self._lesion_scores(lid, lesions, corners[lesion_of[1:] == lid], tolerances)
             for lid in range(1, self.n_lesions + 1)
         ]
         return MatchState(
             labels=pred_cc.labels,
+            corners=corners,
             lesion_of=lesion_of,
             lesions=lesions,
             dice=[d for d, _ in per_lesion],
@@ -299,31 +334,34 @@ class RegionScorer:
         if touched.size == 0:
             return base.scores
         dice, nsd, n_fp = list(base.dice), list(base.nsd), base.n_fp
+        lesions = base.lesions.copy()
+        # the lesion and the box of every component of the candidate
+        kept = np.ones(base.lesion_of.size - 1, dtype=bool)
+        kept[touched - 1] = False
+        lesion_of, corners = [base.lesion_of[1:][kept]], [base.corners[kept]]
         changed: set[int] = set()
-        parts = []
         for c in touched.tolist():
             if base.lesion_of[c]:
                 changed.add(int(base.lesion_of[c]))
             else:
                 n_fp -= 1
-            box = base.boxes[c - 1]
+            box = tuple(slice(a, b) for a, b in base.corners[c - 1].T)
             own = base.labels[box] == c
-            kept = own & pred_mask[box]
-            part_lesions = np.zeros(own.shape, dtype=np.int32)
-            if kept.any():
-                cc = connected_components(kept, self.connectivity)
-                part_lesion = _assign_components(cc.labels, cc.count,
-                                                 self.lesion_map[box], self.n_lesions)
+            part_lesions = lesions[box]
+            part_lesions[own] = 0
+            part = own & pred_mask[box]
+            if part.any():
+                cc = connected_components(part, self.connectivity)
+                part_lesion = self._assign(cc, box)
                 n_fp += int((part_lesion[1:] == 0).sum())
                 changed.update(int(lid) for lid in part_lesion[1:] if lid)
-                part_lesions = part_lesion[cc.labels]
-            parts.append((box, own, part_lesions))
+                part_lesions[part] = part_lesion[cc.labels[part]]
+                lesion_of.append(part_lesion[1:])
+                corners.append(_corners(cc.boxes) + base.corners[c - 1, 0])
+        lesion_of, corners = np.concatenate(lesion_of), np.concatenate(corners)
         for lid in changed:
-            lesion_mask = base.lesions == lid
-            for box, own, part_lesions in parts:
-                lesion_mask[box][own] = part_lesions[own] == lid
             dice[lid - 1], nsd[lid - 1] = self._lesion_scores(
-                lid, lesion_mask, base.tolerances)
+                lid, lesions, corners[lesion_of == lid], base.tolerances)
         return _summary(dice, nsd, n_fp, base.tolerances)
 
 
@@ -352,6 +390,15 @@ class CaseScorer:
     """Lesion-wise scoring of one case's prediction, and of candidates
     made from it, against the case's ground truth.
 
+    The prediction and the ground truth are cropped once, to the box of
+    their joint foreground padded by ``dilation_iters + 1`` and clipped
+    to the grid (the whole grid for an empty case): ``pred`` and ``gt``
+    hold the crops, and every ``RegionScorer`` works on that grid.  This
+    is exact for every candidate inside the box.  Components are the
+    same in the crop, no ground-truth dilation reaches past the padding,
+    and a candidate is empty outside the box, so a voxel on a face of
+    the box has background beyond it on the grid as in the crop.
+
     ``evaluate`` scores the prediction itself, dropping each region's
     ``RegionScorer`` once it has scored.  ``score`` serves the policy
     fit: each distinct region mask is scored once, and one that only
@@ -370,8 +417,14 @@ class CaseScorer:
     ):
         if pred.dims != gt.dims:
             raise ValueError(f"grid mismatch: pred {pred.dims} vs gt {gt.dims}")
-        self.pred = pred
-        self.gt = gt
+        self.dims = tuple(gt.dims)
+        self.box: tuple[slice, ...] = tuple(slice(0, n) for n in self.dims)
+        coords = np.nonzero((pred.data != 0) | (gt.data != 0))
+        if coords[0].size:
+            corners = np.array([[[c.min() for c in coords], [c.max() + 1 for c in coords]]])
+            self.box = _padded_box(corners, dilation_iters + 1, self.dims)
+        self.pred = np.ascontiguousarray(pred.data[self.box])
+        self.gt = np.ascontiguousarray(gt.data[self.box])
         self.tolerances = tuple(tolerances)
         self._scorer_args = (gt.spacing, dilation_iters, connectivity)
         self._bases: dict[str, tuple[RegionScorer, MatchState]] = {}
@@ -394,7 +447,19 @@ class CaseScorer:
         return self._bases[region.name]
 
     def score(self, regions, pred_data: np.ndarray) -> dict[str, float]:
-        """``LW_<metric>_<region>`` scores of ``pred_data`` over ``regions``."""
+        """``LW_<metric>_<region>`` scores of ``pred_data`` over ``regions``.
+
+        ``pred_data`` is a candidate on the case's grid, or on the box
+        (the shape of ``pred``).  A candidate with a voxel outside the
+        box raises ValueError."""
+        if pred_data.shape != self.pred.shape:
+            if pred_data.shape != self.dims:
+                raise ValueError(f"candidate grid {pred_data.shape} is neither the case "
+                                 f"grid {self.dims} nor its box {self.pred.shape}")
+            cropped = pred_data[self.box]
+            if np.count_nonzero(cropped) != np.count_nonzero(pred_data):
+                raise ValueError("candidate has voxels outside the case's box")
+            pred_data = cropped
         out: dict[str, float] = {}
         for region in regions:
             mask = region_mask(pred_data, region)

@@ -8,6 +8,7 @@ pure: no function mutates its input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -41,12 +42,25 @@ class ComponentLabeling:
 
     ``labels`` holds component ids (0 = background) numbered 1..count by
     the first-encountered voxel in scan order (x fastest).  ``sizes[c]``
-    is the voxel count of component c.
+    is the voxel count of component c.  ``voxels`` holds the flat (C
+    order) indices of the foreground voxels, and ``box`` the box they
+    span; ``boxes[c - 1]`` is the ``find_objects`` box of component c.
     """
 
     labels: np.ndarray  # int32 grid
     sizes: dict[int, int]
     count: int
+    voxels: np.ndarray
+    box: tuple[slice, ...]
+
+    @cached_property
+    def boxes(self) -> list[tuple[slice, ...]]:
+        if self.count == 0:
+            return []
+        return [
+            tuple(slice(b.start + s.start, b.start + s.stop) for b, s in zip(self.box, obj))
+            for obj in ndimage.find_objects(self.labels[self.box], self.count)
+        ]
 
 
 def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentLabeling:
@@ -57,12 +71,23 @@ def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentL
     fixed input.
     """
     mask = np.asarray(mask, dtype=bool)
-    # ndimage.label numbers components by their first voxel in C order,
-    # and C order on the transposed grid is x-fastest order on this one
-    labels, count = ndimage.label(mask.T, structure=_structure(connectivity))
-    counts = np.bincount(labels.ravel(), minlength=count + 1)
+    structure = _structure(connectivity)
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    voxels = np.flatnonzero(mask)
+    if voxels.size == 0:
+        return ComponentLabeling(labels=labels, sizes={}, count=0, voxels=voxels,
+                                 box=(slice(0, 0),) * mask.ndim)
+    # labelled inside the box of the foreground, whose scan order is the
+    # grid's; ndimage.label numbers components by their first voxel in C
+    # order, and C order on the transposed box is x-fastest order on it
+    coords = np.unravel_index(voxels, mask.shape)
+    box = tuple(slice(int(c.min()), int(c.max()) + 1) for c in coords)
+    labels[box] = ndimage.label(mask[box].T, structure=structure)[0].T
+    counts = np.bincount(labels.ravel()[voxels])
+    count = counts.size - 1
     sizes = {c: int(counts[c]) for c in range(1, count + 1)}
-    return ComponentLabeling(labels=labels.T, sizes=sizes, count=count)
+    return ComponentLabeling(labels=labels, sizes=sizes, count=count, voxels=voxels,
+                             box=box)
 
 
 def dilate(mask: np.ndarray, iterations: int, connectivity: int = 26) -> np.ndarray:

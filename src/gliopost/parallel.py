@@ -4,20 +4,28 @@ Every command that handles cases one by one (``synth``, feature
 extraction, the policy grid searches, ``apply``, ``evaluate``) maps a
 module-level worker over its cases through ``map_ordered``, so results
 come back in case order whatever the thread count, and a failure names
-the case it happened in.
+every case that failed.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Callable
 
 
-def _named(exc: Exception, case_id: str) -> Exception:
-    """``exc`` with ``case_id`` in front of its message, same type."""
-    if str(exc).startswith(f"{case_id}: "):
+def _reported(failed: list[tuple[str, Exception]]) -> Exception:
+    """The first of the ``(case_id, exception)`` failures, same type, its
+    message led by its case id and, when more cases failed, followed by
+    the ids of all of them."""
+    case_id, exc = failed[0]
+    message = str(exc)
+    if not message.startswith(f"{case_id}: "):
+        message = f"{case_id}: {message}"
+    if len(failed) > 1:
+        message += f" ({len(failed)} cases failed: {', '.join(c for c, _ in failed)})"
+    if message == str(exc):
         return exc
-    message = f"{case_id}: {exc}"
     try:
         return type(exc)(message)
     except TypeError:  # a type that cannot be built from one message
@@ -30,9 +38,11 @@ def map_ordered(worker: Callable, items: list, case_ids: list[str],
     """``worker(item)`` for every item, in item order.
 
     ``case_ids[i]`` names ``items[i]``.  With ``threads`` above 1 the
-    items run in that many worker processes.  A worker exception is
-    re-raised with its case id in front of its message and keeps its
-    type, so callers map it to the same exit code.
+    items run in that many worker processes.  A worker exception does not
+    stop the other items.  Once all have run, the first failure in item
+    order is raised with its case id in front of its message and, when
+    more items failed, the ids of all failing cases in item order after
+    it.  It keeps its type, so callers map it to the same exit code.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -43,20 +53,22 @@ def map_ordered(worker: Callable, items: list, case_ids: list[str],
         # would cost more than a small grid search; no caller has started
         # a thread by then
         pool = ProcessPoolExecutor(max_workers=min(threads, len(items)))
-        results = pool.map(worker, items)
+        calls = [pool.submit(worker, item).result for item in items]
     else:
-        results = map(worker, items)
+        calls = [partial(worker, item) for item in items]
+    out, failed = [], []
     try:
-        out = []
-        for case_id in case_ids:
+        for case_id, call in zip(case_ids, calls):
             try:
-                out.append(next(results))
+                out.append(call())
             except Exception as exc:
-                named = _named(exc, case_id)
-                if named is exc:
-                    raise
-                raise named from exc
-        return out
+                failed.append((case_id, exc))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+    if failed:
+        reported = _reported(failed)
+        if reported is failed[0][1]:
+            raise reported
+        raise reported from failed[0][1]
+    return out

@@ -305,11 +305,11 @@ def _threshold_table(item) -> dict[int, dict[int, dict[str, float]]]:
     case, (labels, grid), objective = item
     scorer = CaseScorer(case.pred, case.gt, objective.tolerances,
                         objective.dilation_iters, objective.connectivity)
+    seg = scorer.pred  # the case cropped to its tumor box
     table: dict[int, dict[int, dict[str, float]]] = {}
     for label in labels:
         affected = [r for r in objective.regions if label in r.labels]
-        mask = case.pred.label_mask(label)
-        cc = connected_components(mask, objective.connectivity)
+        cc = connected_components(seg == label, objective.connectivity)
         sizes = _component_sizes(cc)
         by_removal: dict[bytes, dict[str, float]] = {}
         table[label] = {}
@@ -318,7 +318,7 @@ def _threshold_table(item) -> dict[int, dict[int, dict[str, float]]]:
             small[0] = False
             key = small.tobytes()
             if key not in by_removal:
-                pred_data = case.pred.data.copy()
+                pred_data = seg.copy()
                 pred_data[small[cc.labels]] = 0
                 by_removal[key] = scorer.score(affected, pred_data)
             table[label][t] = by_removal[key]
@@ -332,7 +332,7 @@ def _relabel_table(item) -> dict[tuple[int, int], tuple]:
     case, pairs, objective = item
     scorer = CaseScorer(case.pred, case.gt, objective.tolerances,
                         objective.dilation_iters, objective.connectivity)
-    seg = case.pred.data
+    seg = scorer.pred  # the case cropped to its tumor box
     wt_vol = int(np.isin(seg, WT_LABELS).sum())
     table = {}
     for src, dst in pairs:

@@ -43,7 +43,7 @@ from oracles import brute_edt, brute_lesionwise, random_blob_mask
 THREADS = "4"
 TRAIN_CASES = 40
 HELD_CASES = 20
-PIPELINE_BUDGET_SECONDS = 120.0
+PIPELINE_BUDGET_SECONDS = 60.0
 EXTRACTION_BUDGET_SECONDS = 2.0
 MIN_TRUE_LESION_VOXELS = 150
 

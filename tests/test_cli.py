@@ -492,6 +492,32 @@ def test_evaluate_failure_names_the_case(tmp_path, corpus, caplog, threads):
                for r in caplog.records)
 
 
+@pytest.mark.parametrize("threads", ("1", "2"))
+def test_evaluate_failures_name_every_failing_case(tmp_path, corpus, caplog, threads):
+    gt = tmp_path / "gt"
+    gt.mkdir()
+    for path in (corpus / "gt").iterdir():
+        (gt / path.name).write_bytes(path.read_bytes())
+    # case-0001 on a smaller grid, case-0004 without ground truth: the
+    # first failure's type (a grid mismatch, exit 4) decides the exit code
+    small = tmp_path / "small"
+    recipe = _write_recipe(tmp_path, dims=[20, 20, 20], seed=44)
+    assert main(["synth", "--config", str(recipe), "--out", str(small),
+                 "--cases", "2"]) == 0
+    name = "case-0001-seg.nii.gz"
+    (gt / name).write_bytes((small / "gt" / name).read_bytes())
+    (gt / "case-0004-seg.nii.gz").unlink()
+    with caplog.at_level(logging.ERROR):
+        assert main(["evaluate", "--preds", str(corpus / "preds"),
+                     "--gt", str(gt), "--out", str(tmp_path / "out"),
+                     "--threads", threads]) == 4
+    errors = [r.message for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1
+    assert errors[0].startswith("case-0001: grid mismatch")
+    assert errors[0].endswith("(2 cases failed: case-0001, case-0004)")
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
 # -- rank --------------------------------------------------------------------------------
 
 def test_rank_orders_candidates(pipeline, tmp_path, capsys):

@@ -3,7 +3,7 @@ cases and the pairwise brute-force oracle."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -378,6 +378,106 @@ def test_case_scorer_matches_evaluate_case(data, shape, connectivity):
                              dilation_iters=1, connectivity=connectivity).values
         assert scorer.score(regions, candidate) == want
     assert scorer.evaluate(regions) == scorer.score(regions, pred)
+
+
+@st.composite
+def sparse_cases(draw):
+    """Ground truth and prediction label grids of 12^3 to 13^3 whose
+    tumor lies in the low or the high corner: blocks of one label each,
+    those at the grid's end touching its faces.  The prediction is the
+    ground truth with blocks added and blocks cleared, plus, when drawn,
+    a false-positive island in the opposite corner.  Without the island
+    the case box, padded by at most 4, ends before the opposite faces."""
+    shape = draw(st.tuples(*[st.integers(12, 13)] * 3))
+    high = draw(st.booleans())
+
+    def block(sizes):
+        lo = [draw(st.integers(0, 3)) for _ in shape]
+        hi = [a + draw(sizes) for a in lo]
+        if high:
+            lo, hi = [n - b for n, b in zip(shape, hi)], [n - a for n, a in zip(shape, lo)]
+        return tuple(slice(a, b) for a, b in zip(lo, hi))
+
+    gt = np.zeros(shape, dtype=np.uint8)
+    for _ in range(draw(st.integers(1, 4))):
+        gt[block(st.integers(1, 3))] = draw(st.sampled_from((1, 2, 3)))
+    pred = gt.copy()
+    for _ in range(draw(st.integers(0, 4))):
+        pred[block(st.integers(1, 4))] = draw(st.sampled_from((0, 1, 2, 3)))
+    island = draw(st.booleans())
+    if island:
+        corner = (slice(0, 2), 0, 0) if high else (slice(-2, None), -1, -1)
+        pred[corner] = draw(st.sampled_from((1, 2, 3)))
+    return gt, pred, island, high
+
+
+def _split_case():
+    """A TC component that removing label 3 splits: one part lies past
+    the ground-truth lesion's box, so a part box built at the wrong
+    offset would cut it."""
+    gt = np.zeros((16, 16, 16), dtype=np.uint8)
+    gt[6:8, 6:8, 6:8] = 1
+    pred = gt.copy()
+    pred[8, 6:8, 6:8] = 3
+    pred[9:11, 6:8, 6:8] = 1
+    return gt, pred, False, False
+
+
+@settings(max_examples=40, deadline=None)
+@example(_split_case(), 26, 3, (1.0, 1.0, 1.0), (3, 1))
+@given(
+    sparse_cases(),
+    st.sampled_from((6, 26)),
+    st.integers(0, 3),
+    st.tuples(*[st.sampled_from((0.5, 1.0, 1.7))] * 3),
+    st.sampled_from([(1, 3), (3, 1), (2, 3)]),
+)
+def test_boxed_scores_match_brute_force(case, connectivity, dilation, spacing, pair):
+    gt, pred, island, high = case
+    tolerances = (0.5, 1.0, 2.0)
+    regions = (ET, TC, WT)
+    kwargs = dict(tolerances=tolerances, dilation_iters=dilation,
+                  connectivity=connectivity)
+    sp = Spacing(*spacing)
+    scorer = CaseScorer(LabelMap(data=pred, spacing=sp), LabelMap(data=gt, spacing=sp),
+                        **kwargs)
+    reaches = [b.start == 0 if high else b.stop == n for b, n in zip(scorer.box, gt.shape)]
+    assert all(reaches) == island
+    src, dst = pair
+    # the case itself, and a relabelled and a removed label as the grid
+    # searches make them, on the case grid and on the box
+    for candidate in (pred, np.where(pred == src, dst, pred), np.where(pred == src, 0, pred)):
+        values = evaluate_case(LabelMap(data=candidate, spacing=sp),
+                               LabelMap(data=gt, spacing=sp), regions=regions,
+                               **kwargs).values
+        assert scorer.score(regions, candidate) == values
+        assert scorer.score(regions, candidate[scorer.box]) == values
+        for region in regions:
+            dice, nsd = brute_lesionwise(region_mask(gt, region),
+                                         region_mask(candidate, region),
+                                         spacing, tolerances, dilation, connectivity)
+            assert values[f"LW_Dice_{region.name}"] == pytest.approx(dice, abs=1e-9)
+            for tol in tolerances:
+                assert values[f"LW_NSD@{tol:g}_{region.name}"] == \
+                    pytest.approx(nsd[tol], abs=1e-9)
+
+
+def test_case_scorer_rejects_candidate_outside_box():
+    seg = _labels((16, 16, 16))
+    seg[2:4, 2:4, 2:4] = 1
+    scorer = CaseScorer(_case(seg), _case(seg), dilation_iters=1)
+    # the joint foreground padded by dilation_iters + 1
+    assert scorer.box == (slice(0, 6),) * 3
+    inside = seg.copy()
+    inside[5, 5, 5] = 2  # a voxel the prediction lacks, inside the box
+    assert scorer.score((WT,), inside) == evaluate_case(
+        _case(inside), _case(seg), regions=(WT,), dilation_iters=1).values
+    outside = seg.copy()
+    outside[15, 15, 15] = 2
+    with pytest.raises(ValueError, match="outside the case's box"):
+        scorer.score((WT,), outside)
+    with pytest.raises(ValueError, match="neither the case grid"):
+        scorer.score((WT,), seg[:8])
 
 
 @settings(max_examples=150, deadline=None)
