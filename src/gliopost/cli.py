@@ -132,6 +132,20 @@ def _float(value) -> float:
     raise ValueError(f"expected a number, got {value!r}")
 
 
+def _bin_width(value) -> float:
+    width = _float(value)
+    if not (math.isfinite(width) and width > 0):
+        raise ValueError(f"bin width must be finite and > 0, got {width}")
+    return width
+
+
+def _bin_count(value) -> int:
+    count = _int(value)
+    if count < 1:
+        raise ValueError(f"bin count must be >= 1, got {count}")
+    return count
+
+
 def _str(value) -> str:
     if not isinstance(value, str):
         raise ValueError(f"expected a string, got {value!r}")
@@ -227,9 +241,9 @@ _EXTRACT_SPEC = (
     _Opt("preds", "--preds", _str, _REQUIRED, "directory of predicted masks"),
     _Opt("images", "--images", _str, _REQUIRED, "directory of image sequences"),
     _Opt("out", "--out", _str, _REQUIRED, "output directory"),
-    _Opt("bin_width", "--bin-width", _float, DEFAULT_BIN_WIDTH,
+    _Opt("bin_width", "--bin-width", _bin_width, DEFAULT_BIN_WIDTH,
          "intensity bin width for first-order features"),
-    _Opt("bin_count", "--bin-count", _int, DEFAULT_BIN_COUNT,
+    _Opt("bin_count", "--bin-count", _bin_count, DEFAULT_BIN_COUNT,
          "gray-level count for texture features"),
     _Opt("sequences", "--sequences", _strs, list(SEQUENCES),
          "sequence names to extract from"),
@@ -252,9 +266,9 @@ _FIT_SPEC = (
          "candidate relabel volume-ratio cutoffs"),
     _Opt("confusions", "--confusions", _int, DEFAULT_TOP_CONFUSIONS,
          "how many confusion pairs become relabel candidates"),
-    _Opt("bin_width", "--bin-width", _float, DEFAULT_BIN_WIDTH,
+    _Opt("bin_width", "--bin-width", _bin_width, DEFAULT_BIN_WIDTH,
          "intensity bin width for first-order features"),
-    _Opt("bin_count", "--bin-count", _int, DEFAULT_BIN_COUNT,
+    _Opt("bin_count", "--bin-count", _bin_count, DEFAULT_BIN_COUNT,
          "gray-level count for texture features"),
     _Opt("sequences", "--sequences", _strs, list(SEQUENCES),
          "sequence names to extract from"),

@@ -16,6 +16,7 @@ from __future__ import annotations
 import gzip
 import os
 import uuid
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -140,7 +141,10 @@ def _read_bytes(path: Path) -> bytes:
         fh.seek(0)
         if head == b"\x1f\x8b":
             with gzip.open(fh) as gz:
-                return gz.read()
+                try:
+                    return gz.read()
+                except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+                    raise NiftiError(f"{path}: corrupt gzip stream: {exc}") from exc
         return fh.read()
 
 
@@ -186,7 +190,10 @@ def read_nifti(path: str | Path) -> RawNifti:
     if swapped:
         dtype = dtype.newbyteorder()
 
-    offset = int(hdr["vox_offset"])
+    vox_offset = float(hdr["vox_offset"])
+    if not np.isfinite(vox_offset):
+        raise NiftiError(f"{path}: non-finite vox_offset {vox_offset}")
+    offset = int(vox_offset)
     nbytes = nx * ny * nz * dtype.itemsize
     if offset < HEADER_SIZE or offset + nbytes > len(blob):
         raise NiftiError(f"{path}: voxel data truncated")

@@ -751,27 +751,35 @@ def save_policy(policy: PostProcessPolicy, path: str | Path) -> None:
 
 
 def load_policy(path: str | Path) -> PostProcessPolicy:
+    """Read a saved policy; a document of the wrong shape or with
+    inconsistent fields raises ValueError naming ``path``."""
     with open(path) as fh:
         doc = json.load(fh)
-    version = doc.get("version")
-    if version != POLICY_VERSION:
-        raise ValueError(f"{path}: unsupported policy version {version!r}")
-    settings = ExtractionSettings.from_dict(doc["feature_manifest"]["settings"])
-    stored_names = tuple(doc["feature_manifest"]["feature_names"])
-    if stored_names != feature_names(settings):
-        raise ValueError(f"{path}: feature manifest inconsistent with settings")
-    policy = PostProcessPolicy(
-        task=doc["task"],
-        settings=settings,
-        standardizer=StandardizationStats.from_dict(doc["standardizer"]),
-        pca=PcaModel.from_dict(doc["pca"]),
-        kmeans=ClusterModel.from_dict(doc["kmeans"]),
-        thresholds={
-            int(cluster): {int(label): int(t) for label, t in labels.items()}
-            for cluster, labels in doc["pcc_thresholds"].items()
-        },
-        rules=[RelabelRule.from_dict(r) for r in doc["relabel_rules"]],
-        objective=RankObjective.from_dict(doc["metric_config"]),
-        version=version,
-    )
-    return policy
+    try:
+        version = doc.get("version")
+        if version != POLICY_VERSION:
+            raise ValueError(f"unsupported policy version {version!r}")
+        settings = ExtractionSettings.from_dict(doc["feature_manifest"]["settings"])
+        stored_names = tuple(doc["feature_manifest"]["feature_names"])
+        if stored_names != feature_names(settings):
+            raise ValueError("feature manifest inconsistent with settings")
+        return PostProcessPolicy(
+            task=doc["task"],
+            settings=settings,
+            standardizer=StandardizationStats.from_dict(doc["standardizer"]),
+            pca=PcaModel.from_dict(doc["pca"]),
+            kmeans=ClusterModel.from_dict(doc["kmeans"]),
+            thresholds={
+                int(cluster): {int(label): int(t) for label, t in labels.items()}
+                for cluster, labels in doc["pcc_thresholds"].items()
+            },
+            rules=[RelabelRule.from_dict(r) for r in doc["relabel_rules"]],
+            objective=RankObjective.from_dict(doc["metric_config"]),
+            version=version,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(
+            f"{path}: malformed policy document: {type(exc).__name__}: {exc}"
+        ) from exc

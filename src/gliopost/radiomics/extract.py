@@ -29,14 +29,14 @@ from .texture import (
     GLRLM_FEATURE_NAMES,
     GLSZM_FEATURE_NAMES,
     NGTDM_FEATURE_NAMES,
-    crop_to_mask,
+    PairTable,
     discretize,
     glcm_features,
     gldm_features,
     glrlm_features,
     glszm_features,
     ngtdm_features,
-    pair_table,
+    neighbour_pairs,
 )
 
 # The per-sequence half of the feature name contract: family order and
@@ -61,6 +61,12 @@ class ExtractionSettings:
     bin_width: float = DEFAULT_BIN_WIDTH
     bin_count: int = DEFAULT_BIN_COUNT
     sequences: tuple[str, ...] = SEQUENCES
+
+    def __post_init__(self):
+        if not (np.isfinite(self.bin_width) and self.bin_width > 0):
+            raise ValueError(f"bin_width must be finite and > 0, got {self.bin_width}")
+        if self.bin_count < 1:
+            raise ValueError(f"bin_count must be >= 1, got {self.bin_count}")
 
     def to_dict(self) -> dict:
         return {
@@ -142,30 +148,6 @@ class FeatureMatrix:
         )
 
 
-def _masked_sequence_features(
-    intensities: np.ndarray,
-    mask: np.ndarray,
-    settings: ExtractionSettings,
-    voxel_volume: float,
-) -> list[float]:
-    table = pair_table(crop_to_mask(discretize(intensities, mask, settings.bin_count)))
-    families = {
-        "firstorder": firstorder_features(
-            intensities, mask, settings.bin_width, voxel_volume
-        ),
-        "glcm": glcm_features(table),
-        "glrlm": glrlm_features(table),
-        "glszm": glszm_features(table),
-        "gldm": gldm_features(table),
-        "ngtdm": ngtdm_features(table),
-    }
-    return [
-        families[family][name]
-        for family, names in SEQUENCE_FAMILY_NAMES
-        for name in names
-    ]
-
-
 def extract_case_features(
     case: CaseBundle,
     settings: ExtractionSettings = ExtractionSettings(),
@@ -191,11 +173,25 @@ def extract_case_features(
     shape = shape_features(wt, case.prediction.spacing)
     values.extend(shape[n] for n in SHAPE_FEATURE_NAMES)
     voxel_volume = case.prediction.spacing.voxel_volume
+    pairs = neighbour_pairs(wt)
     for seq in settings.sequences:
+        # boolean indexing gathers in C order, the voxel numbering of pairs
+        seq_values = case.sequences[seq].data[wt].astype(np.float64)
+        table = PairTable(discretize(seq_values, settings.bin_count), pairs)
+        families = {
+            "firstorder": firstorder_features(
+                seq_values, settings.bin_width, voxel_volume
+            ),
+            "glcm": glcm_features(table),
+            "glrlm": glrlm_features(table),
+            "glszm": glszm_features(table),
+            "gldm": gldm_features(table),
+            "ngtdm": ngtdm_features(table),
+        }
         values.extend(
-            _masked_sequence_features(
-                case.sequences[seq].data, wt, settings, voxel_volume
-            )
+            families[family][name]
+            for family, names in SEQUENCE_FAMILY_NAMES
+            for name in names
         )
     return FeatureVector(case_id=case.case_id, names=names, values=np.array(values))
 

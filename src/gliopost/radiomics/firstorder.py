@@ -1,4 +1,4 @@
-"""First-order intensity statistics over a masked region."""
+"""First-order intensity statistics over a region's voxel values."""
 
 from __future__ import annotations
 
@@ -41,17 +41,16 @@ def histogram_probabilities(values: np.ndarray, bin_width: float) -> np.ndarray:
 
 
 def firstorder_features(
-    intensities: np.ndarray,
-    mask: np.ndarray,
+    values: np.ndarray,
     bin_width: float = DEFAULT_BIN_WIDTH,
     voxel_volume: float = 1.0,
 ) -> dict[str, float]:
-    """The 18 first-order features of the masked intensities.
+    """The 18 first-order features of a region's intensities.
 
     Moments are population moments (skewness m3/m2^1.5, kurtosis m4/m2^2
     without the -3 shift); both fall back to 0 on constant input.
     """
-    values = np.asarray(intensities, dtype=np.float64)[np.asarray(mask, dtype=bool)]
+    values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         return {name: 0.0 for name in FIRSTORDER_FEATURE_NAMES}
 

@@ -2,19 +2,21 @@
 
 Five families are implemented: co-occurrence (GLCM), run length
 (GLRLM), size zone (GLSZM), dependence (GLDM) and neighborhood gray-tone
-difference (NGTDM).  ``discretize`` bins the masked intensities of one
-sequence into a fixed number of equal-width bins over the masked range,
-and ``crop_to_mask`` cuts the level grid to the bounding box of the
-mask.  Gray levels are the 1-based bin indices, 0 marks voxels outside
-the mask, and matrices are sized by the highest occupied level.
+difference (NGTDM).  Everything works on one list of voxels: the voxels
+of the region, numbered 0..n-1 in C order.  ``discretize`` bins their
+intensities into a fixed number of equal-width bins over the region's
+range; gray levels are the 1-based bin indices, and matrices are sized
+by the highest occupied level.
 
-Every family reads one neighbour-pair table (``pair_table``), built
-once per sequence from a level grid with at least one masked voxel: the
-masked voxels numbered in C order, their levels, and for each of the 13
-unique 3D offsets (one per opposite pair of the 26-neighborhood) the
-pairs of masked voxels that offset joins.  Each count matrix is then a
-``bincount`` over the table, so the work scales with the masked voxels,
-not with the bounding box:
+The pair geometry depends only on the region, so a caller builds it
+once (``neighbour_pairs``) and reuses it for every sequence: for each of
+the 13 unique 3D offsets (one per opposite pair of the 26-neighborhood)
+the pairs of region voxels that offset joins.  A ``PairTable`` joins
+that geometry to one sequence's levels, and filters each offset's
+equal-level pairs once (``PairTable.same``) for the run, zone and
+dependence families together.  Each count matrix is then a ``bincount``
+over the table, so the work scales with the region's voxels, not with
+its bounding box:
 
 * GLCM counts the level pairs of each offset; matrices are symmetrized
   per offset and features are averaged over offsets.
@@ -41,6 +43,7 @@ to 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -139,51 +142,64 @@ NGTDM_FEATURE_NAMES = (
     "strength",
 )
 
-def discretize(intensities: np.ndarray, mask: np.ndarray, bin_count: int) -> np.ndarray:
-    """Equal-width binning of masked intensities into levels 1..bin_count.
+def discretize(values: np.ndarray, bin_count: int) -> np.ndarray:
+    """Equal-width binning of a non-empty region's intensities into
+    levels 1..bin_count over their range.
 
-    Returns an int32 grid with 0 outside the mask.  A constant region
-    maps to level 1 everywhere.
+    Returns the int64 level of each value.  A constant region maps to
+    level 1 everywhere.
     """
     if bin_count < 1:
         raise ValueError(f"bin_count must be >= 1, got {bin_count}")
-    mask = np.asarray(mask, dtype=bool)
-    levels = np.zeros(mask.shape, dtype=np.int32)
-    if not mask.any():
-        return levels
-    values = np.asarray(intensities, dtype=np.float64)[mask]
+    values = np.asarray(values, dtype=np.float64)
     lo = values.min()
     hi = values.max()
     if hi == lo:
-        levels[mask] = 1
-        return levels
+        return np.ones(values.size, dtype=np.int64)
     width = (hi - lo) / bin_count
-    binned = np.floor((values - lo) / width).astype(np.int32) + 1
-    levels[mask] = np.clip(binned, 1, bin_count)
-    return levels
-
-
-def crop_to_mask(levels: np.ndarray) -> np.ndarray:
-    """View of the level grid restricted to the mask bounding box."""
-    idx = np.nonzero(levels)
-    if idx[0].size == 0:
-        return levels[:0, :0, :0]
-    box = tuple(slice(int(a.min()), int(a.max()) + 1) for a in idx)
-    return levels[box]
+    binned = np.floor((values - lo) / width).astype(np.int64) + 1
+    return np.clip(binned, 1, bin_count)
 
 
 # ---------------------------------------------------------------------------
 # neighbour-pair table and matrix builders
 # ---------------------------------------------------------------------------
 
+def neighbour_pairs(
+    mask: np.ndarray,
+    offsets: tuple[tuple[int, int, int], ...] = OFFSETS_13,
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Neighbour pairs of the voxels of a non-empty mask, numbered
+    0..n-1 in C order, for offsets inside the 26-neighborhood.
+
+    Entry k holds the int32 arrays ``(a, b)`` of every voxel ``a`` whose
+    neighbour ``b`` at the k-th offset is in the mask too, with ``a``
+    ascending.
+    """
+    coords = np.nonzero(mask)
+    box = tuple(slice(int(c.min()), int(c.max()) + 1) for c in coords)
+    mask = mask[box]
+    # a one-voxel border of -1 lets every neighbour lookup stay in bounds
+    ids = np.full(np.add(mask.shape, 2), -1, dtype=np.int32)
+    ids[1:-1, 1:-1, 1:-1][mask] = np.arange(coords[0].size, dtype=np.int32)
+    flat = ids.ravel()
+    where = np.flatnonzero(flat >= 0)
+    steps = np.array([ids.shape[1] * ids.shape[2], ids.shape[2], 1])
+    pairs = []
+    for off in offsets:
+        b = flat[where + int(np.dot(off, steps))]
+        a = np.flatnonzero(b >= 0).astype(np.int32)
+        pairs.append((a, b[a]))
+    return tuple(pairs)
+
+
 @dataclass(frozen=True)
 class PairTable:
-    """The masked voxels of a level grid and their neighbour pairs.
+    """One sequence's gray levels on a region's voxel list, with the
+    region's neighbour pairs.
 
-    Voxels are numbered 0..n-1 in C order and ``levels[i]`` is the gray
-    level of voxel i.  ``pairs[k]`` holds the int32 arrays ``(a, b)`` of
-    every masked voxel ``a`` whose neighbour ``b`` at the k-th offset is
-    masked too.
+    ``levels[i]`` is the gray level of voxel i and ``pairs`` is the
+    ``neighbour_pairs`` geometry of the region.
     """
 
     levels: np.ndarray
@@ -194,27 +210,19 @@ class PairTable:
         """The highest occupied gray level, which sizes every matrix."""
         return int(self.levels.max())
 
+    @cached_property
+    def same(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Each offset's pairs whose two voxels share a gray level."""
+        out = []
+        for a, b in self.pairs:
+            keep = self.levels[a] == self.levels[b]
+            out.append((a[keep], b[keep]))
+        return tuple(out)
 
-def pair_table(
-    levels: np.ndarray,
-    offsets: tuple[tuple[int, int, int], ...] = OFFSETS_13,
-) -> PairTable:
-    """Neighbour-pair table of a level grid for offsets inside the
-    26-neighborhood; the grid must hold at least one masked voxel."""
-    mask = levels > 0
-    n = int(np.count_nonzero(mask))
-    # a one-voxel border of -1 lets every neighbour lookup stay in bounds
-    ids = np.full(np.add(levels.shape, 2), -1, dtype=np.int32)
-    ids[1:-1, 1:-1, 1:-1][mask] = np.arange(n, dtype=np.int32)
-    flat = ids.ravel()
-    where = np.flatnonzero(flat >= 0)
-    steps = np.array([ids.shape[1] * ids.shape[2], ids.shape[2], 1])
-    pairs = []
-    for off in offsets:
-        b = flat[where + int(np.dot(off, steps))]
-        a = np.flatnonzero(b >= 0).astype(np.int32)
-        pairs.append((a, b[a]))
-    return PairTable(levels=levels[mask].astype(np.int64), pairs=tuple(pairs))
+
+def _concat(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """All offsets' pairs as one ``(a, b)``, in offset order."""
+    return np.concatenate([p[0] for p in pairs]), np.concatenate([p[1] for p in pairs])
 
 
 def _level_size_counts(levels: np.ndarray, sizes: np.ndarray, ng: int) -> np.ndarray:
@@ -224,22 +232,13 @@ def _level_size_counts(levels: np.ndarray, sizes: np.ndarray, ng: int) -> np.nda
     return flat.reshape(ng, width)
 
 
-def _same_level(table: PairTable, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs among ``pairs`` whose two voxels share a gray level."""
-    a = np.concatenate([p[0] for p in pairs])
-    b = np.concatenate([p[1] for p in pairs])
-    keep = table.levels[a] == table.levels[b]
-    return a[keep], b[keep]
-
-
-def _component_counts(table: PairTable, pairs) -> np.ndarray:
+def _component_counts(table: PairTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(level, size) counts of the connected components of the graph on
-    the masked voxels whose edges are the equal-level pairs of ``pairs``."""
+    the region's voxels whose edges are the equal-level pairs ``(a, b)``."""
     # imported here: stages that extract no features must not pay for it
     from scipy.sparse import coo_array
     from scipy.sparse.csgraph import connected_components
 
-    a, b = _same_level(table, pairs)
     n = table.levels.size
     graph = coo_array((np.ones(a.size, dtype=np.int8), (a, b)), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
@@ -264,19 +263,19 @@ def glrlm_counts(table: PairTable) -> list[np.ndarray]:
     """Run-length counts, one matrix per table offset; rows are gray
     levels, column l-1 is the number of maximal runs of length l.  A run
     is a component of the offset's equal-level pair graph."""
-    return [_component_counts(table, [pair]) for pair in table.pairs]
+    return [_component_counts(table, a, b) for a, b in table.same]
 
 
 def glszm_counts(table: PairTable) -> np.ndarray:
     """Size-zone counts; a zone is a component of the equal-level pair
     graph over all table offsets (26-connected with the default 13)."""
-    return _component_counts(table, table.pairs)
+    return _component_counts(table, *_concat(table.same))
 
 
 def gldm_counts(table: PairTable) -> np.ndarray:
     """Dependence counts; the dependence size of a voxel is 1 plus the
     number of its neighbours at the same gray level."""
-    a, b = _same_level(table, table.pairs)
+    a, b = _concat(table.same)
     n = table.levels.size
     size = np.bincount(a, minlength=n) + np.bincount(b, minlength=n) + 1
     return _level_size_counts(table.levels, size, table.ng)
@@ -285,13 +284,12 @@ def gldm_counts(table: PairTable) -> np.ndarray:
 def ngtdm_table(table: PairTable) -> tuple[np.ndarray, np.ndarray]:
     """Per-level voxel counts n_i and absolute gray-tone differences s_i.
 
-    Only voxels with at least one masked neighbour participate; the
+    Only voxels with at least one neighbour in the region participate; the
     difference is against the mean level of those neighbours.  The
     neighbour sums are integer-valued, so they are exact in float64, and
     s_i is accumulated over the voxels in C order.
     """
-    a = np.concatenate([p[0] for p in table.pairs])
-    b = np.concatenate([p[1] for p in table.pairs])
+    a, b = _concat(table.pairs)
     ends = np.concatenate([a, b])
     others = np.concatenate([b, a])
     n = table.levels.size
@@ -480,7 +478,7 @@ def gldm_features(table: PairTable) -> dict[str, float]:
 
 def ngtdm_features(table: PairTable) -> dict[str, float]:
     """The 5 neighborhood gray-tone difference features; all are 0 when
-    no masked voxel has a masked neighbor."""
+    no voxel has a neighbour in the region."""
     ng = table.ng
     n_i, s_i = ngtdm_table(table)
     nvp = int(n_i.sum())

@@ -104,9 +104,6 @@ class LabelMap:
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    def label_mask(self, label: int) -> np.ndarray:
-        return self.data == label
-
     def with_data(self, data: np.ndarray) -> "LabelMap":
         """Same geometry, new voxel values."""
         return LabelMap(data=data, spacing=self.spacing, orientation=self.orientation)

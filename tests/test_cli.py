@@ -146,6 +146,26 @@ def test_rejected_flag_values(tmp_path):
     assert not (tmp_path / "c").exists()
 
 
+def test_bin_settings_are_checked_when_parsed(tmp_path, corpus):
+    """The bin width must be finite and > 0 and the bin count >= 1, from a
+    flag or from --config, before anything is written."""
+    out = tmp_path / "c"
+    inputs = ["--preds", str(corpus / "preds"), "--images", str(corpus / "images")]
+    extract = ["extract-features", *inputs, "--out", str(out)]
+    fit = ["fit-policy", *inputs, "--gt", str(corpus / "gt"), "--out", str(out)]
+    bad = (("bin_width", float("nan")), ("bin_width", float("inf")),
+           ("bin_width", 0.0), ("bin_width", -25.0), ("bin_count", 0),
+           ("bin_count", -1))
+    config = tmp_path / "bins.json"
+    for argv in (extract, fit):
+        for key, value in bad:
+            flag = "--" + key.replace("_", "-")
+            assert main(argv + [flag, str(value)]) == 2, (argv[0], flag, value)
+            config.write_text(json.dumps({key: value}))
+            assert main(argv + ["--config", str(config)]) == 2, (argv[0], key, value)
+    assert not out.exists()
+
+
 def test_config_file_errors(tmp_path):
     out = str(tmp_path / "c")
     bogus = tmp_path / "bogus.json"
@@ -426,6 +446,42 @@ def test_apply_inconsistent_policy_is_invalid(tmp_path, pipeline):
                  "--preds", str(corpus / "preds"),
                  "--images", str(corpus / "images"),
                  "--out", str(tmp_path / "out")]) == 4
+    assert not (tmp_path / "out").exists()
+
+
+def _malformed(doc, case):
+    """The policy document with one shape fault."""
+    if case == "top-level-list":
+        return [doc]
+    if case == "no-task":
+        del doc["task"]
+    elif case == "no-pca-center":
+        del doc["pca"]["center"]
+    elif case == "relabel-rules-string":
+        doc["relabel_rules"] = "none"
+    elif case == "settings-null":
+        doc["feature_manifest"]["settings"] = None
+    elif case == "bin-width-nan":
+        doc["feature_manifest"]["settings"]["bin_width"] = float("nan")
+    elif case == "bin-count-zero":
+        doc["feature_manifest"]["settings"]["bin_count"] = 0
+    return doc
+
+
+@pytest.mark.parametrize("case", ["top-level-list", "no-task", "no-pca-center",
+                                  "relabel-rules-string", "settings-null",
+                                  "bin-width-nan", "bin-count-zero"])
+def test_apply_malformed_policy_is_invalid(tmp_path, pipeline, caplog, case):
+    doc = json.loads((pipeline["fit"] / "policy.json").read_text())
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps(_malformed(doc, case)))
+    corpus = pipeline["corpus"]
+    with caplog.at_level(logging.ERROR):
+        assert main(["apply", "--policy", str(policy),
+                     "--preds", str(corpus / "preds"),
+                     "--images", str(corpus / "images"),
+                     "--out", str(tmp_path / "out")]) == 4
+    assert str(policy) in caplog.text
     assert not (tmp_path / "out").exists()
 
 

@@ -6,9 +6,12 @@ from the module under test.
 """
 
 import gzip
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gliopost.nifti import NiftiError, Orientation, RawNifti, read_nifti, write_nifti
 
@@ -181,3 +184,71 @@ def test_byte_swapped_header_read(tmp_path):
     path.write_bytes(hdr.tobytes() + b"\x00" * 4 + np.asfortranarray(big).tobytes(order="F"))
     back = read_nifti(path)
     assert np.array_equal(back.data, data)
+
+
+def test_non_finite_vox_offset_rejected(tmp_path):
+    path = tmp_path / "offset.nii"
+    write_nifti(RawNifti(data=np.zeros((2, 2, 2), np.uint8), spacing=(1, 1, 1)), path)
+    blob = bytearray(path.read_bytes())
+    for value in (np.inf, -np.inf, np.nan):
+        blob[108:112] = np.float32(value).tobytes()  # vox_offset
+        path.write_bytes(bytes(blob))
+        with pytest.raises(NiftiError, match=str(path)):
+            read_nifti(path)
+
+
+# (byte offset, struct format) of every numeric NIfTI-1 header field and
+# the magic, from the published layout
+_HEADER_FIELDS = (
+    [(0, "<i"), (32, "<i"), (36, "<h"), (38, "<B"), (39, "<B")]
+    + [(40 + 2 * i, "<h") for i in range(8)]  # dim
+    + [(56, "<f"), (60, "<f"), (64, "<f")]  # intent_p1..p3
+    + [(68, "<h"), (70, "<h"), (72, "<h"), (74, "<h")]  # intent_code..slice_start
+    + [(76 + 4 * i, "<f") for i in range(8)]  # pixdim
+    + [(108, "<f"), (112, "<f"), (116, "<f")]  # vox_offset, scl_slope, scl_inter
+    + [(120, "<h"), (122, "<B"), (123, "<B")]
+    + [(124 + 4 * i, "<f") for i in range(4)]  # cal_max..toffset
+    + [(140, "<i"), (144, "<i"), (252, "<h"), (254, "<h")]
+    + [(256 + 4 * i, "<f") for i in range(18)]  # quatern, qoffset, srow
+    + [(344, "4s")]
+)
+_FIELD_VALUES = {
+    "<B": st.integers(0, 2**8 - 1),
+    "<h": st.integers(-(2**15), 2**15 - 1),
+    "<i": st.integers(-(2**31), 2**31 - 1),
+    "<f": st.floats(width=32),
+    "4s": st.binary(min_size=4, max_size=4),
+}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_file_raises_only_nifti_error(tmp_path, data):
+    """Cutting a valid file short, plain or gzipped, overwriting one
+    header field, or flipping one byte of the gzip stream reads or
+    raises NiftiError.  The reader checks the size the header asks for
+    against the bytes present before it allocates, so no drawn dim makes
+    it allocate more than the 592-byte file holds."""
+    plain = tmp_path / "vol.nii"
+    write_nifti(RawNifti(data=np.arange(60, dtype=np.float32).reshape(3, 4, 5),
+                         spacing=(1.0, 1.5, 2.0)), plain)
+    blob = bytearray(plain.read_bytes())
+    damage = data.draw(st.sampled_from(("truncate", "truncate-gz", "field", "flip-gz")))
+    if damage.endswith("gz"):
+        blob = bytearray(gzip.compress(bytes(blob), mtime=0))
+    if damage.startswith("truncate"):
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+    elif damage == "flip-gz":
+        at = data.draw(st.integers(0, len(blob) - 1), label="byte")
+        blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+    else:
+        offset, fmt = data.draw(st.sampled_from(_HEADER_FIELDS), label="field")
+        value = data.draw(_FIELD_VALUES[fmt], label="value")
+        blob[offset : offset + struct.calcsize(fmt)] = struct.pack(fmt, value)
+    path = tmp_path / "damaged.nii"
+    path.write_bytes(bytes(blob))
+    try:
+        read_nifti(path)
+    except NiftiError:
+        pass

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -773,6 +773,47 @@ def test_load_policy_rejects_inconsistent_fields(tmp_path, field, mutate):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=field.replace(".", r"\.")):
         load_policy(path)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate(draw, doc):
+    """``doc`` with one node replaced or deleted, on a path that descends
+    from the root through randomly chosen children."""
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and draw(st.integers(0, 3)):
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = draw(st.sampled_from(keys))
+        parent, node = node, node[key]
+    if parent is None:
+        return draw(_JSON_VALUES)
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(_JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_policy_raises_only_value_error(tmp_path, data):
+    """A policy document of any shape loads or raises ValueError, never
+    KeyError, TypeError or the like."""
+    path = tmp_path / "policy.json"
+    save_policy(_manual_policy(), path)
+    doc = _mutate(data.draw, json.loads(path.read_text()))
+    path.write_text(json.dumps(doc))
+    try:
+        load_policy(path)
+    except ValueError:
+        pass
 
 
 def test_save_policy_failure_keeps_old_file(tmp_path, monkeypatch):

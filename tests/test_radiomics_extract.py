@@ -16,7 +16,7 @@ from gliopost.radiomics import (
     write_manifest,
 )
 from gliopost.radiomics.extract import FEATURES_PER_SEQUENCE
-from gliopost.radiomics.texture import discretize, pair_table
+from gliopost.radiomics.texture import discretize, neighbour_pairs
 from gliopost.volume import SEQUENCES, CaseBundle, LabelMap, ScalarVolume, Spacing
 
 SP = Spacing(1.0, 1.0, 1.0)
@@ -80,11 +80,12 @@ def test_extract_is_deterministic():
     assert np.array_equal(a.values, b.values)
 
 
-def test_each_sequence_is_discretized_once(monkeypatch):
-    """One discretize call and one pair-table build per sequence."""
+def test_one_pair_geometry_per_case_and_one_discretize_per_sequence(monkeypatch):
+    """The neighbour pairs are built once per case, from the whole-tumor
+    mask, and each sequence is discretized once."""
     from gliopost.radiomics import extract
 
-    calls = {"discretize": 0, "pair_table": 0}
+    calls = {"discretize": 0, "neighbour_pairs": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -93,9 +94,10 @@ def test_each_sequence_is_discretized_once(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(extract, "discretize", counting("discretize", discretize))
-    monkeypatch.setattr(extract, "pair_table", counting("pair_table", pair_table))
+    monkeypatch.setattr(extract, "neighbour_pairs",
+                        counting("neighbour_pairs", neighbour_pairs))
     extract_case_features(_bundle())
-    assert calls == {"discretize": len(SEQUENCES), "pair_table": len(SEQUENCES)}
+    assert calls == {"discretize": len(SEQUENCES), "neighbour_pairs": 1}
 
 
 def test_degenerate_whole_tumor_sentinel():
@@ -116,6 +118,17 @@ def test_missing_sequence_rejected():
     del bundle.sequences["t2w"]
     with pytest.raises(ValueError, match="t2w"):
         extract_case_features(bundle)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bin_width", float("nan")), ("bin_width", float("inf")), ("bin_width", 0.0),
+    ("bin_width", -25.0), ("bin_count", 0), ("bin_count", -1),
+])
+def test_extraction_settings_reject_bad_bins(field, value):
+    with pytest.raises(ValueError, match=field):
+        ExtractionSettings(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        ExtractionSettings.from_dict(dict(ExtractionSettings().to_dict(), **{field: value}))
 
 
 def test_relabeling_outside_wt_does_not_change_features():

@@ -11,7 +11,7 @@ from gliopost.morphology import OFFSETS_13
 from gliopost.radiomics.texture import (
     COARSENESS_MAX,
     GLCM_FEATURE_NAMES,
-    crop_to_mask,
+    PairTable,
     discretize,
     glcm_counts,
     glcm_features,
@@ -23,7 +23,7 @@ from gliopost.radiomics.texture import (
     glszm_features,
     ngtdm_features,
     ngtdm_table,
-    pair_table,
+    neighbour_pairs,
 )
 
 from oracles import (
@@ -42,8 +42,13 @@ def _pad_to(a, shape):
 
 
 def _table(data, mask, bin_count, offsets=OFFSETS_13):
-    """The pair table of the cropped level grid, as the caller builds it."""
-    return pair_table(crop_to_mask(discretize(data, mask, bin_count)), offsets)
+    """The pair table of the masked voxels, as the caller builds it."""
+    return PairTable(discretize(data[mask], bin_count), neighbour_pairs(mask, offsets))
+
+
+def _level_table(levels, offsets=OFFSETS_13):
+    """The pair table of a level grid whose masked voxels are its levels > 0."""
+    return PairTable(levels[levels > 0], neighbour_pairs(levels > 0, offsets))
 
 
 def _random_levels(rng, shape, ng, fill=0.8):
@@ -55,37 +60,34 @@ def _random_levels(rng, shape, ng, fill=0.8):
 # -- discretization -----------------------------------------------------------
 
 def test_discretize_constant_region():
-    data = np.full((3, 3, 3), 7.0)
-    mask = np.ones((3, 3, 3), bool)
-    levels = discretize(data, mask, 32)
-    assert (levels[mask] == 1).all()
+    levels = discretize(np.full(27, 7.0), 32)
+    assert levels.dtype == np.int64
+    assert (levels == 1).all()
 
 
 def test_discretize_ramp_occupies_every_level():
-    data = np.arange(32, dtype=float).reshape(32, 1, 1)
-    mask = np.ones((32, 1, 1), bool)
-    levels = discretize(data, mask, 32)
-    assert sorted(levels[mask].tolist()) == list(range(1, 33))
+    levels = discretize(np.arange(32, dtype=float), 32)
+    assert sorted(levels.tolist()) == list(range(1, 33))
 
 
 def test_discretize_respects_mask_and_bounds():
     rng = np.random.default_rng(73)
     data = rng.normal(size=(6, 6, 6)) * 100
     mask = rng.random((6, 6, 6)) > 0.5
-    levels = discretize(data, mask, 8)
-    assert (levels[~mask] == 0).all()
-    assert levels[mask].min() >= 1
-    assert levels[mask].max() <= 8
-    # monotone: higher intensity never gets a lower level
     vals = data[mask]
-    lv = levels[mask]
+    lv = discretize(vals, 8)
+    # one level per masked voxel, in the same order
+    assert lv.shape == vals.shape
+    assert lv.min() >= 1
+    assert lv.max() <= 8
+    # monotone: higher intensity never gets a lower level
     order = np.argsort(vals)
     assert (np.diff(lv[order]) >= 0).all()
 
 
 def test_discretize_validation():
     with pytest.raises(ValueError):
-        discretize(np.zeros((2, 2, 2)), np.ones((2, 2, 2), bool), 0)
+        discretize(np.zeros(8), 0)
 
 
 # -- GLCM ---------------------------------------------------------------------
@@ -152,7 +154,7 @@ def test_glcm_counts_match_pair_enumeration():
     rng = np.random.default_rng(79)
     for _ in range(3):
         levels = _random_levels(rng, (7, 6, 5), ng=4)
-        for off, got in zip(OFFSETS_13, glcm_counts(pair_table(levels)), strict=True):
+        for off, got in zip(OFFSETS_13, glcm_counts(_level_table(levels)), strict=True):
             want = brute_glcm(levels, off, 4)
             assert np.array_equal(got, want), off
             assert (got >= 0).all()
@@ -172,7 +174,7 @@ def test_glcm_normalization_and_feature_spot_checks():
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         i = np.arange(1, 6, dtype=float)
         ii, jj = np.meshgrid(i, i, indexing="ij")
-        got = glcm_features(pair_table(levels, (off,)))
+        got = glcm_features(_level_table(levels, (off,)))
         assert got["contrast"] == pytest.approx(float((p * (ii - jj) ** 2).sum()), abs=1e-9)
         assert got["maximum_probability"] == pytest.approx(float(p.max()), abs=1e-9)
         nz = p > 0
@@ -189,8 +191,8 @@ def test_discretize_of_integer_levels_is_identity():
         levels[0, 0, 0] = 5
     if not (levels == 1).any():
         levels[1, 0, 0] = 1
-    back = discretize(levels.astype(float), levels > 0, 5)
-    assert np.array_equal(back, np.where(levels > 0, levels, 0))
+    back = discretize(levels[levels > 0].astype(float), 5)
+    assert np.array_equal(back, levels[levels > 0])
 
 
 # -- GLRLM --------------------------------------------------------------------
@@ -219,7 +221,7 @@ def test_glrlm_counts_match_run_walk():
     rng = np.random.default_rng(97)
     for _ in range(3):
         levels = _random_levels(rng, (6, 6, 6), ng=4, fill=0.7)
-        for off, got in zip(OFFSETS_13, glrlm_counts(pair_table(levels)), strict=True):
+        for off, got in zip(OFFSETS_13, glrlm_counts(_level_table(levels)), strict=True):
             want = brute_glrlm(levels, off, 4)
             width = max(got.shape[1], want.shape[1])
             assert np.array_equal(
@@ -230,7 +232,7 @@ def test_glrlm_counts_match_run_walk():
 def test_glrlm_total_run_voxels():
     rng = np.random.default_rng(101)
     levels = _random_levels(rng, (5, 5, 5), ng=3)
-    for counts in glrlm_counts(pair_table(levels, ((1, 0, 0), (0, 0, 1), (1, 1, 1)))):
+    for counts in glrlm_counts(_level_table(levels, ((1, 0, 0), (0, 0, 1), (1, 1, 1)))):
         lengths = np.arange(1, counts.shape[1] + 1)
         # every masked voxel belongs to exactly one run
         assert int((counts * lengths).sum()) == int((levels > 0).sum())
@@ -239,7 +241,7 @@ def test_glrlm_total_run_voxels():
 def test_glrlm_constant_line_single_run():
     data = np.zeros((1, 1, 4))
     mask = np.ones((1, 1, 4), bool)
-    (counts,) = glrlm_counts(pair_table(discretize(data, mask, 8), ((0, 0, 1),)))
+    (counts,) = glrlm_counts(_table(data, mask, 8, ((0, 0, 1),)))
     assert counts.shape == (1, 4)
     assert counts[0, 3] == 1
     assert counts.sum() == 1
@@ -262,7 +264,7 @@ def test_glszm_counts_match_component_enumeration():
     rng = np.random.default_rng(103)
     for _ in range(3):
         levels = _random_levels(rng, (6, 6, 6), ng=4, fill=0.6)
-        got = glszm_counts(pair_table(levels))
+        got = glszm_counts(_level_table(levels))
         want = brute_glszm(levels, 4)
         width = max(got.shape[1], want.shape[1])
         assert np.array_equal(_pad_to(got, (4, width)), _pad_to(want, (4, width)))
@@ -274,7 +276,7 @@ def test_glszm_two_zones_same_level():
     levels = np.zeros((7, 1, 1), dtype=np.int32)
     levels[0:2] = 1  # zone of size 2
     levels[4:7] = 1  # zone of size 3
-    counts = glszm_counts(pair_table(levels))
+    counts = glszm_counts(_level_table(levels))
     assert counts[0, 1] == 1
     assert counts[0, 2] == 1
     assert counts.sum() == 2
@@ -296,7 +298,7 @@ def test_gldm_single_voxel():
 def test_gldm_pair_dependence():
     data = np.zeros((2, 1, 1))
     mask = np.ones((2, 1, 1), bool)
-    counts = gldm_counts(pair_table(discretize(data, mask, 8)))
+    counts = gldm_counts(_table(data, mask, 8))
     # each voxel depends on its one equal neighbor: size 2, twice
     assert counts.shape == (1, 2)
     assert counts[0, 1] == 2
@@ -306,7 +308,7 @@ def test_gldm_counts_match_neighbor_enumeration():
     rng = np.random.default_rng(107)
     for _ in range(3):
         levels = _random_levels(rng, (6, 6, 6), ng=4, fill=0.7)
-        got = gldm_counts(pair_table(levels))
+        got = gldm_counts(_level_table(levels))
         want = brute_gldm(levels, 4)
         width = max(got.shape[1], want.shape[1])
         assert np.array_equal(_pad_to(got, (4, width)), _pad_to(want, (4, width)))
@@ -341,7 +343,7 @@ def test_ngtdm_table_matches_enumeration():
     rng = np.random.default_rng(109)
     for _ in range(3):
         levels = _random_levels(rng, (6, 6, 6), ng=4, fill=0.7)
-        n_got, s_got = ngtdm_table(pair_table(levels))
+        n_got, s_got = ngtdm_table(_level_table(levels))
         n_want, s_want = brute_ngtdm(levels, 4)
         assert np.array_equal(n_got, n_want.astype(n_got.dtype))
         assert np.abs(s_got - s_want).max() <= 1e-12
@@ -411,7 +413,7 @@ def _padded_equal(got, want):
 @settings(max_examples=150, deadline=None)
 @given(level_grids())
 def test_pair_engine_matches_oracles(levels):
-    table = pair_table(levels)
+    table = _level_table(levels)
     ng = table.ng
     assert ng == int(levels.max())
     for off, got in zip(OFFSETS_13, glcm_counts(table), strict=True):

@@ -32,7 +32,7 @@ def test_label_map_accepts_all_labels():
     data.flat[:5] = [0, 1, 2, 3, 4]
     lm = LabelMap(data=data, spacing=SP)
     assert lm.dims == (2, 3, 2)
-    assert lm.label_mask(3).sum() == 1
+    assert (lm.data == 3).sum() == 1
 
 
 def test_label_map_rejects_out_of_range():
