@@ -12,7 +12,14 @@ Option values are resolved as defaults < --config JSON < explicit flags,
 and the effective configuration is echoed to <out>/run-config.json (the
 thread count is omitted there because it never changes any output).
 When the command succeeds, that file is rewritten with a ``run`` record:
-wall time, peak RSS and the package, numpy and scipy versions.
+wall time, peak RSS and the package, numpy and scipy versions (and, for
+``apply``, ``clustered_cases``: how many cases needed their cluster).
+
+``scipy.ndimage`` is loaded only by the commands that label, dilate or
+take distance transforms (``synth``, ``fit-policy``, ``apply``,
+``evaluate``), before their first process pool forks, so the workers
+inherit it instead of importing it one by one.  ``extract-features`` and
+``rank`` run on numpy alone.
 
 Exit codes: 0 success, 2 bad configuration, 3 I/O failure, 4 invalid data.
 """
@@ -453,7 +460,7 @@ def _case_ids(preds: str) -> list[str]:
     return case_ids
 
 
-def _cmd_synth(cfg: dict) -> int:
+def _cmd_synth(cfg: dict) -> dict:
     if cfg["cases"] < 0:
         raise ValueError(f"--cases must be >= 0, got {cfg['cases']}")
     out = Path(cfg["out"])
@@ -466,7 +473,7 @@ def _cmd_synth(cfg: dict) -> int:
     if cfg["cases"] == 0:
         log.warning("no cases requested; writing an empty corpus")
         write_inventory(out, syn, {})
-        return EXIT_OK
+        return {}
     start = cfg["start_index"]
     items = [(recipe, index, str(out))
              for index in range(start, start + cfg["cases"])]
@@ -475,7 +482,7 @@ def _cmd_synth(cfg: dict) -> int:
                           cfg["threads"])
     write_inventory(out, syn, dict(results))
     log.info("wrote %d cases under %s", cfg["cases"], out)
-    return EXIT_OK
+    return {}
 
 
 def _extract_matrix(cfg: dict, settings: ExtractionSettings,
@@ -487,7 +494,7 @@ def _extract_matrix(cfg: dict, settings: ExtractionSettings,
     return FeatureMatrix.from_vectors(vectors)
 
 
-def _cmd_extract_features(cfg: dict) -> int:
+def _cmd_extract_features(cfg: dict) -> dict:
     case_ids = _case_ids(cfg["preds"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -502,10 +509,10 @@ def _cmd_extract_features(cfg: dict) -> int:
     write_manifest(out / "feature-manifest.json", settings)
     log.info("extracted %d features for %d cases",
              len(matrix.names), len(case_ids))
-    return EXIT_OK
+    return {}
 
 
-def _cmd_fit_policy(cfg: dict) -> int:
+def _cmd_fit_policy(cfg: dict) -> dict:
     case_ids = _case_ids(cfg["preds"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -541,10 +548,10 @@ def _cmd_fit_policy(cfg: dict) -> int:
     write_fit_report(out / "fit-report.txt", policy, report)
     log.info("fitted %d clusters, %d relabel rules; policy at %s",
              policy.kmeans.k, len(policy.rules), out / "policy.json")
-    return EXIT_OK
+    return {}
 
 
-def _cmd_apply(cfg: dict) -> int:
+def _cmd_apply(cfg: dict) -> dict:
     policy = load_policy(cfg["policy"])  # fail before any output
     case_ids = _case_ids(cfg["preds"])
     out = Path(cfg["out"])
@@ -555,10 +562,10 @@ def _cmd_apply(cfg: dict) -> int:
     clustered = map_ordered(_apply_case, items, case_ids, cfg["threads"])
     log.info("post-processed %d masks into %s; %d needed clustering",
              len(case_ids), out, sum(clustered))
-    return EXIT_OK
+    return {"clustered_cases": sum(clustered)}
 
 
-def _cmd_evaluate(cfg: dict) -> int:
+def _cmd_evaluate(cfg: dict) -> dict:
     case_ids = _case_ids(cfg["preds"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -575,10 +582,10 @@ def _cmd_evaluate(cfg: dict) -> int:
                        cfg["threads"])
     write_metrics_csv(out / "metrics.csv", rows)
     log.info("evaluated %d cases into %s", len(case_ids), out / "metrics.csv")
-    return EXIT_OK
+    return {}
 
 
-def _cmd_rank(cfg: dict) -> int:
+def _cmd_rank(cfg: dict) -> dict:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_run_config(out, "rank", cfg)
@@ -598,14 +605,15 @@ def _cmd_rank(cfg: dict) -> int:
     for name in sorted(result.candidates,
                        key=lambda n: (result.scores[n], n)):
         print(f"{name}\t{result.scores[name]!r}")
-    return EXIT_OK
+    return {}
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
-_COMMANDS: dict[str, tuple[tuple[_Opt, ...], Callable[[dict], int], str]] = {
+# A handler returns the fields it adds to the run record.
+_COMMANDS: dict[str, tuple[tuple[_Opt, ...], Callable[[dict], dict], str]] = {
     "synth": (_SYNTH_SPEC, _cmd_synth,
               "generate a seeded synthetic corpus"),
     "extract-features": (_EXTRACT_SPEC, _cmd_extract_features,
@@ -619,6 +627,9 @@ _COMMANDS: dict[str, tuple[tuple[_Opt, ...], Callable[[dict], int], str]] = {
     "rank": (_RANK_SPEC, _cmd_rank,
              "aggregate metric CSVs into mean-rank scores"),
 }
+
+# the commands whose workers call scipy.ndimage
+_LABELLING_COMMANDS = ("synth", "fit-policy", "apply", "evaluate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -667,10 +678,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     try:
-        code = handler(cfg)
+        if ns.command in _LABELLING_COMMANDS:
+            import scipy.ndimage  # noqa: F401  (before any pool forks)
+        extra = handler(cfg)
         _write_run_config(Path(cfg["out"]), ns.command, cfg,
-                          run=_run_record(start))
-        return code
+                          run=_run_record(start) | extra)
+        return EXIT_OK
     except json.JSONDecodeError as exc:
         log.error("malformed JSON: %s", exc)
         return EXIT_CONFIG

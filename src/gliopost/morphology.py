@@ -1,8 +1,14 @@
-"""Connectivity, dilation, boundary extraction, and exact EDT.
+"""Connectivity, dilation, boundary extraction, exact EDT, and line order.
 
-The geometric kernel under small-component removal and the surface
-distance metric.  Everything operates on boolean (x, y, z) grids and is
-pure: no function mutates its input.
+The geometric kernel under small-component removal, the surface
+distance metric and the radiomic runs and diameters.  Everything
+operates on boolean (x, y, z) grids or voxel index lists and is pure: no
+function mutates its input.
+
+``scipy.ndimage`` is imported inside the functions that call it, so a
+process that never labels, dilates or takes an EDT (``extract-features``,
+``rank``) never loads it.  Commands that do label load it before they
+fork their workers (see ``cli``).
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from .volume import Spacing
 
@@ -30,6 +35,8 @@ OFFSETS_6 = tuple(o for o in OFFSETS_26 if abs(o[0]) + abs(o[1]) + abs(o[2]) == 
 
 def _structure(connectivity: int) -> np.ndarray:
     if connectivity == 6:
+        from scipy import ndimage  # only labelling commands load ndimage
+
         return ndimage.generate_binary_structure(3, 1)
     if connectivity == 26:
         return np.ones((3, 3, 3), dtype=bool)
@@ -57,6 +64,8 @@ class ComponentLabeling:
     def boxes(self) -> list[tuple[slice, ...]]:
         if self.count == 0:
             return []
+        from scipy import ndimage  # only labelling commands load ndimage
+
         return [
             tuple(slice(b.start + s.start, b.start + s.stop) for b, s in zip(self.box, obj))
             for obj in ndimage.find_objects(self.labels[self.box], self.count)
@@ -70,6 +79,8 @@ def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentL
     (x fastest, then y, then z), so the labeling is deterministic for a
     fixed input.
     """
+    from scipy import ndimage  # only labelling commands load ndimage
+
     mask = np.asarray(mask, dtype=bool)
     structure = _structure(connectivity)
     labels = np.zeros(mask.shape, dtype=np.int32)
@@ -97,6 +108,8 @@ def dilate(mask: np.ndarray, iterations: int, connectivity: int = 26) -> np.ndar
     mask = np.asarray(mask, dtype=bool)
     if iterations == 0 or not mask.any():
         return mask.copy()
+    from scipy import ndimage  # only labelling commands load ndimage
+
     return ndimage.binary_dilation(mask, structure=_structure(connectivity),
                                    iterations=iterations)
 
@@ -142,4 +155,33 @@ def euclidean_distance_transform(mask: np.ndarray, spacing: Spacing) -> np.ndarr
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         return np.full(mask.shape, np.inf)
+    from scipy import ndimage  # only labelling commands load ndimage
+
     return ndimage.distance_transform_edt(~mask, sampling=spacing.as_tuple())
+
+
+def line_order(coords: np.ndarray,
+               offset: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The points ``coords`` (an (n, 3) array of non-negative voxel
+    indices) ordered along the lines of a 26-neighborhood ``offset``.
+
+    Returns ``(order, first)``: ``order`` sorts the points by line, then
+    by position along the line, so a point's neighbour at ``offset``,
+    when it is a point too, comes right after it; ``first[i]`` tells
+    whether ``order[i]`` is the first point of its line.
+    """
+    coords = np.asarray(coords, dtype=np.int64)
+    step = np.asarray(offset, dtype=np.int64)
+    axis = int(np.flatnonzero(step)[0])
+    pos = coords[:, axis] * step[axis]
+    # where each point's line meets the plane coords[axis] == 0; every
+    # coordinate of it lies in [-(span - 1), 2 * (span - 1)]
+    base = coords - pos[:, None] * step
+    span = int(coords.max(initial=0)) + 1
+    line = (((base[:, 0] + span) * (3 * span) + base[:, 1] + span) * (3 * span)
+            + base[:, 2] + span)
+    order = np.argsort(line * (2 * span) + pos + span)
+    ordered = line[order]
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return order, first

@@ -173,11 +173,11 @@ def extract_case_features(
     shape = shape_features(wt, case.prediction.spacing)
     values.extend(shape[n] for n in SHAPE_FEATURE_NAMES)
     voxel_volume = case.prediction.spacing.voxel_volume
-    pairs = neighbour_pairs(wt)
+    geometry = neighbour_pairs(wt)
     for seq in settings.sequences:
-        # boolean indexing gathers in C order, the voxel numbering of pairs
+        # boolean indexing gathers in C order, the voxel numbering of geometry
         seq_values = case.sequences[seq].data[wt].astype(np.float64)
-        table = PairTable(discretize(seq_values, settings.bin_count), pairs)
+        table = PairTable(discretize(seq_values, settings.bin_count), geometry)
         families = {
             "firstorder": firstorder_features(
                 seq_values, settings.bin_width, voxel_volume

@@ -3,13 +3,24 @@
 All 14 descriptors are voxel-based: volume is voxel count times voxel
 volume, surface area counts exposed voxel faces, and diameters are
 measured between voxel centers.  No mesh is built.
+
+A diameter is the largest distance between two points of a set, and it
+is reached between two vertices of the set's convex hull.  A hull vertex
+is never strictly between two other points of the set, so it is the
+first or the last point of the set on its line in every direction.  The
+diameters therefore scan, by brute force, only the surface voxels that
+are first or last on their lines along each of the 13 directions (the
+3D diameter) or along the 4 directions in a plane (the in-plane
+diameters).  That set holds every hull vertex, and every pair's distance
+is computed the same way whichever set it is in, so the maximum is the
+one over all the surface voxels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..morphology import boundary_voxels
+from ..morphology import OFFSETS_13, boundary_voxels, line_order
 from ..volume import Spacing
 
 SHAPE_FEATURE_NAMES = (
@@ -30,41 +41,32 @@ SHAPE_FEATURE_NAMES = (
 )
 
 
+# point pairs per brute-force block of the 3D diameter
+_BLOCK_PAIRS = 1 << 21
+
+
 def _max_pairwise_distance(points: np.ndarray) -> float:
-    """Largest euclidean distance between any two of the given points.
+    """Largest euclidean distance between any two of the given points,
+    by brute force over blocks of rows; 0 for fewer than two points."""
+    best = 0.0
+    rows = max(1, _BLOCK_PAIRS // max(len(points), 1))
+    for start in range(0, len(points), rows):
+        # each block's rows against every point from its first row on
+        # covers every pair
+        diff = points[start:start + rows, None, :] - points[None, start:, :]
+        best = max(best, float((diff**2).sum(axis=2).max()))
+    return float(np.sqrt(best))
 
-    Uses the convex hull to prune candidates; degenerate point sets
-    (collinear, coplanar) are projected onto their principal axes and
-    retried in the reduced dimension.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.shape[0] < 2:
-        return 0.0
-    if points.shape[0] <= 32:
-        diff = points[:, None, :] - points[None, :, :]
-        return float(np.sqrt((diff**2).sum(axis=2)).max())
-    # imported here: stages that extract no features must not pay for it
-    from scipy.spatial import ConvexHull, QhullError
 
-    try:
-        hull = ConvexHull(points)
-        candidates = points[hull.vertices]
-    except QhullError:
-        centered = points - points.mean(axis=0)
-        _, sv, vt = np.linalg.svd(centered, full_matrices=False)
-        keep = sv > sv[0] * 1e-9 if sv[0] > 0 else sv > 0
-        ndim = int(keep.sum())
-        if ndim <= 1:
-            proj = centered @ vt[0]
-            return float(proj.max() - proj.min())
-        reduced = centered @ vt[keep].T
-        try:
-            hull = ConvexHull(reduced)
-            candidates = points[hull.vertices]
-        except QhullError:
-            candidates = points
-    diff = candidates[:, None, :] - candidates[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=2)).max())
+def _line_extremes(idx: np.ndarray) -> np.ndarray:
+    """``out[k, i]``: whether point i of the voxel indices ``idx`` is the
+    first or the last of them on its line along ``OFFSETS_13[k]``."""
+    out = np.zeros((len(OFFSETS_13), len(idx)), dtype=bool)
+    for k, off in enumerate(OFFSETS_13):
+        order, first = line_order(idx, off)
+        last = np.append(first[1:], True)
+        out[k, order[first | last]] = True
+    return out
 
 
 def _surface_area(mask: np.ndarray, spacing: Spacing) -> float:
@@ -119,20 +121,21 @@ def shape_features(mask: np.ndarray, spacing: Spacing) -> dict[str, float]:
     scale = np.array(spacing.as_tuple())
     volume = n * spacing.voxel_volume
     area = _surface_area(mask, spacing)
-    surface = boundary_voxels(mask)
-    coords = np.argwhere(surface).astype(float) * scale
+    surf_idx = np.argwhere(boundary_voxels(mask))
+    extremes = _line_extremes(surf_idx)
 
-    diam_3d = _max_pairwise_distance(coords)
+    diam_3d = _max_pairwise_distance(
+        surf_idx[extremes.all(axis=0)].astype(float) * scale)
     # maximum in-plane diameters: voxel pairs sharing a z / y / x index
     plane_diams = []
-    surf_idx = np.argwhere(surface)
-    for axis, kept in ((2, (0, 1)), (1, (0, 2)), (0, (1, 2))):
-        best = 0.0
-        for plane in np.unique(surf_idx[:, axis]):
-            pts = surf_idx[surf_idx[:, axis] == plane][:, kept].astype(float)
-            pts *= scale[list(kept)]
-            best = max(best, _max_pairwise_distance(pts))
-        plane_diams.append(best)
+    for axis, kept in ((2, [0, 1]), (1, [0, 2]), (0, [1, 2])):
+        in_plane = [k for k, off in enumerate(OFFSETS_13) if off[axis] == 0]
+        idx = surf_idx[extremes[in_plane].all(axis=0)]
+        idx = idx[np.argsort(idx[:, axis], kind="stable")]
+        planes = np.flatnonzero(np.diff(idx[:, axis])) + 1
+        pts = idx[:, kept].astype(float) * scale[kept]
+        plane_diams.append(max(_max_pairwise_distance(group)
+                               for group in np.split(pts, planes)))
 
     all_coords = np.argwhere(mask).astype(float) * scale
     major, minor, least, elongation, flatness = _axis_lengths(all_coords)

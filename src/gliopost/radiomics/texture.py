@@ -11,21 +11,27 @@ by the highest occupied level.
 The pair geometry depends only on the region, so a caller builds it
 once (``neighbour_pairs``) and reuses it for every sequence: for each of
 the 13 unique 3D offsets (one per opposite pair of the 26-neighborhood)
-the pairs of region voxels that offset joins.  A ``PairTable`` joins
-that geometry to one sequence's levels, and filters each offset's
-equal-level pairs once (``PairTable.same``) for the run, zone and
-dependence families together.  Each count matrix is then a ``bincount``
-over the table, so the work scales with the region's voxels, not with
-its bounding box:
+the pairs of region voxels that offset joins.  The geometry also keeps,
+built on first use, each offset's line order of the voxels and the
+neighbour counts NGTDM needs.  A ``PairTable`` joins that geometry to
+one sequence's levels, and filters each offset's equal-level pairs once
+(``PairTable.same``) for the run, zone and dependence families together.
+Each count matrix is then a ``bincount`` over the table, so the work
+scales with the region's voxels, not with its bounding box:
 
 * GLCM counts the level pairs of each offset; matrices are symmetrized
   per offset and features are averaged over offsets.
 * GLDM and NGTDM count, from both ends of every pair, the equal-level
   neighbours and the neighbour level sums of each voxel (26-neighborhood).
-* Zones and runs are connected components: a zone is a component of
-  the graph of equal-level pairs over all 13 offsets, a run one of the
-  graph of a single offset's equal-level pairs.  Both come from one
-  ``scipy.sparse.csgraph.connected_components`` call per graph.
+* A run is a maximal stretch of equal-level voxels along one offset.  In
+  the offset's line order a voxel starts a run unless it is the second
+  voxel of an equal-level pair, so the run lengths are the gaps between
+  consecutive starts.
+* A zone is a connected component of the graph of equal-level pairs over
+  all 13 offsets, found by union-find on the voxel list: every edge
+  whose ends have different roots hooks the larger root onto the
+  smaller, and pointer jumping then brings every voxel to its root, in
+  rounds until no edge joins two roots.
 
 Run-length, size-zone and dependence matrices share one set of
 statistics (``_size_matrix_features``): each has gray levels as rows and
@@ -47,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..morphology import OFFSETS_13
+from ..morphology import OFFSETS_13, line_order
 
 DEFAULT_BIN_COUNT = 32
 COARSENESS_MAX = 1.0e6
@@ -165,19 +171,47 @@ def discretize(values: np.ndarray, bin_count: int) -> np.ndarray:
 # neighbour-pair table and matrix builders
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class PairGeometry:
+    """The neighbour pairs of a region's voxels, numbered 0..n-1 in C order.
+
+    ``coords[i]`` is voxel i's index in the region's box, and
+    ``pairs[k]`` holds the int32 arrays ``(a, b)`` of every voxel ``a``
+    whose neighbour ``b`` at ``offsets[k]`` is in the region too, with
+    ``a`` ascending.
+    """
+
+    coords: np.ndarray
+    offsets: tuple[tuple[int, int, int], ...]
+    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @cached_property
+    def line_orders(self) -> tuple[np.ndarray, ...]:
+        """For each offset, the voxels ordered by line along it, then by
+        position on the line (``morphology.line_order``)."""
+        return tuple(line_order(self.coords, off)[0] for off in self.offsets)
+
+    @cached_property
+    def neighbours(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(a, b, valid, counts)``: all offsets' pairs as one ``(a, b)``,
+        the mask of the voxels with at least one neighbour, and those
+        voxels' neighbour counts."""
+        a, b = _concat(self.pairs)
+        n = len(self.coords)
+        counts = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+        valid = counts > 0
+        return a, b, valid, counts[valid]
+
+
 def neighbour_pairs(
     mask: np.ndarray,
     offsets: tuple[tuple[int, int, int], ...] = OFFSETS_13,
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Neighbour pairs of the voxels of a non-empty mask, numbered
-    0..n-1 in C order, for offsets inside the 26-neighborhood.
-
-    Entry k holds the int32 arrays ``(a, b)`` of every voxel ``a`` whose
-    neighbour ``b`` at the k-th offset is in the mask too, with ``a``
-    ascending.
-    """
+) -> PairGeometry:
+    """The pair geometry of the voxels of a non-empty mask, for non-zero
+    offsets inside the 26-neighborhood."""
     coords = np.nonzero(mask)
-    box = tuple(slice(int(c.min()), int(c.max()) + 1) for c in coords)
+    lo = [int(c.min()) for c in coords]
+    box = tuple(slice(low, int(c.max()) + 1) for low, c in zip(lo, coords))
     mask = mask[box]
     # a one-voxel border of -1 lets every neighbour lookup stay in bounds
     ids = np.full(np.add(mask.shape, 2), -1, dtype=np.int32)
@@ -190,20 +224,21 @@ def neighbour_pairs(
         b = flat[where + int(np.dot(off, steps))]
         a = np.flatnonzero(b >= 0).astype(np.int32)
         pairs.append((a, b[a]))
-    return tuple(pairs)
+    return PairGeometry(coords=np.stack(coords, axis=1) - lo,
+                        offsets=tuple(offsets), pairs=tuple(pairs))
 
 
 @dataclass(frozen=True)
 class PairTable:
     """One sequence's gray levels on a region's voxel list, with the
-    region's neighbour pairs.
+    region's pair geometry.
 
-    ``levels[i]`` is the gray level of voxel i and ``pairs`` is the
+    ``levels[i]`` is the gray level of voxel i and ``geometry`` is the
     ``neighbour_pairs`` geometry of the region.
     """
 
     levels: np.ndarray
-    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+    geometry: PairGeometry
 
     @property
     def ng(self) -> int:
@@ -214,7 +249,7 @@ class PairTable:
     def same(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Each offset's pairs whose two voxels share a gray level."""
         out = []
-        for a, b in self.pairs:
+        for a, b in self.geometry.pairs:
             keep = self.levels[a] == self.levels[b]
             out.append((a[keep], b[keep]))
         return tuple(out)
@@ -232,27 +267,39 @@ def _level_size_counts(levels: np.ndarray, sizes: np.ndarray, ng: int) -> np.nda
     return flat.reshape(ng, width)
 
 
-def _component_counts(table: PairTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(level, size) counts of the connected components of the graph on
-    the region's voxels whose edges are the equal-level pairs ``(a, b)``."""
-    # imported here: stages that extract no features must not pay for it
-    from scipy.sparse import coo_array
-    from scipy.sparse.csgraph import connected_components
-
-    n = table.levels.size
-    graph = coo_array((np.ones(a.size, dtype=np.int8), (a, b)), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
-    sizes = np.bincount(labels)
-    component_levels = np.empty(sizes.size, dtype=np.int64)
-    component_levels[labels] = table.levels
-    return _level_size_counts(component_levels, sizes, table.ng)
+def _component_roots(n: int, pairs) -> np.ndarray:
+    """For each of ``n`` nodes, the root of its connected component of the
+    graph whose edges are the per-offset ``(a, b)`` arrays ``pairs``, in
+    each of which no node is the larger end of two edges (as in
+    ``neighbour_pairs``).  Every parent is at most its node, so hooking
+    the larger root onto the smaller never makes a cycle."""
+    parent = np.arange(n)
+    # the first hooking round, when every node is a root: within one
+    # offset each larger end is distinct, so a plain assignment hooks it
+    for a, b in pairs:
+        hi = np.maximum(a, b)
+        parent[hi] = np.minimum(parent[hi], np.minimum(a, b))
+    a, b = _concat(pairs)
+    while True:
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        if not split.any():
+            return parent
+        # a joined edge stays joined, so later rounds skip it
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
 
 
 def glcm_counts(table: PairTable) -> list[np.ndarray]:
     """Symmetric co-occurrence counts, one matrix per table offset."""
     ng = table.ng
     out = []
-    for a, b in table.pairs:
+    for a, b in table.geometry.pairs:
         codes = (table.levels[a] - 1) * ng + (table.levels[b] - 1)
         counts = np.bincount(codes, minlength=ng * ng).reshape(ng, ng)
         out.append(counts + counts.T)
@@ -261,15 +308,25 @@ def glcm_counts(table: PairTable) -> list[np.ndarray]:
 
 def glrlm_counts(table: PairTable) -> list[np.ndarray]:
     """Run-length counts, one matrix per table offset; rows are gray
-    levels, column l-1 is the number of maximal runs of length l.  A run
-    is a component of the offset's equal-level pair graph."""
-    return [_component_counts(table, a, b) for a, b in table.same]
+    levels, column l-1 is the number of maximal runs of length l."""
+    n = table.levels.size
+    out = []
+    for (_, b), order in zip(table.same, table.geometry.line_orders):
+        linked = np.zeros(n, dtype=bool)
+        linked[b] = True
+        starts = np.flatnonzero(~linked[order])
+        lengths = np.diff(starts, append=n)
+        out.append(_level_size_counts(table.levels[order[starts]], lengths, table.ng))
+    return out
 
 
 def glszm_counts(table: PairTable) -> np.ndarray:
     """Size-zone counts; a zone is a component of the equal-level pair
     graph over all table offsets (26-connected with the default 13)."""
-    return _component_counts(table, *_concat(table.same))
+    roots = _component_roots(table.levels.size, table.same)
+    sizes = np.bincount(roots)
+    zones = np.flatnonzero(sizes)
+    return _level_size_counts(table.levels[zones], sizes[zones], table.ng)
 
 
 def gldm_counts(table: PairTable) -> np.ndarray:
@@ -286,18 +343,15 @@ def ngtdm_table(table: PairTable) -> tuple[np.ndarray, np.ndarray]:
 
     Only voxels with at least one neighbour in the region participate; the
     difference is against the mean level of those neighbours.  The
-    neighbour sums are integer-valued, so they are exact in float64, and
-    s_i is accumulated over the voxels in C order.
+    neighbour sums are integer-valued, so they are exact in float64 in any
+    order, and s_i is accumulated over the voxels in C order.
     """
-    a, b = _concat(table.pairs)
-    ends = np.concatenate([a, b])
-    others = np.concatenate([b, a])
+    a, b, valid, nbr_cnt = table.geometry.neighbours
     n = table.levels.size
-    nbr_cnt = np.bincount(ends, minlength=n)
-    nbr_sum = np.bincount(ends, weights=table.levels[others], minlength=n)
-    valid = nbr_cnt > 0
+    nbr_sum = (np.bincount(a, weights=table.levels[b], minlength=n)
+               + np.bincount(b, weights=table.levels[a], minlength=n))
     vl = table.levels[valid]
-    mean_nbr = nbr_sum[valid] / nbr_cnt[valid]
+    mean_nbr = nbr_sum[valid] / nbr_cnt
     n_i = np.bincount(vl - 1, minlength=table.ng)
     s_i = np.bincount(vl - 1, weights=np.abs(vl - mean_nbr), minlength=table.ng)
     return n_i, s_i

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .morphology import dilate
 from .nifti import atomic_open
@@ -231,6 +230,9 @@ def _paint_ground_truth(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarra
 def _make_sequences(
     cfg: SynthConfig, gt: np.ndarray, rng: np.random.Generator
 ) -> dict[str, np.ndarray]:
+    # imported here: importing the package must not load ndimage
+    from scipy import ndimage
+
     shifts = np.array([_LABEL_SHIFT[l] for l in range(5)])
     images = {}
     for seq in cfg.sequences:

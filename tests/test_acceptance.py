@@ -433,15 +433,21 @@ def test_criterion_6_saved_policy_matches_direct_apply(pipeline, tmp_path):
     applied_held = pipeline["applied-held"]
     direct_dir = tmp_path / "direct"
     direct_dir.mkdir()
+    clustered = 0
     for cid in _case_ids(TRAIN_CASES, HELD_CASES):
         bundle = load_case_bundle(cid, held / "preds", held / "images",
                                   sequences=policy.settings.sequences)
-        direct, _ = apply_policy(policy, bundle)
+        direct, cluster = apply_policy(policy, bundle)
+        clustered += cluster is not None
         save_nifti(direct, direct_dir / seg_filename(cid))
         produced = (direct_dir / seg_filename(cid)).read_bytes()
         via_cli = (applied_held / seg_filename(cid)).read_bytes()
         assert produced == via_cli, f"{cid}: round-trip apply differs"
-    _passline(6, f"{HELD_CASES} masks bitwise equal after save/load/apply")
+    # the run record counts the cases whose cluster had to be computed
+    run = json.loads((applied_held / "run-config.json").read_text())["run"]
+    assert run["clustered_cases"] == clustered
+    _passline(6, f"{HELD_CASES} masks bitwise equal after save/load/apply,"
+                 f" {clustered} clustered")
 
 
 # -- criterion 7: relabeling inside the tumor classes never moves the WT mask --------------

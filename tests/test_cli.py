@@ -200,20 +200,72 @@ def test_flags_override_config_file(tmp_path):
     assert "threads" not in echoed["config"]
 
 
-def test_cli_import_loads_no_feature_only_scipy_packages():
-    """Stages that extract no features never load scipy.spatial or
-    scipy.sparse; scipy.ndimage is loaded, so a pool parent holds it
-    before it forks its workers."""
+_PROBE = """
+import json, sys
+sys.path.insert(0, {src!r})
+from gliopost import cli, parallel
+at_calls = []
+real = parallel.map_ordered
+def probe(*args, **kwargs):
+    at_calls.append("scipy.ndimage" in sys.modules)
+    return real(*args, **kwargs)
+for name, module in list(sys.modules.items()):
+    if name.startswith("gliopost") and getattr(module, "map_ordered", None) is real:
+        module.map_ordered = probe
+code = cli.main({argv!r})
+print(json.dumps({{"code": code, "at_calls": at_calls,
+                   "loaded": sorted(m for m in sys.modules if m.startswith("scipy."))}}))
+"""
+
+
+def _fresh_run(argv: list[str]) -> dict:
+    """``main(argv)`` in a new interpreter: its exit code, the scipy
+    modules loaded when it returned, and, for each ``map_ordered`` call,
+    whether ``scipy.ndimage`` was loaded by then."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = (f"import sys; sys.path.insert(0, {src!r}); import gliopost.cli; "
-            "print('\\n'.join(sorted(sys.modules)))")
-    loaded = subprocess.run([sys.executable, "-c", code], check=True,
-                            capture_output=True, text=True,
-                            timeout=120).stdout.split()
-    assert "scipy.ndimage" in loaded
-    assert [m for m in loaded
-            if m.split(".")[:2] in (["scipy", "spatial"], ["scipy", "sparse"])
-            ] == []
+    out = subprocess.run([sys.executable, "-c", _PROBE.format(src=src, argv=argv)],
+                         check=True, capture_output=True, text=True,
+                         timeout=300).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_per_command_scipy_import_sets(pipeline, tmp_path):
+    """extract-features and rank run on numpy alone: they load no
+    scipy.ndimage, scipy.sparse or scipy.spatial.  The commands that
+    label hold scipy.ndimage before their first map_ordered call, so a
+    pool's forked workers inherit it."""
+    corpus = pipeline["corpus"]
+    preds, images, gt = (str(corpus / d) for d in ("preds", "images", "gt"))
+    recipe = _write_recipe(tmp_path)
+    raw = str(pipeline["raw_metrics"] / "metrics.csv")
+    post = str(pipeline["post_metrics"] / "metrics.csv")
+    numpy_only = {
+        "extract-features": ["extract-features", "--preds", preds,
+                             "--images", images, "--out", str(tmp_path / "f")],
+        "rank": ["rank", f"raw={raw}", f"post={post}", "--out", str(tmp_path / "r")],
+    }
+    labelling = {
+        "synth": ["synth", "--config", str(recipe), "--cases", "1",
+                  "--out", str(tmp_path / "s")],
+        "fit-policy": ["fit-policy", "--preds", preds, "--images", images,
+                       "--gt", gt, "--out", str(tmp_path / "fit"),
+                       "--features", str(pipeline["features"] / "features.csv"),
+                       "--k-range", "2", "--restarts", "3", "--seed", "5"],
+        "apply": ["apply", "--policy", str(pipeline["fit"] / "policy.json"),
+                  "--preds", preds, "--images", images, "--out", str(tmp_path / "a")],
+        "evaluate": ["evaluate", "--preds", preds, "--gt", gt,
+                     "--out", str(tmp_path / "e")],
+    }
+    for command, argv in numpy_only.items():
+        run = _fresh_run(argv)
+        assert run["code"] == 0, command
+        assert [m for m in run["loaded"]
+                if m.split(".")[1] in ("ndimage", "sparse", "spatial")] == [], command
+        assert not any(run["at_calls"]), command
+    for command, argv in labelling.items():
+        run = _fresh_run(argv)
+        assert run["code"] == 0, command
+        assert run["at_calls"] and all(run["at_calls"]), command
 
 
 def test_run_record_is_added_after_success(pipeline, tmp_path, monkeypatch):
@@ -426,6 +478,33 @@ def test_apply_loads_the_policy_once(pipeline, tmp_path, monkeypatch, caplog):
     assert _tree_bytes(tmp_path / "out") == _tree_bytes(pipeline["applied"])
     assert re.search(r"post-processed 6 masks into .*; [0-6] needed clustering",
                      caplog.text)
+
+
+def test_apply_run_record_counts_clustered_cases(pipeline, tmp_path):
+    """With cluster 1 removing every component, the clusters disagree on
+    every case, and the run record counts the cases whose cluster
+    apply had to compute."""
+    from dataclasses import replace
+
+    from gliopost.policy import apply_policy, load_policy, save_policy
+    from gliopost.volume import discover_case_ids, load_case_bundle
+
+    fitted = load_policy(pipeline["fit"] / "policy.json")
+    policy = replace(fitted, thresholds={0: fitted.thresholds[0],
+                                         1: dict.fromkeys(fitted.thresholds[1], 10**6)})
+    save_policy(policy, tmp_path / "policy.json")
+    corpus = pipeline["corpus"]
+    out = tmp_path / "out"
+    assert main(["apply", "--policy", str(tmp_path / "policy.json"),
+                 "--preds", str(corpus / "preds"),
+                 "--images", str(corpus / "images"), "--out", str(out)]) == 0
+    clustered = sum(
+        apply_policy(policy, load_case_bundle(cid, corpus / "preds", corpus / "images"))[1]
+        is not None
+        for cid in discover_case_ids(corpus / "preds"))
+    assert clustered == 6
+    run = json.loads((out / "run-config.json").read_text())["run"]
+    assert run["clustered_cases"] == clustered
 
 
 def test_apply_missing_policy(tmp_path, corpus):

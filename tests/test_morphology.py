@@ -12,6 +12,7 @@ from gliopost.morphology import (
     connected_components,
     dilate,
     euclidean_distance_transform,
+    line_order,
 )
 from gliopost.volume import Spacing
 
@@ -209,3 +210,32 @@ def test_edt_respects_triangle_inequality():
     d = euclidean_distance_transform(mask, Spacing(1.0, 1.0, 1.0))
     # neighbor voxels differ by at most the step length
     assert np.abs(np.diff(d, axis=0)).max() <= 1.0 + 1e-9
+
+
+# -- line order ------------------------------------------------------------------
+
+def _on_line(delta, offset) -> int:
+    """t when delta == t * offset, else 0."""
+    t = next(d * o for d, o in zip(delta, offset) if o)
+    return t if tuple(delta) == tuple(t * o for o in offset) else 0
+
+
+@pytest.mark.parametrize("offset", OFFSETS_26)
+def test_line_order_walks_each_line_forward(offset):
+    rng = np.random.default_rng(151)
+    pts = np.argwhere(rng.random((6, 5, 4)) > 0.5)
+    order, first = line_order(pts, offset)
+    assert sorted(order.tolist()) == list(range(len(pts)))
+    walked = pts[order]
+    lines = set()
+    for i, p in enumerate(walked):
+        # a point's line: where it meets the plane through the origin
+        axis = next(k for k, o in enumerate(offset) if o)
+        t = p[axis] * offset[axis]
+        lines.add(tuple(p - t * np.array(offset)))
+        if i and not first[i]:
+            assert _on_line(p - walked[i - 1], offset) > 0
+        if i and first[i]:
+            assert _on_line(p - walked[i - 1], offset) == 0
+    # each line is one block of the order
+    assert int(first.sum()) == len(lines)

@@ -6,6 +6,8 @@ import pytest
 from gliopost.radiomics.shape import SHAPE_FEATURE_NAMES, shape_features
 from gliopost.volume import Spacing
 
+from oracles import brute_boundary, random_blob_mask
+
 SP = Spacing(1.0, 1.0, 1.0)
 
 
@@ -116,3 +118,64 @@ def test_diameters_match_pairwise_scan():
                 d = plane[:, None, :] - plane[None, :, :]
                 best_xy = max(best_xy, float(np.sqrt((d**2).sum(axis=2)).max()))
         assert out["max_diameter_slice"] == pytest.approx(best_xy, abs=1e-9)
+
+
+# -- diameters against a brute-force scan of every surface voxel pair ---------------
+
+def _brute_diameters(mask, spacing):
+    """The 3D and the slice / column / row diameters as the largest
+    distance over all pairs of surface voxels, with the same float
+    operations as the package, so the maxima must agree exactly."""
+    surf = np.argwhere(brute_boundary(mask))
+    scale = np.array(spacing.as_tuple())
+
+    def diameter(idx, axes):
+        pts = idx[:, axes].astype(float) * scale[axes]
+        diff = pts[:, None, :] - pts[None, :, :]
+        return float(np.sqrt((diff**2).sum(axis=2)).max())
+
+    planes = [max(diameter(surf[surf[:, axis] == p], kept)
+                  for p in np.unique(surf[:, axis]))
+              for axis, kept in ((2, [0, 1]), (1, [0, 2]), (0, [1, 2]))]
+    return [diameter(surf, [0, 1, 2])] + planes
+
+
+def _line(shape, start, step, count):
+    mask = np.zeros(shape, bool)
+    for i in range(count):
+        mask[tuple(np.add(start, np.multiply(step, i)))] = True
+    return mask
+
+
+def _diameter_masks():
+    rng = np.random.default_rng(131)
+    tilted = np.zeros((14, 14, 9), bool)  # the plane x + y == 13
+    for x in range(14):
+        tilted[x, 13 - x] = rng.random(9) > 0.3
+    single_plane = np.zeros((16, 16, 5), bool)
+    single_plane[:, :, 2] = random_blob_mask(rng, (16, 16, 1), 0.5)[:, :, 0]
+    edge = random_blob_mask(rng, (9, 8, 7), 0.6)
+    edge[0], edge[:, -1], edge[..., 0] = True, True, True  # touches three faces
+    return {
+        "line-z": _line((3, 3, 60), (1, 1, 0), (0, 0, 1), 60),
+        "line-diagonal": _line((40, 40, 40), (0, 0, 0), (1, 1, 1), 40),
+        "line-with-gaps": _line((70, 3, 3), (0, 1, 1), (2, 0, 0), 35),
+        "line-in-plane": _line((40, 40, 2), (0, 39, 1), (1, -1, 0), 40),
+        "tilted-plane": tilted,
+        "single-plane": single_plane,
+        "two-voxels": _line((30, 20, 10), (0, 19, 9), (29, -19, -9), 2),
+        "grid-edge": edge,
+        "blob": random_blob_mask(rng, (18, 16, 14), 0.5),
+    }
+
+
+@pytest.mark.parametrize("spacing", [SP, Spacing(0.9375, 1.1, 2.5)],
+                         ids=["isotropic", "anisotropic"])
+@pytest.mark.parametrize("name", sorted(_diameter_masks()))
+def test_diameters_equal_surface_pair_scan(name, spacing):
+    mask = _diameter_masks()[name]
+    assert mask.sum() >= 2
+    out = shape_features(mask, spacing)
+    got = [out[n] for n in ("max_diameter_3d", "max_diameter_slice",
+                            "max_diameter_column", "max_diameter_row")]
+    assert got == _brute_diameters(mask, spacing)

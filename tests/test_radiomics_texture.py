@@ -12,6 +12,7 @@ from gliopost.radiomics.texture import (
     COARSENESS_MAX,
     GLCM_FEATURE_NAMES,
     PairTable,
+    _component_roots,
     discretize,
     glcm_counts,
     glcm_features,
@@ -426,3 +427,110 @@ def test_pair_engine_matches_oracles(levels):
     n_want, s_want = brute_ngtdm(levels, ng)
     assert np.array_equal(n_got, n_want)
     assert np.array_equal(s_got, s_want)
+
+
+# -- runs by line scan and zones by union-find, against the walk and enumeration ------
+
+def _spiral(m: int) -> np.ndarray:
+    """A square spiral path one voxel wide, with a one-voxel gap between
+    its arms, from the center of an m x m plane out to its edge."""
+    grid = np.zeros((m, m), bool)
+    x = y = m // 2
+    grid[x, y] = True
+    turn, length = 0, 2
+    while True:
+        for _ in range(2):
+            dx, dy = ((0, 1), (1, 0), (0, -1), (-1, 0))[turn % 4]
+            for _ in range(length):
+                x, y = x + dx, y + dy
+                if not (0 <= x < m and 0 <= y < m):
+                    return grid
+                grid[x, y] = True
+            turn += 1
+        length += 2
+
+
+def _helix(turns: int) -> np.ndarray:
+    """A one-voxel path winding around a 5 x 5 square, one z step per voxel."""
+    ring = [(0, i) for i in range(4)] + [(i, 4) for i in range(4)] \
+        + [(4, 4 - i) for i in range(4)] + [(4 - i, 0) for i in range(4)]
+    grid = np.zeros((5, 5, 16 * turns), bool)
+    for z in range(16 * turns):
+        grid[ring[z % 16] + (z,)] = True
+    return grid
+
+
+def _gapped_levels(rng, shape, ng, every):
+    """Random levels whose lines along x, y and z are cut every few voxels."""
+    levels = _random_levels(rng, shape, ng, fill=0.9)
+    levels[::every] = 0
+    levels[:, 1::every] = 0
+    levels[:, :, 2::every] = 0
+    return levels
+
+
+def _assert_runs_and_zones_match(levels, offsets=OFFSETS_13):
+    table = _level_table(levels, offsets)
+    ng = table.ng
+    for off, got in zip(offsets, glrlm_counts(table), strict=True):
+        assert _padded_equal(got, brute_glrlm(levels, off, ng)), off
+    if offsets == OFFSETS_13:
+        assert _padded_equal(glszm_counts(table), brute_glszm(levels, ng))
+
+
+@pytest.mark.parametrize("every", [2, 3, 4])
+def test_runs_and_zones_with_gaps_along_lines(every):
+    rng = np.random.default_rng(137 + every)
+    _assert_runs_and_zones_match(_gapped_levels(rng, (9, 8, 7), 3, every))
+
+
+@pytest.mark.parametrize("offsets", [
+    ((0, 1, 0),),
+    ((-1, 0, 0), (0, 0, -1)),
+    ((1, -1, -1), (0, 1, -1), (-1, -1, 0)),
+    ((1, 1, 1), (1, 0, 0), (1, 1, 1)),
+])
+def test_runs_with_custom_offsets(offsets):
+    rng = np.random.default_rng(139)
+    _assert_runs_and_zones_match(_random_levels(rng, (7, 6, 5), 3, fill=0.7), offsets)
+
+
+def test_long_line_is_one_zone_and_one_run():
+    """200 voxels in one chain: union-find joins them in one hooking round
+    and eight pointer-jumping steps."""
+    levels = np.ones((1, 1, 200), dtype=np.int32)
+    table = _level_table(levels)
+    zones = glszm_counts(table)
+    assert zones.shape == (1, 200) and zones[0, 199] == 1 and zones.sum() == 1
+    runs = glrlm_counts(table)[OFFSETS_13.index((0, 0, 1))]
+    assert runs.shape == (1, 200) and runs[0, 199] == 1 and runs.sum() == 1
+    _assert_runs_and_zones_match(levels)
+
+
+@pytest.mark.parametrize("path", ["spiral", "helix"])
+def test_winding_paths_are_one_zone(path):
+    mask = _spiral(31)[:, :, None] if path == "spiral" else _helix(6)
+    levels = mask.astype(np.int32)
+    zones = glszm_counts(_level_table(levels))
+    assert zones.sum() == 1 and zones[0, -1] == 1
+    assert zones.shape[1] == int(mask.sum())
+    # two levels along the path cut it into zones the oracle counts
+    levels[::2] *= 2
+    _assert_runs_and_zones_match(levels)
+
+
+def test_union_find_on_paths_in_shuffled_order():
+    """A path whose node ids are shuffled leaves many roots after each
+    hooking round (spatial chains, numbered in C order, take one or two
+    rounds), so this drives the union-find through several rounds; two
+    paths must come out as two components, each rooted at its smallest id."""
+    rng = np.random.default_rng(149)
+    for n in (2, 100, 3000):
+        ids = rng.permutation(2 * n)
+        first, second = ids[:n], ids[n:]
+        a = np.concatenate([first[:-1], second[1:]])
+        b = np.concatenate([first[1:], second[:-1]])
+        # every other edge of a path: no node is the larger end of two
+        roots = _component_roots(2 * n, [(a[0::2], b[0::2]), (a[1::2], b[1::2])])
+        assert (roots[first] == first.min()).all()
+        assert (roots[second] == second.min()).all()
