@@ -22,6 +22,7 @@ from .morphology import (
     connected_components,
     dilate,
     euclidean_distance_transform,
+    padded_box,
 )
 from .nifti import atomic_open
 from .volume import LabelMap, Spacing
@@ -92,14 +93,6 @@ def _corners(boxes) -> np.ndarray:
     """The ``(start, stop)`` corners of ``find_objects`` boxes, shape (n, 2, 3)."""
     return np.array([[[s.start for s in box], [s.stop for s in box]] for box in boxes],
                     dtype=np.intp).reshape(-1, 2, 3)
-
-
-def _padded_box(corners: np.ndarray, pad: int, shape: tuple[int, ...]) -> tuple[slice, ...]:
-    """The smallest box holding every box of ``corners``, padded by ``pad``
-    voxels and clipped to a grid of ``shape``."""
-    lo = corners[:, 0].min(axis=0) - pad
-    hi = corners[:, 1].max(axis=0) + pad
-    return tuple(slice(max(int(a), 0), min(int(b), n)) for a, b, n in zip(lo, hi, shape))
 
 
 def _scatter(shape: tuple[int, ...], voxels: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -236,10 +229,10 @@ class RegionScorer:
             return x
 
         owner = np.zeros(gt_cc.labels.shape, dtype=np.int32)
-        for c, box in enumerate(gt_cc.boxes, start=1):
+        corners = _corners(gt_cc.boxes)
+        for c in range(1, gt_cc.count + 1):
             # the dilation never leaves the component's box padded by its reach
-            box = tuple(slice(max(b.start - dilation_iters, 0), b.stop + dilation_iters)
-                        for b in box)
+            box = padded_box(corners[c - 1:c], dilation_iters, owner.shape)
             dilated = dilate(gt_cc.labels[box] == c, dilation_iters, connectivity)
             owners = owner[box]
             for o in np.unique(owners[dilated]):
@@ -263,7 +256,6 @@ class RegionScorer:
         self._lesion_of = lesion_of
         self._gt_lesions = _scatter(owner.shape, gt_cc.voxels,
                                     lesion_of[gt_cc.labels.ravel()[gt_cc.voxels]])
-        corners = _corners(gt_cc.boxes)
         self._gt_corners = [corners[np.array(m) - 1] for m in self.lesion_members]
 
     @property
@@ -286,8 +278,8 @@ class RegionScorer:
         lesion without prediction components scores 0."""
         if not len(corners):
             return 0.0, {t: 0.0 for t in tolerances}
-        box = _padded_box(np.concatenate((self._gt_corners[lid - 1], corners)), 1,
-                          lesions.shape)
+        box = padded_box(np.concatenate((self._gt_corners[lid - 1], corners)), 1,
+                         lesions.shape)
         gt_mask = self._gt_lesions[box] == lid
         pred_mask = lesions[box] == lid
         dice = _dice(gt_mask, pred_mask)
@@ -386,18 +378,29 @@ class CaseMetrics:
         return cols
 
 
+def case_box(pred: np.ndarray, gt: np.ndarray, dilation_iters: int) -> tuple[slice, ...]:
+    """The box a case is scored in: the joint foreground of the label
+    grids ``pred`` and ``gt`` padded by ``dilation_iters + 1`` and
+    clipped to the grid, or the whole grid for an empty case."""
+    coords = np.nonzero((pred != 0) | (gt != 0))
+    if not coords[0].size:
+        return tuple(slice(0, n) for n in gt.shape)
+    return padded_box(coords, dilation_iters + 1, gt.shape)
+
+
 class CaseScorer:
     """Lesion-wise scoring of one case's prediction, and of candidates
     made from it, against the case's ground truth.
 
-    The prediction and the ground truth are cropped once, to the box of
-    their joint foreground padded by ``dilation_iters + 1`` and clipped
-    to the grid (the whole grid for an empty case): ``pred`` and ``gt``
-    hold the crops, and every ``RegionScorer`` works on that grid.  This
-    is exact for every candidate inside the box.  Components are the
-    same in the crop, no ground-truth dilation reaches past the padding,
-    and a candidate is empty outside the box, so a voxel on a face of
-    the box has background beyond it on the grid as in the crop.
+    The prediction and the ground truth are cropped once, to their
+    ``case_box``: ``pred`` and ``gt`` hold the crops, and every
+    ``RegionScorer`` works on that grid.  This is exact for every
+    candidate inside the box.  Components are the same in the crop, no
+    ground-truth dilation reaches past the padding, and a candidate is
+    empty outside the box, so a voxel on a face of the box has
+    background beyond it on the grid as in the crop.  A case that is
+    already cropped to its box (as the policy fit crops it) is its own
+    box, and is kept without a copy.
 
     ``evaluate`` scores the prediction itself, dropping each region's
     ``RegionScorer`` once it has scored.  ``score`` serves the policy
@@ -405,6 +408,7 @@ class CaseScorer:
     removes voxels from the prediction's own region mask is scored from
     the match of that mask (``RegionScorer.score_subset``), which is
     kept for the life of the scorer; any other is matched in full.
+    Candidates come on the box, as edits of ``pred``.
     """
 
     def __init__(
@@ -417,12 +421,7 @@ class CaseScorer:
     ):
         if pred.dims != gt.dims:
             raise ValueError(f"grid mismatch: pred {pred.dims} vs gt {gt.dims}")
-        self.dims = tuple(gt.dims)
-        self.box: tuple[slice, ...] = tuple(slice(0, n) for n in self.dims)
-        coords = np.nonzero((pred.data != 0) | (gt.data != 0))
-        if coords[0].size:
-            corners = np.array([[[c.min() for c in coords], [c.max() + 1 for c in coords]]])
-            self.box = _padded_box(corners, dilation_iters + 1, self.dims)
+        self.box = case_box(pred.data, gt.data, dilation_iters)
         self.pred = np.ascontiguousarray(pred.data[self.box])
         self.gt = np.ascontiguousarray(gt.data[self.box])
         self.tolerances = tuple(tolerances)
@@ -447,19 +446,11 @@ class CaseScorer:
         return self._bases[region.name]
 
     def score(self, regions, pred_data: np.ndarray) -> dict[str, float]:
-        """``LW_<metric>_<region>`` scores of ``pred_data`` over ``regions``.
-
-        ``pred_data`` is a candidate on the case's grid, or on the box
-        (the shape of ``pred``).  A candidate with a voxel outside the
-        box raises ValueError."""
+        """``LW_<metric>_<region>`` scores of ``pred_data``, a candidate on
+        the case's box (the shape of ``pred``), over ``regions``."""
         if pred_data.shape != self.pred.shape:
-            if pred_data.shape != self.dims:
-                raise ValueError(f"candidate grid {pred_data.shape} is neither the case "
-                                 f"grid {self.dims} nor its box {self.pred.shape}")
-            cropped = pred_data[self.box]
-            if np.count_nonzero(cropped) != np.count_nonzero(pred_data):
-                raise ValueError("candidate has voxels outside the case's box")
-            pred_data = cropped
+            raise ValueError(f"candidate grid {pred_data.shape} is not the case's "
+                             f"box {self.pred.shape}")
         out: dict[str, float] = {}
         for region in regions:
             mask = region_mask(pred_data, region)

@@ -1,9 +1,11 @@
-"""Connectivity, dilation, boundary extraction, exact EDT, and line order.
+"""Connectivity, dilation, boundary extraction, exact EDT, line order,
+and the padded box of a set of voxels.
 
 The geometric kernel under small-component removal, the surface
 distance metric and the radiomic runs and diameters.  Everything
 operates on boolean (x, y, z) grids or voxel index lists and is pure: no
-function mutates its input.
+function mutates its input.  Scoring, the fit, ``apply`` and the
+radiomics work inside boxes of voxels, each of them a ``padded_box``.
 
 ``scipy.ndimage`` is imported inside the functions that call it, so a
 process that never labels, dilates or takes an EDT (``extract-features``,
@@ -31,6 +33,16 @@ OFFSETS_26 = tuple(
 )
 OFFSETS_13 = tuple(o for o in OFFSETS_26 if o > (0, 0, 0))
 OFFSETS_6 = tuple(o for o in OFFSETS_26 if abs(o[0]) + abs(o[1]) + abs(o[2]) == 1)
+
+
+def padded_box(coords, pad: int, shape: tuple[int, ...]) -> tuple[slice, ...]:
+    """The box of the voxel indices ``coords`` (one non-empty array per
+    axis, as from ``np.nonzero``, or an (n, 2, ndim) array of the starts
+    and stops of n boxes), padded by ``pad`` and clipped to ``shape``."""
+    if isinstance(coords, np.ndarray) and coords.ndim == 3:
+        coords = np.concatenate((coords[:, 0], coords[:, 1] - 1)).T
+    return tuple(slice(max(int(c.min()) - pad, 0), min(int(c.max()) + 1 + pad, n))
+                 for c, n in zip(coords, shape))
 
 
 def _structure(connectivity: int) -> np.ndarray:
@@ -91,8 +103,7 @@ def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentL
     # labelled inside the box of the foreground, whose scan order is the
     # grid's; ndimage.label numbers components by their first voxel in C
     # order, and C order on the transposed box is x-fastest order on it
-    coords = np.unravel_index(voxels, mask.shape)
-    box = tuple(slice(int(c.min()), int(c.max()) + 1) for c in coords)
+    box = padded_box(np.unravel_index(voxels, mask.shape), 0, mask.shape)
     labels[box] = ndimage.label(mask[box].T, structure=structure)[0].T
     counts = np.bincount(labels.ravel()[voxels])
     count = counts.size - 1

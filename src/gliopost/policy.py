@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +36,9 @@ from .metrics import (
     CaseMetrics,
     CaseScorer,
     RegionSpec,
+    case_box,
 )
-from .morphology import connected_components
+from .morphology import connected_components, padded_box
 from .nifti import atomic_open
 from .parallel import map_ordered
 from .radiomics import (
@@ -127,12 +128,15 @@ class RelabelRule:
 
 @dataclass
 class FitCase:
-    """One training case after clustering: prediction, truth, cluster."""
+    """One training case after clustering: prediction, truth, cluster.
+    The fit crops ``pred`` and ``gt`` to their ``metrics.case_box``;
+    ``outside`` counts the grid voxels beyond it, background in both."""
 
     case_id: str
     pred: LabelMap
     gt: LabelMap
     cluster: int
+    outside: int = 0
 
 
 @dataclass
@@ -480,19 +484,24 @@ def _component_sizes(cc) -> np.ndarray:
     return np.array([0] + [cc.sizes[c] for c in range(1, cc.count + 1)])
 
 
-def _label_components(seg: np.ndarray, labels, connectivity: int) -> dict:
-    """Per label present in ``seg``, its component grid and sizes.
-
-    Removing other labels' voxels never changes a label's own mask, so
-    one labeling per label serves every threshold and every cluster.
+def _label_box(seg: np.ndarray, labels, connectivity: int) -> tuple:
+    """``(box, labelings, counts)``: the box of ``seg``'s foreground
+    (empty if none) and, inside it, each present label's component grid
+    and sizes, and every label's voxel count.  These are the grid's but
+    for the background count, which ``_actions`` never reads.  Removing
+    other labels never changes a label's mask, so one labeling per label
+    serves every threshold and every cluster.
     """
-    out = {}
+    coords = np.nonzero(seg)
+    box = padded_box(coords, 0, seg.shape) if coords[0].size else (slice(0, 0),) * seg.ndim
+    crop = seg[box]
+    labelings = {}
     for label in labels:
-        mask = seg == label
+        mask = crop == label
         if mask.any():
             cc = connected_components(mask, connectivity)
-            out[label] = (cc.labels, _component_sizes(cc))
-    return out
+            labelings[label] = (cc.labels, _component_sizes(cc))
+    return box, labelings, np.bincount(crop.ravel(), minlength=MAX_LABEL + 1)
 
 
 def _actions(labelings: dict, counts, thresholds: dict[int, int],
@@ -526,30 +535,31 @@ def _actions(labelings: dict, counts, thresholds: dict[int, int],
     return tuple(removed), tuple(fired)
 
 
-def _carry_out(seg: np.ndarray, labelings: dict, actions: tuple) -> np.ndarray:
-    """``seg`` with ``actions`` (from ``_actions``) done to a copy.
+def _carry_out(seg: np.ndarray, box: tuple[slice, ...], labelings: dict,
+               actions: tuple) -> np.ndarray:
+    """``seg`` with ``actions`` (from ``_actions``) done to a copy, all of
+    them inside ``box``, the box ``labelings`` were made in (see
+    ``_label_box``).
 
     Relabelings that stay inside the whole-tumor label set must leave the
     WT mask voxel-identical; one that breaks this raises RuntimeError.
     """
     removed, fired = actions
-    out = seg.copy()
+    crop = seg[box].copy()
     for label, ids in removed:
         grid, sizes = labelings[label]
         drop = np.zeros(sizes.size, dtype=bool)
         drop[list(ids)] = True
-        out[drop[grid]] = 0
+        crop[drop[grid]] = 0
     for src, dst in fired:
         inside_wt = src in WT_LABELS and dst in WT_LABELS
-        wt_before = np.isin(out, WT_LABELS) if inside_wt else None
-        out[out == src] = dst
-        if inside_wt and not np.array_equal(wt_before, np.isin(out, WT_LABELS)):
+        wt_before = np.isin(crop, WT_LABELS) if inside_wt else None
+        crop[crop == src] = dst
+        if inside_wt and not np.array_equal(wt_before, np.isin(crop, WT_LABELS)):
             raise RuntimeError(f"relabel {src}->{dst} changed the whole-tumor mask")
+    out = seg.copy()
+    out[box] = crop
     return out
-
-
-def _label_counts(seg: np.ndarray) -> np.ndarray:
-    return np.bincount(seg.ravel(), minlength=MAX_LABEL + 1)
 
 
 def apply_component_thresholds(
@@ -562,19 +572,8 @@ def apply_component_thresholds(
     Removed voxels become background.  Never adds voxels.
     """
     labels = [label for label in sorted(thresholds) if thresholds[label] > 0]
-    labelings = _label_components(seg, labels, connectivity)
-    return _carry_out(seg, labelings,
-                      _actions(labelings, _label_counts(seg), thresholds, []))
-
-
-def apply_relabel_rules(seg: np.ndarray, rules: list[RelabelRule]) -> np.ndarray:
-    """Apply ratio-triggered relabelings in order; each rule sees the
-    mask as modified by the previous ones.
-
-    Rules staying inside the whole-tumor label set must leave the WT
-    mask voxel-identical; a rule that breaks this raises RuntimeError.
-    """
-    return _carry_out(seg, {}, _actions({}, _label_counts(seg), {}, rules))
+    box, labelings, counts = _label_box(seg, labels, connectivity)
+    return _carry_out(seg, box, labelings, _actions(labelings, counts, thresholds, []))
 
 
 def apply_policy(policy: PostProcessPolicy,
@@ -585,7 +584,9 @@ def apply_policy(policy: PostProcessPolicy,
     sizes and voxel counts.  When all clusters would do the same, the
     case's features are not extracted and the cluster returned is None.
     Otherwise the features assign the cluster, which is returned with
-    the post-processed mask.
+    the post-processed mask.  The prediction is labelled, counted and
+    edited inside the box of its foreground (``_label_box``); only the
+    final write of the edited box into a copy sees the full grid.
     """
     missing = [s for s in policy.settings.sequences if s not in case.sequences]
     if missing:
@@ -594,8 +595,7 @@ def apply_policy(policy: PostProcessPolicy,
     k = policy.kmeans.k
     labels = [label for label in TUMOR_LABELS
               if any(policy.thresholds[c][label] > 0 for c in range(k))]
-    labelings = _label_components(seg, labels, policy.objective.connectivity)
-    counts = _label_counts(seg)
+    box, labelings, counts = _label_box(seg, labels, policy.objective.connectivity)
     actions = [
         _actions(labelings, counts, policy.thresholds[c],
                  [r for r in policy.rules if r.cluster == c])
@@ -608,12 +608,22 @@ def apply_policy(policy: PostProcessPolicy,
             policy.standardizer, policy.pca, policy.kmeans, features.values
         )
     chosen = actions[0 if cluster is None else cluster]
-    return case.prediction.with_data(_carry_out(seg, labelings, chosen)), cluster
+    return case.prediction.with_data(_carry_out(seg, box, labelings, chosen)), cluster
 
 
 # ---------------------------------------------------------------------------
 # end-to-end fitting
 # ---------------------------------------------------------------------------
+
+def _fit_case(case: CaseBundle, cluster: int, dilation_iters: int) -> FitCase:
+    """``case`` cropped once to the box ``CaseScorer`` scores it in, so
+    that every scorer of the fit takes the crop as its own box."""
+    box = case_box(case.prediction.data, case.ground_truth.data, dilation_iters)
+    pred, gt = (m.with_data(np.ascontiguousarray(m.data[box]))
+                for m in (case.prediction, case.ground_truth))
+    return FitCase(case.case_id, pred, gt, cluster,
+                   outside=case.prediction.data.size - pred.data.size)
+
 
 def fit_policy_report(
     cases: list[CaseBundle],
@@ -632,7 +642,9 @@ def fit_policy_report(
 
     Stages: feature extraction, standardize + PCA + k-means, per-cluster
     component thresholds, confusion-guided relabel rules on the
-    component-filtered predictions.  ``feature_matrix`` may supply
+    component-filtered predictions.  Everything after clustering works
+    on each case's crop (``_fit_case``); the voxels beyond it join the
+    confusion's (0, 0) cell.  ``feature_matrix`` may supply
     precomputed features (rows matched to cases by case id).  Both grid
     searches run in ``threads`` worker processes; the policy does not
     depend on ``threads``.
@@ -668,12 +680,7 @@ def fit_policy_report(
 
     objective = RankObjective.for_task(task)
     fit_cases = [
-        FitCase(
-            case_id=case.case_id,
-            pred=case.prediction,
-            gt=case.ground_truth,
-            cluster=int(assignments[i]),
-        )
+        _fit_case(case, int(assignments[i]), objective.dilation_iters)
         for i, case in enumerate(cases)
     ]
 
@@ -682,19 +689,12 @@ def fit_policy_report(
     )
 
     filtered = [
-        FitCase(
-            case_id=fc.case_id,
-            pred=fc.pred.with_data(
-                apply_component_thresholds(
-                    fc.pred.data, thresholds[fc.cluster], objective.connectivity
-                )
-            ),
-            gt=fc.gt,
-            cluster=fc.cluster,
-        )
+        replace(fc, pred=fc.pred.with_data(apply_component_thresholds(
+            fc.pred.data, thresholds[fc.cluster], objective.connectivity)))
         for fc in fit_cases
     ]
     cm = confusion_matrix((fc.pred, fc.gt) for fc in filtered)
+    cm[0, 0] += sum(fc.outside for fc in filtered)
     candidates = top_confusions(cm, n_confusions)
     rules = fit_relabel_rules(
         filtered, kmeans.k, candidates, cutoff_grid, objective, threads

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..morphology import OFFSETS_13, boundary_voxels, line_order
+from ..morphology import OFFSETS_13, boundary_voxels, line_order, padded_box
 from ..volume import Spacing
 
 SHAPE_FEATURE_NAMES = (
@@ -109,19 +109,24 @@ def _axis_lengths(coords_mm: np.ndarray) -> tuple[float, float, float, float, fl
 
 
 def shape_features(mask: np.ndarray, spacing: Spacing) -> dict[str, float]:
-    """The 14 shape descriptors of a binary mask.
+    """The 14 shape descriptors of a binary mask; all zeros if it is empty.
 
-    An empty mask yields all zeros.
+    They are computed inside the mask's box padded by one voxel, where
+    every face of a mask voxel meets its neighbour or the grid's edge.
+    The indices get the box origin back before they are scaled to mm.
     """
     mask = np.asarray(mask, dtype=bool)
-    n = int(mask.sum())
+    coords = np.nonzero(mask)
+    n = coords[0].size
     if n == 0:
         return {name: 0.0 for name in SHAPE_FEATURE_NAMES}
+    box = padded_box(coords, 1, mask.shape)
+    mask, origin = mask[box], [b.start for b in box]
 
     scale = np.array(spacing.as_tuple())
     volume = n * spacing.voxel_volume
     area = _surface_area(mask, spacing)
-    surf_idx = np.argwhere(boundary_voxels(mask))
+    surf_idx = np.argwhere(boundary_voxels(mask)) + origin
     extremes = _line_extremes(surf_idx)
 
     diam_3d = _max_pairwise_distance(
@@ -137,7 +142,7 @@ def shape_features(mask: np.ndarray, spacing: Spacing) -> dict[str, float]:
         plane_diams.append(max(_max_pairwise_distance(group)
                                for group in np.split(pts, planes)))
 
-    all_coords = np.argwhere(mask).astype(float) * scale
+    all_coords = (np.argwhere(mask) + origin).astype(float) * scale
     major, minor, least, elongation, flatness = _axis_lengths(all_coords)
 
     sphericity = (36.0 * np.pi * volume**2) ** (1.0 / 3.0) / area

@@ -53,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..morphology import OFFSETS_13, line_order
+from ..morphology import OFFSETS_13, line_order, padded_box
 
 DEFAULT_BIN_COUNT = 32
 COARSENESS_MAX = 1.0e6
@@ -210,8 +210,7 @@ def neighbour_pairs(
     """The pair geometry of the voxels of a non-empty mask, for non-zero
     offsets inside the 26-neighborhood."""
     coords = np.nonzero(mask)
-    lo = [int(c.min()) for c in coords]
-    box = tuple(slice(low, int(c.max()) + 1) for low, c in zip(lo, coords))
+    box = padded_box(coords, 0, mask.shape)
     mask = mask[box]
     # a one-voxel border of -1 lets every neighbour lookup stay in bounds
     ids = np.full(np.add(mask.shape, 2), -1, dtype=np.int32)
@@ -224,7 +223,7 @@ def neighbour_pairs(
         b = flat[where + int(np.dot(off, steps))]
         a = np.flatnonzero(b >= 0).astype(np.int32)
         pairs.append((a, b[a]))
-    return PairGeometry(coords=np.stack(coords, axis=1) - lo,
+    return PairGeometry(coords=np.stack(coords, axis=1) - [b.start for b in box],
                         offsets=tuple(offsets), pairs=tuple(pairs))
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .morphology import dilate
+from .morphology import dilate, padded_box
 from .nifti import atomic_open
 from .volume import (
     SEQUENCES,
@@ -341,11 +341,9 @@ def corrupt_prediction(
                 pred[tuple(coords.T)] = spec.label
                 # the island's one-voxel dilation stays inside its box
                 # padded by one voxel
-                low = np.maximum(coords.min(axis=0) - 1, 0)
-                high = np.minimum(coords.max(axis=0) + 2, gt.data.shape)
-                box = tuple(map(slice, low, high))
-                island_mask = np.zeros(high - low, dtype=bool)
-                island_mask[tuple((coords - low).T)] = True
+                box = padded_box(coords.T, 1, gt.data.shape)
+                island_mask = np.zeros_like(allowed[box])
+                island_mask[tuple((coords - [b.start for b in box]).T)] = True
                 allowed[box] &= ~dilate(island_mask, 1)
                 inventory["islands"].append(
                     {"label": spec.label, "voxels": [list(map(int, v)) for v in voxels]}

@@ -13,7 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, InitVar, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -59,24 +59,22 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class ScalarVolume:
     """3D floating-point intensity grid (one per MRI sequence).
 
-    ``checked=True`` says ``data`` is already a finite 3D float32 grid,
-    as ``load_nifti`` builds it; it is then kept as it is, unchecked.
+    ``data`` is checked after its conversion to float32, so a value
+    beyond the float32 range is rejected as non-finite.  float32 data is
+    kept without a copy.
     """
 
     data: np.ndarray  # float32, shape (nx, ny, nz)
     spacing: Spacing
     orientation: Orientation = field(default_factory=Orientation)
-    _: KW_ONLY
-    checked: InitVar[bool] = False
 
-    def __post_init__(self, checked: bool):
-        data = self.data
-        if not checked:
-            data = np.asarray(data, dtype=np.float32)
-            if data.ndim != 3:
-                raise ValueError(f"scalar volume must be 3D, got shape {data.shape}")
-            if not np.isfinite(data).all():
-                raise ValueError("scalar volume contains non-finite voxels")
+    def __post_init__(self):
+        with np.errstate(over="ignore"):  # overflow becomes inf, rejected below
+            data = np.asarray(self.data, dtype=np.float32)
+        if data.ndim != 3:
+            raise ValueError(f"scalar volume must be 3D, got shape {data.shape}")
+        if not np.isfinite(data).all():
+            raise ValueError("scalar volume contains non-finite voxels")
         object.__setattr__(self, "data", _freeze(data))
 
     @property
@@ -88,33 +86,30 @@ class ScalarVolume:
 class LabelMap:
     """3D integer label grid; every voxel in {0..4}.
 
-    ``checked=True`` says ``data`` is already a 3D uint8 grid in 0..4,
-    as ``load_nifti`` builds it; it is then kept as it is, uncopied.
+    Integer data is range-checked in its own type and float data must
+    hold integers.  Read-only uint8 data, as ``load_nifti`` reads it, is
+    kept without a copy; any other data is copied.
     """
 
     data: np.ndarray  # uint8, shape (nx, ny, nz)
     spacing: Spacing
     orientation: Orientation = field(default_factory=Orientation)
-    _: KW_ONLY
-    checked: InitVar[bool] = False
 
-    def __post_init__(self, checked: bool):
-        data = self.data
-        if not checked:
-            data = np.asarray(data)
-            if data.ndim != 3:
-                raise ValueError(f"label map must be 3D, got shape {data.shape}")
-            if data.dtype != np.uint8:
-                as_int = np.rint(data)
-                if not np.array_equal(as_int, data):
-                    raise ValueError("label map contains non-integral values")
-                data = as_int
-            if data.size and (data.min() < 0 or data.max() > MAX_LABEL):
-                raise ValueError(
-                    f"label value out of range: found {int(data.min())}..{int(data.max())},"
-                    f" expected 0..{MAX_LABEL}"
-                )
-            data = data.astype(np.uint8)
+    def __post_init__(self):
+        data = np.asarray(self.data)
+        if data.ndim != 3:
+            raise ValueError(f"label map must be 3D, got shape {data.shape}")
+        if data.dtype.kind not in "biu":
+            as_int = np.rint(data)
+            if not np.array_equal(as_int, data):
+                raise ValueError("label map contains non-integral values")
+            data = as_int
+        if data.size and (data.min() < 0 or data.max() > MAX_LABEL):
+            raise ValueError(
+                f"label value out of range: found {int(data.min())}..{int(data.max())},"
+                f" expected 0..{MAX_LABEL}"
+            )
+        data = data.astype(np.uint8, copy=data.flags.writeable)
         object.__setattr__(self, "data", _freeze(data))
 
     @property
@@ -157,38 +152,29 @@ def load_nifti(path: str | Path, kind: str) -> ScalarVolume | LabelMap:
     """Load a NIfTI-1 file as a scalar volume (``kind='scalar'``) or a
     label map (``kind='label'``).
 
-    Label loads round intensities to the nearest integer and reject
-    values that are non-integral (beyond 1e-3) or outside {0..4}.
-    Integer data, which has no scaling (``read_nifti`` returns scaled data
-    as float64), is range-checked in its own type.  The volume is built
-    from the checked data without checking or copying it again.
+    Label loads round float data (``read_nifti`` returns scaled data as
+    float64) to the nearest integer and reject values further than 1e-3
+    from it.  The volume types check everything else; their ValueError
+    comes out as NiftiError naming ``path``.
     """
     if kind not in ("label", "scalar"):
         raise ValueError(f"kind must be 'label' or 'scalar', got {kind!r}")
     raw = read_nifti(path)
     spacing = Spacing(*raw.spacing)
-    data = np.asarray(raw.data)
-    if kind == "scalar":
-        if data.dtype.kind == "f" and not np.isfinite(data).all():
-            raise NiftiError(f"{path}: non-finite voxel in scalar volume")
-        return ScalarVolume(data=data.astype(np.float32, copy=False), spacing=spacing,
-                            orientation=raw.orientation, checked=True)
-    if data.dtype.kind in "iu":
-        labels = data
-    else:
+    data = raw.data
+    if kind == "label" and data.dtype.kind == "f":
         data = data.astype(np.float64, copy=False)
         if not np.isfinite(data).all():
             raise NiftiError(f"{path}: non-finite voxel in label volume")
-        labels = np.rint(data)
-        if np.abs(data - labels).max(initial=0.0) > 1e-3:
+        rounded = np.rint(data)
+        if np.abs(data - rounded).max(initial=0.0) > 1e-3:
             raise NiftiError(f"{path}: label volume has non-integral voxel values")
-    if labels.size and (labels.min() < 0 or labels.max() > MAX_LABEL):
-        raise NiftiError(
-            f"{path}: label value out of range 0..{MAX_LABEL}"
-            f" (found {float(labels.min()):g}..{float(labels.max()):g})"
-        )
-    return LabelMap(data=labels.astype(np.uint8, copy=False), spacing=spacing,
-                    orientation=raw.orientation, checked=True)
+        data = rounded
+    volume_type = LabelMap if kind == "label" else ScalarVolume
+    try:
+        return volume_type(data=data, spacing=spacing, orientation=raw.orientation)
+    except ValueError as exc:
+        raise NiftiError(f"{path}: {exc}") from exc
 
 
 def save_nifti(volume: ScalarVolume | LabelMap, path: str | Path) -> None:

@@ -75,6 +75,25 @@ def brute_remove_small(mask, min_size: int, connectivity: int = 26) -> np.ndarra
     return out
 
 
+def naive_postprocess(seg, thresholds, rules, connectivity: int = 26) -> np.ndarray:
+    """``seg`` after the size ``thresholds`` (label -> smallest component
+    kept) and then the relabel ``rules`` (objects with ``src``, ``dst``
+    and ``cutoff``) in order, one full-grid pass each.  A rule fires
+    when the whole tumor (labels 1-3) is not empty and vol(src) /
+    vol(WT) is below its cutoff, on the mask as the earlier steps left
+    it."""
+    out = np.array(seg, copy=True)
+    for label, min_size in sorted(thresholds.items()):
+        if min_size > 0:
+            mask = out == label
+            out[mask & ~brute_remove_small(mask, min_size, connectivity)] = 0
+    for rule in rules:
+        wt = int(np.isin(out, (1, 2, 3)).sum())
+        if wt and int((out == rule.src).sum()) / wt < rule.cutoff:
+            out[out == rule.src] = rule.dst
+    return out
+
+
 def mask_of(voxels, shape) -> np.ndarray:
     out = np.zeros(shape, dtype=bool)
     for v in voxels:

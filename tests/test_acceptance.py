@@ -22,7 +22,6 @@ from gliopost.metrics import CaseMetrics, RegionScorer
 from gliopost.morphology import connected_components, euclidean_distance_transform
 from gliopost.policy import (
     apply_component_thresholds,
-    apply_relabel_rules,
     apply_policy,
     load_policy,
     save_policy,
@@ -38,7 +37,7 @@ from gliopost.volume import (
     seg_filename,
 )
 
-from oracles import brute_edt, brute_lesionwise, random_blob_mask
+from oracles import brute_edt, brute_lesionwise, naive_postprocess, random_blob_mask
 
 THREADS = "4"
 TRAIN_CASES = 40
@@ -474,7 +473,7 @@ def test_criterion_7_relabel_preserves_whole_tumor(pipeline):
             pred = load_nifti(corpus / "preds" / seg_filename(cid), kind="label").data
             out = load_nifti(applied / seg_filename(cid), kind="label").data
             filtered = apply_component_thresholds(pred, thresholds)
-            relabeled = apply_relabel_rules(filtered, rules)
+            relabeled = naive_postprocess(filtered, {}, rules)
             assert np.array_equal(relabeled, out)
             wt_before = np.isin(filtered, (1, 2, 3))
             wt_after = np.isin(out, (1, 2, 3))

@@ -27,13 +27,10 @@ from pathlib import Path
 import pytest
 
 from gliopost.cli import main
-from gliopost.policy import (
-    apply_component_thresholds,
-    apply_relabel_rules,
-    load_policy,
-)
+from gliopost.policy import apply_component_thresholds, load_policy
 from gliopost.volume import discover_case_ids, load_nifti, seg_filename
 
+from oracles import naive_postprocess
 from test_policy_gate import CORPORA as RECIPES
 
 FIXTURE = Path(__file__).with_name("output_gate.json")
@@ -64,8 +61,8 @@ def _disagreeing(policy_path: Path, preds: Path) -> list[str]:
         for cluster in range(policy.kmeans.k):
             done = apply_component_thresholds(
                 seg, policy.thresholds[cluster], policy.objective.connectivity)
-            done = apply_relabel_rules(
-                done, [r for r in policy.rules if r.cluster == cluster])
+            done = naive_postprocess(
+                done, {}, [r for r in policy.rules if r.cluster == cluster])
             masks.add(done.tobytes())
         if len(masks) > 1:
             out.append(cid)

@@ -1,10 +1,11 @@
 """Confusion tallies, grid-search fitting, rule application, persistence."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -24,7 +25,6 @@ from gliopost.policy import (
     RelabelRule,
     apply_component_thresholds,
     apply_policy,
-    apply_relabel_rules,
     confusion_matrix,
     fit_component_thresholds,
     fit_policy_report,
@@ -38,7 +38,7 @@ from gliopost.morphology import connected_components
 from gliopost.radiomics import ExtractionSettings, extract_case_features, feature_names
 from gliopost.volume import CaseBundle, LabelMap, ScalarVolume, Spacing
 
-from oracles import brute_remove_small, random_blob_mask
+from oracles import brute_remove_small, naive_postprocess, random_blob_mask
 
 SP = Spacing(1.0, 1.0, 1.0)
 
@@ -336,23 +336,32 @@ def test_apply_component_thresholds_matches_oracle_and_is_idempotent(connectivit
             apply_component_thresholds(once, thresholds, connectivity), once)
 
 
+def _relabelled(seg, rules):
+    """``seg`` after ``rules`` alone, through ``apply_policy`` with one
+    cluster and no size threshold."""
+    policy = replace(_manual_policy(), thresholds={0: {1: 0, 2: 0, 3: 0, 4: 0}},
+                     rules=rules)
+    out, _ = apply_policy(policy, _bundle("r", seg))
+    return out.data
+
+
 def test_apply_relabel_rules_cutoff_is_strict():
     seg = _seg((10, 10, 1))
     seg[:, 0, 0] = 1  # 10 voxels
     seg[:, 1:10, 0] = 3  # 90 voxels; ratio exactly 0.1
-    at_cutoff = apply_relabel_rules(seg, [RelabelRule(0, 1, 3, 0.1)])
+    at_cutoff = _relabelled(seg, [RelabelRule(0, 1, 3, 0.1)])
     assert np.array_equal(at_cutoff, seg)
-    above = apply_relabel_rules(seg, [RelabelRule(0, 1, 3, 0.105)])
+    above = _relabelled(seg, [RelabelRule(0, 1, 3, 0.105)])
     assert (above[:, 0, 0] == 3).all()
     assert np.array_equal(np.isin(above, (1, 2, 3)), np.isin(seg, (1, 2, 3)))
 
 
 def test_apply_relabel_rules_skips_without_whole_tumor():
     seg = _seg((4, 4, 4))
-    out = apply_relabel_rules(seg, [RelabelRule(0, 1, 3, 1.0)])
+    out = _relabelled(seg, [RelabelRule(0, 1, 3, 1.0)])
     assert not out.any()
     seg[0, 0, 0] = 4  # resection cavity only; no whole-tumor voxels
-    out = apply_relabel_rules(seg, [RelabelRule(0, 4, 1, 1.0)])
+    out = _relabelled(seg, [RelabelRule(0, 4, 1, 1.0)])
     assert np.array_equal(out, seg)
 
 
@@ -364,12 +373,12 @@ def test_apply_relabel_rules_run_in_sequence():
     # first rule turns the 1s into 2s, lifting the label-2 ratio to 0.10,
     # which stops the second rule from firing
     rules = [RelabelRule(0, 1, 2, 0.06), RelabelRule(0, 2, 3, 0.08)]
-    out = apply_relabel_rules(seg, rules)
+    out = _relabelled(seg, rules)
     assert (out == 1).sum() == 0
     assert (out == 2).sum() == 10
     assert (out == 3).sum() == 90
     # alone, the second rule would have fired
-    alone = apply_relabel_rules(seg, rules[1:])
+    alone = _relabelled(seg, rules[1:])
     assert (alone == 2).sum() == 0
 
 
@@ -448,25 +457,12 @@ def _naive_apply(policy, case):
     features = extract_case_features(case, policy.settings)
     cluster = assign_cluster(policy.standardizer, policy.pca, policy.kmeans,
                              features.values)
-    return cluster, [_naive_actions(case.prediction.data, policy, c)
-                     for c in range(policy.kmeans.k)]
-
-
-def _naive_actions(seg, policy, cluster):
-    out = seg.copy()
-    for label, min_size in sorted(policy.thresholds[cluster].items()):
-        if min_size > 0:
-            mask = out == label
-            kept = brute_remove_small(mask, min_size,
-                                      policy.objective.connectivity)
-            out[mask & ~kept] = 0
-    for rule in policy.rules:
-        if rule.cluster != cluster:
-            continue
-        wt = int(np.isin(out, (1, 2, 3)).sum())
-        if wt and int((out == rule.src).sum()) / wt < rule.cutoff:
-            out[out == rule.src] = rule.dst
-    return out
+    return cluster, [
+        naive_postprocess(case.prediction.data, policy.thresholds[c],
+                          [r for r in policy.rules if r.cluster == c],
+                          policy.objective.connectivity)
+        for c in range(policy.kmeans.k)
+    ]
 
 
 def _counting_extraction(monkeypatch):
@@ -569,7 +565,33 @@ def _policy_and_case(draw):
     return policy, _bundle("h", seg)
 
 
+def _edge_example(connectivity):
+    """Components on each of the six faces of the grid, and a policy whose
+    two clusters remove different ones and relabel differently."""
+    seg = _seg((6, 6, 6))
+    seg[0, 1:5, 1:5] = 2  # the low x face
+    seg[5, 2:4, 2:4] = 1  # the high x face
+    seg[2:4, 0, 2:4] = 2  # the low y face
+    seg[2, 5, 2] = 3  # the high y face
+    seg[2:4, 2:4, 0] = 3  # the low z face
+    seg[3, 3, 5] = 1  # the high z face
+    thresholds = {0: {1: 2, 2: 0, 3: 2, 4: 0}, 1: {1: 5, 2: 17, 3: 0, 4: 0}}
+    rules = [RelabelRule(0, 1, 3, 0.5), RelabelRule(1, 3, 2, 0.3)]
+    return (_clustered_policy(thresholds, rules, [[0.0], [216.0]], connectivity),
+            _bundle("h", seg))
+
+
+def _empty_example():
+    thresholds = {0: {1: 2, 2: 0, 3: 1, 4: 0}, 1: {1: 0, 2: 3, 3: 0, 4: 1}}
+    rules = [RelabelRule(0, 1, 3, 0.5), RelabelRule(1, 4, 2, 1.0)]
+    return (_clustered_policy(thresholds, rules, [[0.0], [100.0]]),
+            _bundle("h", _seg((6, 6, 6))))
+
+
 @settings(max_examples=150, deadline=None)
+@example(_empty_example())
+@example(_edge_example(6))
+@example(_edge_example(26))
 @given(_policy_and_case())
 def test_apply_policy_matches_naive_reference(drawn):
     policy, case = drawn
@@ -585,7 +607,7 @@ def test_apply_policy_matches_naive_reference(drawn):
     filtered = apply_component_thresholds(seg, policy.thresholds[assigned],
                                           policy.objective.connectivity)
     rules = [r for r in policy.rules if r.cluster == assigned]
-    assert np.array_equal(apply_relabel_rules(filtered, rules), naive[assigned])
+    assert np.array_equal(naive_postprocess(filtered, {}, rules), naive[assigned])
 
 
 def test_policy_validates_threshold_coverage():
@@ -666,6 +688,32 @@ def test_fit_policy_end_to_end_removes_islands():
     for case in cases:
         out, _ = apply_policy(policy, case)
         assert np.array_equal(out.data, case.ground_truth.data)
+
+
+def test_fit_confusion_on_boxes_equals_full_grid_count():
+    """The fit counts confusions inside each case's box and adds the
+    voxels beyond it to cell (0, 0): that equals the count over the
+    full grids, for tumors on the grid's edge and an empty prediction."""
+    cubes = [
+        (slice(0, 4), slice(2, 6), slice(2, 6)),  # on the low x face
+        (slice(12, 16), slice(12, 16), slice(2, 6)),  # the high x and y faces
+        (slice(2, 6), slice(0, 16), slice(12, 16)),  # across y, the high z face
+        (slice(5, 8), slice(5, 8), slice(5, 8)),
+    ]
+    islands = [(0, 15, 0), (15, 0, 15)]  # corner voxels
+    cases = [
+        _training_bundle(f"edge{i}", cube, islands[: i % 3], seed=200 + i)
+        for i, cube in enumerate(cubes)
+    ]
+    cases.append(replace(cases[-1], case_id="empty", prediction=_lm(_seg())))
+    policy, report = fit_policy_report(cases, k_range=(2,), restarts=3, seed=5)
+    filtered = [
+        apply_component_thresholds(case.prediction.data, policy.thresholds[cluster],
+                                   policy.objective.connectivity)
+        for case, cluster in zip(cases, report.assignments)
+    ]
+    expected = confusion_matrix(zip(filtered, (c.ground_truth for c in cases)))
+    assert np.array_equal(report.confusion, expected)
 
 
 def test_fit_policy_validation():

@@ -140,6 +140,15 @@ def test_load_scalar_rejects_nan_file(tmp_path):
         load_nifti(path, kind="scalar")
 
 
+def test_load_scalar_rejects_float64_beyond_float32_range(tmp_path):
+    path = tmp_path / "huge.nii.gz"
+    data = np.ones((2, 2, 2), np.float64)
+    data[1, 0, 1] = 1e39  # finite as float64, inf as float32
+    write_nifti(RawNifti(data=data, spacing=(1, 1, 1)), path)
+    with pytest.raises(NiftiError, match="non-finite"):
+        load_nifti(path, kind="scalar")
+
+
 def test_load_nifti_bad_kind():
     with pytest.raises(ValueError):
         load_nifti("whatever.nii.gz", kind="mask")
