@@ -115,18 +115,18 @@ def _int(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
-def _threads(value) -> int:
-    threads = _int(value)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    return threads
+def _at_least(low: int, name: str) -> Callable:
+    """An integer option's coercion that rejects values below ``low``."""
+    def coerce(value) -> int:
+        number = _int(value)
+        if number < low:
+            raise ValueError(f"{name} must be >= {low}, got {number}")
+        return number
+    coerce.__name__ = name.replace(" ", "_")  # argparse names it in errors
+    return coerce
 
 
-def _dilation(value) -> int:
-    dilation = _int(value)
-    if dilation < 0:
-        raise ValueError(f"dilation must be >= 0, got {dilation}")
-    return dilation
+_threads = _at_least(1, "threads")
 
 
 def _float(value) -> float:
@@ -144,13 +144,6 @@ def _bin_width(value) -> float:
     if not (math.isfinite(width) and width > 0):
         raise ValueError(f"bin width must be finite and > 0, got {width}")
     return width
-
-
-def _bin_count(value) -> int:
-    count = _int(value)
-    if count < 1:
-        raise ValueError(f"bin count must be >= 1, got {count}")
-    return count
 
 
 def _str(value) -> str:
@@ -184,6 +177,22 @@ def _tolerances(value) -> tuple[float, ...]:
     if len({f"{tol:g}" for tol in tolerances}) != len(tolerances):
         raise ValueError(f"tolerances must be distinct, got {list(tolerances)}")
     return tolerances
+
+
+def _pcc_grid(value) -> tuple[int, ...]:
+    grid = _ints(value)
+    if any(t < 0 for t in grid) or 0 not in grid:
+        raise ValueError(f"pcc grid must be integers >= 0 and contain 0,"
+                         f" got {list(grid)}")
+    return grid
+
+
+def _cutoff_grid(value) -> tuple[float, ...]:
+    grid = _floats(value)
+    if not all(0 <= c <= 1 for c in grid) or 0 not in grid:  # NaN fails
+        raise ValueError(f"cutoff grid must be finite values in [0, 1] and"
+                         f" contain 0, got {list(grid)}")
+    return grid
 
 
 def _strs(value) -> tuple[str, ...]:
@@ -250,7 +259,7 @@ _EXTRACT_SPEC = (
     _Opt("out", "--out", _str, _REQUIRED, "output directory"),
     _Opt("bin_width", "--bin-width", _bin_width, DEFAULT_BIN_WIDTH,
          "intensity bin width for first-order features"),
-    _Opt("bin_count", "--bin-count", _bin_count, DEFAULT_BIN_COUNT,
+    _Opt("bin_count", "--bin-count", _at_least(1, "bin count"), DEFAULT_BIN_COUNT,
          "gray-level count for texture features"),
     _Opt("sequences", "--sequences", _strs, list(SEQUENCES),
          "sequence names to extract from"),
@@ -264,18 +273,20 @@ _FIT_SPEC = (
     _Opt("out", "--out", _str, _REQUIRED, "output directory"),
     _Opt("task", "--task", _str, "gli-pre", "challenge task", choices=TASKS),
     _Opt("seed", "--seed", _int, 0, "clustering seed"),
-    _Opt("restarts", "--restarts", _int, 10, "k-means restarts per k"),
+    _Opt("restarts", "--restarts", _at_least(1, "restarts"), 10,
+         "k-means restarts per k"),
     _Opt("k_range", "--k-range", _ints, [],
          "cluster counts to try (empty: 2..10 as data allows)"),
-    _Opt("pcc_grid", "--pcc-grid", _ints, list(DEFAULT_PCC_GRID),
+    _Opt("pcc_grid", "--pcc-grid", _pcc_grid, list(DEFAULT_PCC_GRID),
          "candidate component-size thresholds"),
-    _Opt("cutoff_grid", "--cutoff-grid", _floats, list(DEFAULT_CUTOFF_GRID),
+    _Opt("cutoff_grid", "--cutoff-grid", _cutoff_grid, list(DEFAULT_CUTOFF_GRID),
          "candidate relabel volume-ratio cutoffs"),
-    _Opt("confusions", "--confusions", _int, DEFAULT_TOP_CONFUSIONS,
+    _Opt("confusions", "--confusions", _at_least(1, "confusions"),
+         DEFAULT_TOP_CONFUSIONS,
          "how many confusion pairs become relabel candidates"),
     _Opt("bin_width", "--bin-width", _bin_width, DEFAULT_BIN_WIDTH,
          "intensity bin width for first-order features"),
-    _Opt("bin_count", "--bin-count", _bin_count, DEFAULT_BIN_COUNT,
+    _Opt("bin_count", "--bin-count", _at_least(1, "bin count"), DEFAULT_BIN_COUNT,
          "gray-level count for texture features"),
     _Opt("sequences", "--sequences", _strs, list(SEQUENCES),
          "sequence names to extract from"),
@@ -299,7 +310,7 @@ _EVALUATE_SPEC = (
     _Opt("task", "--task", _str, "gli-pre", "challenge task", choices=TASKS),
     _Opt("tolerances", "--tolerances", _tolerances, list(DEFAULT_TOLERANCES_MM),
          "surface tolerances in mm"),
-    _Opt("dilation", "--dilation", _dilation, DEFAULT_DILATION_ITERS,
+    _Opt("dilation", "--dilation", _at_least(0, "dilation"), DEFAULT_DILATION_ITERS,
          "lesion-merging dilation iterations"),
     _Opt("connectivity", "--connectivity", _int, DEFAULT_CONNECTIVITY,
          "component connectivity (6 or 26)", choices=(6, 26)),

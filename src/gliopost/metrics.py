@@ -404,10 +404,10 @@ class CaseScorer:
 
     ``evaluate`` scores the prediction itself, dropping each region's
     ``RegionScorer`` once it has scored.  ``score`` serves the policy
-    fit: each distinct region mask is scored once, and one that only
-    removes voxels from the prediction's own region mask is scored from
-    the match of that mask (``RegionScorer.score_subset``), which is
-    kept for the life of the scorer; any other is matched in full.
+    fit, which scores each distinct candidate once: a region mask that
+    only removes voxels from the prediction's own region mask is scored
+    from the match of that mask (``RegionScorer.score_subset``), which
+    is kept for the life of the scorer; any other is matched in full.
     Candidates come on the box, as edits of ``pred``.
     """
 
@@ -427,7 +427,6 @@ class CaseScorer:
         self.tolerances = tuple(tolerances)
         self._scorer_args = (gt.spacing, dilation_iters, connectivity)
         self._bases: dict[str, tuple[RegionScorer, MatchState]] = {}
-        self._scores: dict[tuple[str, bytes], dict[str, float]] = {}
 
     def evaluate(self, regions) -> dict[str, float]:
         """``LW_<metric>_<region>`` scores of the case's prediction."""
@@ -454,15 +453,12 @@ class CaseScorer:
         out: dict[str, float] = {}
         for region in regions:
             mask = region_mask(pred_data, region)
-            key = (region.name, np.packbits(mask).tobytes())
-            if key not in self._scores:
-                scorer, state = self._base(region)
-                if (mask & ~state.mask).any():
-                    raw = scorer.score(mask, self.tolerances)
-                else:
-                    raw = scorer.score_subset(state, mask)
-                self._scores[key] = {f"{k}_{region.name}": v for k, v in raw.items()}
-            out.update(self._scores[key])
+            scorer, state = self._base(region)
+            if (mask & ~state.mask).any():
+                raw = scorer.score(mask, self.tolerances)
+            else:
+                raw = scorer.score_subset(state, mask)
+            out.update({f"{k}_{region.name}": v for k, v in raw.items()})
         return out
 
 

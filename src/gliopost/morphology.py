@@ -125,25 +125,21 @@ def dilate(mask: np.ndarray, iterations: int, connectivity: int = 26) -> np.ndar
                                    iterations=iterations)
 
 
-def boundary_voxels(mask: np.ndarray, connectivity: int = 6) -> np.ndarray:
-    """Foreground voxels with at least one background neighbor.
-
-    Face adjacency (connectivity 6) by default; voxels outside the grid
-    count as background, so masks touching the edge keep a surface there.
-    """
+def boundary_voxels(mask: np.ndarray) -> np.ndarray:
+    """Foreground voxels with at least one background face neighbor;
+    voxels outside the grid count as background, so masks touching the
+    edge keep a surface there."""
     mask = np.asarray(mask, dtype=bool)
-    offsets = OFFSETS_6 if connectivity == 6 else OFFSETS_26
-    if connectivity not in (6, 26):
-        raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
     interior = np.ones_like(mask)
-    for off in offsets:
-        interior &= _shifted(mask, off, fill=False)
+    for off in OFFSETS_6:
+        interior &= shifted(mask, off)
     return mask & ~interior
 
 
-def _shifted(mask: np.ndarray, offset: tuple[int, int, int], fill: bool) -> np.ndarray:
-    """mask translated by -offset: out[i] = mask[i + offset], out-of-grid = fill."""
-    out = np.full_like(mask, fill)
+def shifted(mask: np.ndarray, offset: tuple[int, int, int]) -> np.ndarray:
+    """mask translated by -offset: out[i] = mask[i + offset], False
+    beyond the grid."""
+    out = np.zeros_like(mask)
     src = []
     dst = []
     for n, o in zip(mask.shape, offset):

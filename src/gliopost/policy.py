@@ -302,62 +302,73 @@ def write_fit_report(path: str | Path, policy: PostProcessPolicy,
 # grid-search fitting
 # ---------------------------------------------------------------------------
 
+def _fit_scorer(case: FitCase, objective: RankObjective) -> tuple:
+    """``(scorer, box, counts)``: the ``CaseScorer`` of a training case,
+    the whole of its crop as the box ``_carry_out`` edits in, and every
+    label's voxel count in it."""
+    scorer = CaseScorer(case.pred, case.gt, objective.tolerances,
+                        objective.dilation_iters, objective.connectivity)
+    counts = np.bincount(scorer.pred.ravel(), minlength=MAX_LABEL + 1)
+    return scorer, (slice(None),) * scorer.pred.ndim, counts
+
+
+def _score_actions(scorer: CaseScorer, regions, box: tuple[slice, ...],
+                   labelings: dict, actions_of: dict) -> dict:
+    """``{value: scores}`` over ``regions`` of the mask that ``apply``
+    writes for each grid value's action tuple (``actions_of[value]``);
+    each distinct tuple is carried out and scored once."""
+    by_action: dict[tuple, dict[str, float]] = {}
+    for actions in actions_of.values():
+        if actions not in by_action:
+            by_action[actions] = scorer.score(
+                regions, _carry_out(scorer.pred, box, labelings, actions))
+    return {value: by_action[actions] for value, actions in actions_of.items()}
+
+
 def _threshold_table(item) -> dict[int, dict[int, dict[str, float]]]:
-    """Per label and grid threshold, the scores of one case with the
-    label's smaller components removed, over the regions holding the
-    label."""
+    """``table[label][t]``: the scores of one case after ``apply``'s own
+    removal of the label's components smaller than ``t`` (``_actions``,
+    ``_carry_out``), over the regions holding the label.  The case is
+    labelled one label at a time."""
     case, (labels, grid), objective = item
-    scorer = CaseScorer(case.pred, case.gt, objective.tolerances,
-                        objective.dilation_iters, objective.connectivity)
-    seg = scorer.pred  # the case cropped to its tumor box
-    table: dict[int, dict[int, dict[str, float]]] = {}
-    for label in labels:
-        affected = [r for r in objective.regions if label in r.labels]
-        cc = connected_components(seg == label, objective.connectivity)
-        sizes = _component_sizes(cc)
-        by_removal: dict[bytes, dict[str, float]] = {}
-        table[label] = {}
-        for t in grid:
-            small = sizes < t
-            small[0] = False
-            key = small.tobytes()
-            if key not in by_removal:
-                pred_data = seg.copy()
-                pred_data[small[cc.labels]] = 0
-                by_removal[key] = scorer.score(affected, pred_data)
-            table[label][t] = by_removal[key]
-    return table
-
-
-def _relabel_table(item) -> dict[tuple[int, int], tuple]:
-    """Per candidate (src, dst) pair, the volume ratio of one case and its
-    scores without and with the relabelling, over the regions holding
-    src or dst."""
-    case, pairs, objective = item
-    scorer = CaseScorer(case.pred, case.gt, objective.tolerances,
-                        objective.dilation_iters, objective.connectivity)
-    seg = scorer.pred  # the case cropped to its tumor box
-    wt_vol = int(np.isin(seg, WT_LABELS).sum())
+    scorer, box, counts = _fit_scorer(case, objective)
     table = {}
-    for src, dst in pairs:
-        affected = [r for r in objective.regions if src in r.labels or dst in r.labels]
-        src_vol = int((seg == src).sum())
-        ratio = src_vol / wt_vol if wt_vol > 0 else None
-        base = scorer.score(affected, seg)
-        fired = base
-        if ratio is not None and src_vol > 0:
-            changed = seg.copy()
-            changed[changed == src] = dst
-            fired = scorer.score(affected, changed)
-        table[(src, dst)] = (ratio, base, fired)
+    for label in labels:
+        cc = connected_components(scorer.pred == label, objective.connectivity)
+        labelings = {label: (cc.labels, _component_sizes(cc))}
+        table[label] = _score_actions(
+            scorer, [r for r in objective.regions if label in r.labels], box,
+            labelings, {t: _actions(labelings, counts, {label: t}, []) for t in grid})
     return table
 
 
-def _rank_select(per_candidate: dict, grid, key_of) -> object:
-    """Pick the grid value whose candidate has the lowest mean rank,
-    breaking ties toward the smaller (less destructive) value."""
-    result = rank_candidates(per_candidate)
-    return min(grid, key=lambda v: (result.scores[key_of(v)], v))
+def _relabel_table(item) -> dict[tuple[int, int], dict[float, dict[str, float]]]:
+    """``table[(src, dst)][c]``: the scores of one case after ``apply``'s
+    own relabel rule ``src -> dst`` at cutoff ``c`` (``_actions``,
+    ``_carry_out``), over the regions holding src or dst.  A case where
+    no cutoff fires the rule is scored once, unchanged."""
+    case, (pairs, cutoffs), objective = item
+    scorer, box, counts = _fit_scorer(case, objective)
+    return {
+        (src, dst): _score_actions(
+            scorer,
+            [r for r in objective.regions if src in r.labels or dst in r.labels],
+            box, {},
+            {c: _actions({}, counts, {}, [RelabelRule(case.cluster, src, dst, c)])
+             for c in cutoffs})
+        for src, dst in pairs
+    }
+
+
+def _rank_select(tables: list[tuple[FitCase, dict]], key, grid) -> object:
+    """The grid value whose candidate, ``table[key][value]`` of every
+    (case, table) in ``tables``, has the lowest mean rank; ties go to the
+    smaller (less destructive) value."""
+    result = rank_candidates({
+        value: [CaseMetrics(case.case_id, table[key][value]) for case, table in tables]
+        for value in grid
+    })
+    return min(grid, key=lambda value: (result.scores[value], value))
 
 
 def _tables_by_cluster(
@@ -398,28 +409,21 @@ def fit_component_thresholds(
     worker processes; the choice does not depend on ``threads``.
     """
     grid = tuple(sorted({int(t) for t in grid}))
+    if grid and grid[0] < 0:
+        raise ValueError(f"threshold grid values must be >= 0, got {grid[0]}")
     if not grid or grid[0] != 0:
-        raise ValueError("threshold grid must contain 0")
+        raise ValueError(f"threshold grid must contain 0, got {list(grid)}")
     searched = [
         label for label in TUMOR_LABELS
         if len(grid) > 1 and any(label in r.labels for r in objective.regions)
     ]
     groups = _tables_by_cluster(_threshold_table, cases, n_clusters,
                                 (searched, grid), objective, threads)
-
     thresholds: dict[int, dict[int, int]] = {}
     for cluster in range(n_clusters):
         thresholds[cluster] = {label: grid[0] for label in TUMOR_LABELS}
         for label in searched:
-            per_candidate = {
-                f"pcc={t}": [
-                    CaseMetrics(case.case_id, table[label][t])
-                    for case, table in groups[cluster]
-                ]
-                for t in grid
-            }
-            best = _rank_select(per_candidate, grid, lambda t: f"pcc={t}")
-            thresholds[cluster][label] = int(best)
+            thresholds[cluster][label] = int(_rank_select(groups[cluster], label, grid))
     return thresholds
 
 
@@ -437,12 +441,17 @@ def fit_relabel_rules(
 
     Each pair is searched independently on the given predictions, which
     are expected to be the component-filtered ones.  Each case's scores
-    are computed once for every pair, in ``threads`` worker processes;
-    the rules do not depend on ``threads``.
+    are computed once for every (pair, cutoff), in ``threads`` worker
+    processes; the rules do not depend on ``threads``.  Every cutoff
+    becomes a ``RelabelRule``, so each must be finite and in [0, 1].
     """
     cutoffs = tuple(sorted({float(c) for c in cutoff_grid}))
+    for c in cutoffs:
+        if not 0.0 <= c <= 1.0:  # NaN included
+            raise ValueError(f"cutoff grid values must be finite and in [0, 1],"
+                             f" got {c}")
     if not cutoffs or cutoffs[0] != 0.0:
-        raise ValueError("cutoff grid must contain 0")
+        raise ValueError(f"cutoff grid must contain 0, got {list(cutoffs)}")
     for src, dst in candidates:
         if src == dst:
             raise ValueError(f"candidate pair with src == dst: {src}")
@@ -451,27 +460,14 @@ def fit_relabel_rules(
         if len(cutoffs) > 1
         and any(src in r.labels or dst in r.labels for r in objective.regions)
     ]
-    groups = _tables_by_cluster(_relabel_table, cases, n_clusters, searched,
-                                objective, threads)
-
+    groups = _tables_by_cluster(_relabel_table, cases, n_clusters,
+                                (searched, cutoffs), objective, threads)
     rules: list[RelabelRule] = []
     for cluster in range(n_clusters):
-        for pair in searched:
-            rows_by_cutoff: dict[float, list[CaseMetrics]] = {c: [] for c in cutoffs}
-            for case, table in groups[cluster]:
-                ratio, base, fired = table[pair]
-                for c in cutoffs:
-                    hits = ratio is not None and ratio < c
-                    rows_by_cutoff[c].append(
-                        CaseMetrics(case.case_id, fired if hits else base)
-                    )
-            per_candidate = {f"cutoff={c!r}": rows_by_cutoff[c] for c in cutoffs}
-            best = _rank_select(per_candidate, cutoffs, lambda c: f"cutoff={c!r}")
+        for src, dst in searched:
+            best = _rank_select(groups[cluster], (src, dst), cutoffs)
             if best > 0:
-                src, dst = pair
-                rules.append(
-                    RelabelRule(cluster=cluster, src=src, dst=dst, cutoff=float(best))
-                )
+                rules.append(RelabelRule(cluster, src, dst, float(best)))
     return rules
 
 
@@ -545,7 +541,8 @@ def _carry_out(seg: np.ndarray, box: tuple[slice, ...], labelings: dict,
     WT mask voxel-identical; one that breaks this raises RuntimeError.
     """
     removed, fired = actions
-    crop = seg[box].copy()
+    out = seg.copy()
+    crop = out[box]  # a view: the edits land in ``out``
     for label, ids in removed:
         grid, sizes = labelings[label]
         drop = np.zeros(sizes.size, dtype=bool)
@@ -557,8 +554,6 @@ def _carry_out(seg: np.ndarray, box: tuple[slice, ...], labelings: dict,
         crop[crop == src] = dst
         if inside_wt and not np.array_equal(wt_before, np.isin(crop, WT_LABELS)):
             raise RuntimeError(f"relabel {src}->{dst} changed the whole-tumor mask")
-    out = seg.copy()
-    out[box] = crop
     return out
 
 
@@ -627,6 +622,7 @@ def _fit_case(case: CaseBundle, cluster: int, dilation_iters: int) -> FitCase:
 
 def fit_policy_report(
     cases: list[CaseBundle],
+    feature_matrix: FeatureMatrix,
     task: str = "gli-pre",
     settings: ExtractionSettings = ExtractionSettings(),
     k_range: tuple[int, ...] = None,
@@ -635,19 +631,17 @@ def fit_policy_report(
     pcc_grid: tuple[int, ...] = DEFAULT_PCC_GRID,
     cutoff_grid: tuple[float, ...] = DEFAULT_CUTOFF_GRID,
     n_confusions: int = DEFAULT_TOP_CONFUSIONS,
-    feature_matrix: FeatureMatrix | None = None,
     threads: int = 1,
 ) -> tuple[PostProcessPolicy, FitReport]:
     """Fit the complete policy on training cases that carry ground truth.
 
-    Stages: feature extraction, standardize + PCA + k-means, per-cluster
-    component thresholds, confusion-guided relabel rules on the
-    component-filtered predictions.  Everything after clustering works
-    on each case's crop (``_fit_case``); the voxels beyond it join the
-    confusion's (0, 0) cell.  ``feature_matrix`` may supply
-    precomputed features (rows matched to cases by case id).  Both grid
-    searches run in ``threads`` worker processes; the policy does not
-    depend on ``threads``.
+    Stages: standardize + PCA + k-means on ``feature_matrix`` (rows
+    matched to cases by case id), per-cluster component thresholds,
+    confusion-guided relabel rules on the component-filtered
+    predictions.  Everything after clustering works on each case's crop
+    (``_fit_case``); the voxels beyond it join the confusion's (0, 0)
+    cell.  Both grid searches run in ``threads`` worker processes; the
+    policy does not depend on ``threads``.
     """
     if len(cases) < 3:
         raise ValueError("policy fitting needs at least 3 cases")
@@ -655,16 +649,12 @@ def fit_policy_report(
         if case.ground_truth is None:
             raise ValueError(f"{case.case_id}: fitting requires ground truth")
 
-    if feature_matrix is None:
-        vectors = [extract_case_features(c, settings) for c in cases]
-        feature_matrix = FeatureMatrix.from_vectors(vectors)
-    else:
-        missing = [c.case_id for c in cases if c.case_id not in feature_matrix.case_ids]
-        if missing:
-            raise ValueError(f"feature matrix missing cases {missing[:5]}")
-        feature_matrix = FeatureMatrix.from_vectors(
-            [feature_matrix.row(c.case_id) for c in cases]
-        )
+    missing = [c.case_id for c in cases if c.case_id not in feature_matrix.case_ids]
+    if missing:
+        raise ValueError(f"feature matrix missing cases {missing[:5]}")
+    feature_matrix = FeatureMatrix.from_vectors(
+        [feature_matrix.row(c.case_id) for c in cases]
+    )
     if feature_matrix.names != feature_names(settings):
         raise ValueError("feature matrix does not match extraction settings")
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..morphology import OFFSETS_13, boundary_voxels, line_order, padded_box
+from ..morphology import OFFSETS_13, boundary_voxels, line_order, padded_box, shifted
 from ..volume import Spacing
 
 SHAPE_FEATURE_NAMES = (
@@ -76,17 +76,7 @@ def _surface_area(mask: np.ndarray, spacing: Spacing) -> float:
     total = 0.0
     for axis in range(3):
         for sign in (-1, 1):
-            shifted = np.zeros_like(mask)
-            src = [slice(None)] * 3
-            dst = [slice(None)] * 3
-            if sign == 1:
-                src[axis] = slice(1, None)
-                dst[axis] = slice(None, -1)
-            else:
-                src[axis] = slice(None, -1)
-                dst[axis] = slice(1, None)
-            shifted[tuple(dst)] = mask[tuple(src)]
-            exposed = mask & ~shifted
+            exposed = mask & ~shifted(mask, tuple(sign * (a == axis) for a in range(3)))
             total += float(exposed.sum()) * face_area[axis]
     return total
 

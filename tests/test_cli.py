@@ -166,6 +166,28 @@ def test_bin_settings_are_checked_when_parsed(tmp_path, corpus):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", (
+    ("pcc_grid", [-5, 0]), ("pcc_grid", [10, 20]), ("pcc_grid", []),
+    ("cutoff_grid", [-0.5, 0]), ("cutoff_grid", [0, 2]),
+    ("cutoff_grid", [0, float("nan")]), ("cutoff_grid", [0, float("inf")]),
+    ("cutoff_grid", [0.1, 0.2]), ("restarts", 0), ("confusions", 0),
+))
+def test_fit_options_are_checked_when_parsed(tmp_path, corpus, key, value):
+    """fit-policy's grids hold values >= 0 (cutoffs finite and in [0, 1])
+    including 0, and its restarts and confusions are >= 1, from a flag or
+    from --config, before anything is written."""
+    out = tmp_path / "c"
+    fit = ["fit-policy", "--preds", str(corpus / "preds"),
+           "--images", str(corpus / "images"), "--gt", str(corpus / "gt"),
+           "--out", str(out)]
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    assert main(fit + [f"--{key.replace('_', '-')}={text}"]) == 2
+    config = tmp_path / "fit.json"
+    config.write_text(json.dumps({key: value}))
+    assert main(fit + ["--config", str(config)]) == 2
+    assert not out.exists()
+
+
 def test_config_file_errors(tmp_path):
     out = str(tmp_path / "c")
     bogus = tmp_path / "bogus.json"

@@ -15,7 +15,7 @@ from gliopost.clustering import (
     StandardizationStats,
     assign_cluster,
 )
-from gliopost.metrics import REGIONS_POST_TREATMENT, REGIONS_PRE_TREATMENT
+from gliopost.metrics import REGIONS_POST_TREATMENT, REGIONS_PRE_TREATMENT, CaseScorer
 from gliopost.policy import (
     DEFAULT_CUTOFF_GRID,
     POLICY_VERSION,
@@ -23,6 +23,8 @@ from gliopost.policy import (
     PostProcessPolicy,
     RankObjective,
     RelabelRule,
+    _relabel_table,
+    _threshold_table,
     apply_component_thresholds,
     apply_policy,
     confusion_matrix,
@@ -35,7 +37,12 @@ from gliopost.policy import (
     write_confusion_csv,
 )
 from gliopost.morphology import connected_components
-from gliopost.radiomics import ExtractionSettings, extract_case_features, feature_names
+from gliopost.radiomics import (
+    ExtractionSettings,
+    FeatureMatrix,
+    extract_case_features,
+    feature_names,
+)
 from gliopost.volume import CaseBundle, LabelMap, ScalarVolume, Spacing
 
 from oracles import brute_remove_small, naive_postprocess, random_blob_mask
@@ -171,8 +178,10 @@ def test_fit_component_thresholds_singleton_grid():
 
 def test_fit_component_thresholds_grid_must_contain_zero():
     cases = [_clean_case("a", CUBE_A), _clean_case("b", CUBE_B)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"must contain 0, got \[10, 20\]"):
         fit_component_thresholds(cases, 1, grid=(10, 20))
+    with pytest.raises(ValueError, match=">= 0, got -5"):
+        fit_component_thresholds(cases, 1, grid=(-5, 0))
 
 
 def test_fit_component_thresholds_cluster_errors():
@@ -266,6 +275,10 @@ def test_fit_relabel_rules_validation():
         fit_relabel_rules(cases, 1, candidates=[(1, 1)])
     with pytest.raises(ValueError, match="must contain 0"):
         fit_relabel_rules(cases, 1, candidates=[(1, 3)], cutoff_grid=(0.1, 0.2))
+    # every cutoff becomes a RelabelRule, so each is checked up front
+    for bad in (-0.5, 2.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=rf"in \[0, 1\], got {bad}"):
+            fit_relabel_rules(cases, 1, candidates=[(1, 3)], cutoff_grid=(0.0, bad))
 
 
 def test_relabel_rule_validation():
@@ -610,6 +623,102 @@ def test_apply_policy_matches_naive_reference(drawn):
     assert np.array_equal(naive_postprocess(filtered, {}, rules), naive[assigned])
 
 
+@st.composite
+def _fit_case_and_grids(draw):
+    """A small training case (prediction and ground truth drawn from one
+    palette) with threshold and cutoff grids that hold its component
+    sizes and volume ratios, some relabel pairs, and an objective."""
+    palette = draw(st.lists(st.sampled_from((1, 2, 3, 4)), min_size=1,
+                            max_size=4, unique=True))
+    labels = st.sampled_from((0, 0, 0, *palette))
+    seg = draw(hnp.arrays(np.uint8, (6, 6, 6), elements=labels))
+    gt = draw(hnp.arrays(np.uint8, (6, 6, 6), elements=labels))
+    connectivity = draw(st.sampled_from((6, 26)))
+    sizes = {0, 1, 2}
+    for label in palette:
+        cc = connected_components(seg == label, connectivity)
+        sizes |= {s + d for s in cc.sizes.values() for d in (0, 1)}
+    counts = np.bincount(seg.ravel(), minlength=5)
+    wt = int(counts[1:4].sum())
+    cutoffs = {0.0, 0.05, 0.5, 1.0}
+    if wt:
+        cutoffs |= {int(c) / wt for c in counts[1:] if int(c) <= wt}
+    pair_st = st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(
+        lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair_st, min_size=1, max_size=3, unique=True))
+    task = draw(st.sampled_from(("gli-pre", "gli-post")))
+    return (_lm(seg), _lm(gt), tuple(sorted(sizes)), pairs, tuple(sorted(cutoffs)),
+            replace(RankObjective.for_task(task), connectivity=connectivity))
+
+
+def _fit_example(seg, gt, pairs, cutoffs, task="gli-pre"):
+    return (_lm(seg), _lm(gt), (0, 1, 2, 5), pairs, cutoffs,
+            RankObjective.for_task(task))
+
+
+def _ratio_at_cutoff_example():
+    """vol(1) / vol(WT) = 8 / 32 = 0.25 exactly, a grid cutoff."""
+    seg = _seg((6, 6, 6))
+    seg[0:2, 0:2, 0:2] = 1
+    seg[2:4, 0:2, 0:6] = 2
+    gt = seg.copy()
+    gt[gt == 1] = 3
+    return _fit_example(seg, gt, [(1, 3)], (0.0, 0.25, 0.5))
+
+
+def _no_whole_tumor_example():
+    seg = _seg((6, 6, 6))
+    seg[1:3, 1:3, 1:3] = 4
+    seg[5, 5, 5] = 4
+    return _fit_example(seg, seg.copy(), [(4, 2), (4, 1)], (0.0, 0.5, 1.0),
+                        task="gli-post")
+
+
+def _empty_src_example():
+    seg = _seg((6, 6, 6))
+    seg[1:4, 1:4, 1:4] = 2
+    seg[0, 5, 5] = 3
+    gt = seg.copy()
+    gt[2, 2, 2] = 1
+    return _fit_example(seg, gt, [(1, 3), (3, 2)], (0.0, 0.5, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@example(_ratio_at_cutoff_example())
+@example(_no_whole_tumor_example())
+@example(_empty_src_example())
+@given(_fit_case_and_grids())
+def test_fit_tables_score_the_reference_output(drawn):
+    """Every candidate of both grid searches scores what the reference
+    post-processing writes for that threshold or relabel rule."""
+    pred, gt, grid, pairs, cutoffs, objective = drawn
+    case = FitCase("h", pred, gt, cluster=0)
+    scorer = CaseScorer(pred, gt, objective.tolerances, objective.dilation_iters,
+                        objective.connectivity)
+    crop = scorer.pred
+
+    def affected(*labels):
+        return [r for r in objective.regions if any(x in r.labels for x in labels)]
+
+    searched = [label for label in (1, 2, 3, 4) if affected(label)]
+    table = _threshold_table((case, (searched, grid), objective))
+    assert sorted(table) == searched
+    for label in searched:
+        assert sorted(table[label]) == list(grid)
+        for t in grid:
+            want = naive_postprocess(crop, {label: t}, [], objective.connectivity)
+            assert table[label][t] == scorer.score(affected(label), want), (label, t)
+
+    table = _relabel_table((case, (pairs, cutoffs), objective))
+    assert list(table) == pairs
+    for src, dst in pairs:
+        assert sorted(table[(src, dst)]) == list(cutoffs)
+        for c in cutoffs:
+            want = naive_postprocess(crop, {}, [RelabelRule(0, src, dst, c)])
+            assert table[(src, dst)][c] == scorer.score(affected(src, dst), want), \
+                (src, dst, c)
+
+
 def test_policy_validates_threshold_coverage():
     policy = _manual_policy()
     with pytest.raises(ValueError, match="missing cluster"):
@@ -656,6 +765,10 @@ def _training_bundle(case_id, cube_slice, islands, seed):
     )
 
 
+def _features(cases) -> FeatureMatrix:
+    return FeatureMatrix.from_vectors([extract_case_features(c) for c in cases])
+
+
 def test_fit_policy_end_to_end_removes_islands():
     cubes = [
         (slice(2, 6), slice(2, 6), slice(2, 6)),
@@ -670,7 +783,8 @@ def test_fit_policy_end_to_end_removes_islands():
         _training_bundle(f"case{i}", cube, corners[: 2 + i % 2], seed=100 + i)
         for i, cube in enumerate(cubes)
     ]
-    policy, report = fit_policy_report(cases, k_range=(2,), restarts=3, seed=5)
+    policy, report = fit_policy_report(cases, _features(cases), k_range=(2,),
+                                       restarts=3, seed=5)
 
     assert policy.kmeans.k == 2
     assert report.case_ids == [c.case_id for c in cases]
@@ -706,7 +820,8 @@ def test_fit_confusion_on_boxes_equals_full_grid_count():
         for i, cube in enumerate(cubes)
     ]
     cases.append(replace(cases[-1], case_id="empty", prediction=_lm(_seg())))
-    policy, report = fit_policy_report(cases, k_range=(2,), restarts=3, seed=5)
+    policy, report = fit_policy_report(cases, _features(cases), k_range=(2,),
+                                       restarts=3, seed=5)
     filtered = [
         apply_component_thresholds(case.prediction.data, policy.thresholds[cluster],
                                    policy.objective.connectivity)
@@ -722,14 +837,15 @@ def test_fit_policy_validation():
         _training_bundle("b", (slice(2, 6), slice(2, 6), slice(2, 6)), [], seed=2),
     ]
     with pytest.raises(ValueError, match="at least 3"):
-        fit_policy_report(cases)
+        fit_policy_report(cases, _features(cases))
     missing_gt = CaseBundle(
         case_id="c",
         prediction=cases[0].prediction,
         sequences=cases[0].sequences,
     )
     with pytest.raises(ValueError, match="ground truth"):
-        fit_policy_report([cases[0], cases[1], missing_gt])
+        cases.append(missing_gt)
+        fit_policy_report(cases, _features(cases))
 
 
 # -- persistence ----------------------------------------------------------------------
