@@ -169,6 +169,10 @@ def _floats(value) -> tuple[float, ...]:
     return _items(value, _float)
 
 
+def _k_range(value) -> tuple[int, ...]:
+    return _items(value, _at_least(2, "k"))
+
+
 def _tolerances(value) -> tuple[float, ...]:
     tolerances = _floats(value)
     if not all(math.isfinite(tol) and tol > 0 for tol in tolerances):
@@ -221,8 +225,9 @@ _RECIPE_KEYS = tuple(_SYNTH_RECIPE)
 _SYNTH_SPEC = (
     _Opt("out", "--out", _str, _REQUIRED, "corpus directory to create"),
     _Opt("cases", "--cases", _int, _REQUIRED, "number of cases to generate"),
-    _Opt("seed", "--seed", _int, _SYNTH_RECIPE["seed"], "corpus seed"),
-    _Opt("start_index", "--start-index", _int, 0, "index of the first case"),
+    _Opt("seed", "--seed", _at_least(0, "seed"), _SYNTH_RECIPE["seed"], "corpus seed"),
+    _Opt("start_index", "--start-index", _at_least(0, "start index"), 0,
+         "index of the first case"),
     _Opt("dims", "--dims", _ints, _SYNTH_RECIPE["dims"],
          "grid size as X,Y,Z voxels"),
     _Opt("spacing", "--spacing", _floats, _SYNTH_RECIPE["spacing"],
@@ -272,10 +277,10 @@ _FIT_SPEC = (
     _Opt("gt", "--gt", _str, _REQUIRED, "directory of ground-truth masks"),
     _Opt("out", "--out", _str, _REQUIRED, "output directory"),
     _Opt("task", "--task", _str, "gli-pre", "challenge task", choices=TASKS),
-    _Opt("seed", "--seed", _int, 0, "clustering seed"),
+    _Opt("seed", "--seed", _at_least(0, "seed"), 0, "clustering seed"),
     _Opt("restarts", "--restarts", _at_least(1, "restarts"), 10,
          "k-means restarts per k"),
-    _Opt("k_range", "--k-range", _ints, [],
+    _Opt("k_range", "--k-range", _k_range, [],
          "cluster counts to try (empty: 2..10 as data allows)"),
     _Opt("pcc_grid", "--pcc-grid", _pcc_grid, list(DEFAULT_PCC_GRID),
          "candidate component-size thresholds"),
@@ -474,11 +479,11 @@ def _case_ids(preds: str) -> list[str]:
 def _cmd_synth(cfg: dict) -> dict:
     if cfg["cases"] < 0:
         raise ValueError(f"--cases must be >= 0, got {cfg['cases']}")
+    recipe = {key: _json_safe(cfg[key]) for key in _RECIPE_KEYS}
+    syn = SynthConfig.from_dict(recipe)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_run_config(out, "synth", cfg)
-    recipe = {key: _json_safe(cfg[key]) for key in _RECIPE_KEYS}
-    syn = SynthConfig.from_dict(recipe)
     for sub in ("images", "preds", "gt"):
         (out / sub).mkdir(exist_ok=True)
     if cfg["cases"] == 0:

@@ -89,12 +89,6 @@ def _dice(a: np.ndarray, b: np.ndarray) -> float:
     return 2.0 * inter / (na + nb)
 
 
-def _corners(boxes) -> np.ndarray:
-    """The ``(start, stop)`` corners of ``find_objects`` boxes, shape (n, 2, 3)."""
-    return np.array([[[s.start for s in box], [s.stop for s in box]] for box in boxes],
-                    dtype=np.intp).reshape(-1, 2, 3)
-
-
 def _scatter(shape: tuple[int, ...], voxels: np.ndarray, values: np.ndarray) -> np.ndarray:
     """An int32 grid holding ``values`` at the flat indices ``voxels``, 0
     elsewhere."""
@@ -144,10 +138,10 @@ class MatchState:
     ``RegionScorer.score_subset`` starts from.
 
     ``labels`` holds the prediction components and ``corners[c - 1]``
-    the box of component c (see ``_corners``), ``lesion_of[c]`` the
-    lesion of component c (0: false positive), ``lesions`` the lesion of
-    every voxel, and ``dice[lid - 1]`` and ``nsd[lid - 1]`` the scores of
-    each lesion.  All grids are the scorer's grid.
+    the box of component c, ``lesion_of[c]`` the lesion of component c
+    (0: false positive), ``lesions`` the lesion of every voxel, and
+    ``dice[lid - 1]`` and ``nsd[lid - 1]`` the scores of each lesion.
+    All grids are the scorer's grid.
     """
 
     labels: np.ndarray
@@ -229,7 +223,7 @@ class RegionScorer:
             return x
 
         owner = np.zeros(gt_cc.labels.shape, dtype=np.int32)
-        corners = _corners(gt_cc.boxes)
+        corners = gt_cc.corners
         for c in range(1, gt_cc.count + 1):
             # the dilation never leaves the component's box padded by its reach
             box = padded_box(corners[c - 1:c], dilation_iters, owner.shape)
@@ -297,7 +291,7 @@ class RegionScorer:
         lesion_of = self._assign(pred_cc)
         lesions = _scatter(pred_mask.shape, pred_cc.voxels,
                            lesion_of[pred_cc.labels.ravel()[pred_cc.voxels]])
-        corners = _corners(pred_cc.boxes)
+        corners = pred_cc.corners
         per_lesion = [
             self._lesion_scores(lid, lesions, corners[lesion_of[1:] == lid], tolerances)
             for lid in range(1, self.n_lesions + 1)
@@ -349,7 +343,7 @@ class RegionScorer:
                 changed.update(int(lid) for lid in part_lesion[1:] if lid)
                 part_lesions[part] = part_lesion[cc.labels[part]]
                 lesion_of.append(part_lesion[1:])
-                corners.append(_corners(cc.boxes) + base.corners[c - 1, 0])
+                corners.append(cc.corners + base.corners[c - 1, 0])
         lesion_of, corners = np.concatenate(lesion_of), np.concatenate(corners)
         for lid in changed:
             dice[lid - 1], nsd[lid - 1] = self._lesion_scores(

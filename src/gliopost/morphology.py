@@ -61,27 +61,28 @@ class ComponentLabeling:
 
     ``labels`` holds component ids (0 = background) numbered 1..count by
     the first-encountered voxel in scan order (x fastest).  ``sizes[c]``
-    is the voxel count of component c.  ``voxels`` holds the flat (C
-    order) indices of the foreground voxels, and ``box`` the box they
-    span; ``boxes[c - 1]`` is the ``find_objects`` box of component c.
+    is the voxel count of component c, and ``sizes[0]`` is 0.  ``voxels``
+    holds the flat (C order) indices of the foreground voxels, and
+    ``box`` the box they span; ``corners[c - 1]`` holds the start and
+    the stop of component c's ``find_objects`` box, shape (count, 2, 3).
     """
 
     labels: np.ndarray  # int32 grid
-    sizes: dict[int, int]
+    sizes: np.ndarray
     count: int
     voxels: np.ndarray
     box: tuple[slice, ...]
 
     @cached_property
-    def boxes(self) -> list[tuple[slice, ...]]:
-        if self.count == 0:
-            return []
-        from scipy import ndimage  # only labelling commands load ndimage
+    def corners(self) -> np.ndarray:
+        objects = []
+        if self.count:
+            from scipy import ndimage  # only labelling commands load ndimage
 
-        return [
-            tuple(slice(b.start + s.start, b.start + s.stop) for b, s in zip(self.box, obj))
-            for obj in ndimage.find_objects(self.labels[self.box], self.count)
-        ]
+            objects = ndimage.find_objects(self.labels[self.box], self.count)
+        corners = np.array([[[s.start for s in obj], [s.stop for s in obj]]
+                            for obj in objects], dtype=np.intp)
+        return corners.reshape(-1, 2, self.labels.ndim) + [b.start for b in self.box]
 
 
 def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentLabeling:
@@ -97,19 +98,17 @@ def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentL
     structure = _structure(connectivity)
     labels = np.zeros(mask.shape, dtype=np.int32)
     voxels = np.flatnonzero(mask)
-    if voxels.size == 0:
-        return ComponentLabeling(labels=labels, sizes={}, count=0, voxels=voxels,
-                                 box=(slice(0, 0),) * mask.ndim)
-    # labelled inside the box of the foreground, whose scan order is the
-    # grid's; ndimage.label numbers components by their first voxel in C
-    # order, and C order on the transposed box is x-fastest order on it
-    box = padded_box(np.unravel_index(voxels, mask.shape), 0, mask.shape)
-    labels[box] = ndimage.label(mask[box].T, structure=structure)[0].T
-    counts = np.bincount(labels.ravel()[voxels])
-    count = counts.size - 1
-    sizes = {c: int(counts[c]) for c in range(1, count + 1)}
-    return ComponentLabeling(labels=labels, sizes=sizes, count=count, voxels=voxels,
-                             box=box)
+    box = (slice(0, 0),) * mask.ndim
+    if voxels.size:
+        # labelled inside the box of the foreground, whose scan order is
+        # the grid's; ndimage.label numbers components by their first
+        # voxel in C order, and C order on the transposed box is x-fastest
+        # order on it
+        box = padded_box(np.unravel_index(voxels, mask.shape), 0, mask.shape)
+        labels[box] = ndimage.label(mask[box].T, structure=structure)[0].T
+    sizes = np.bincount(labels.ravel()[voxels], minlength=1)
+    return ComponentLabeling(labels=labels, sizes=sizes, count=sizes.size - 1,
+                             voxels=voxels, box=box)
 
 
 def dilate(mask: np.ndarray, iterations: int, connectivity: int = 26) -> np.ndarray:

@@ -302,94 +302,80 @@ def write_fit_report(path: str | Path, policy: PostProcessPolicy,
 # grid-search fitting
 # ---------------------------------------------------------------------------
 
-def _fit_scorer(case: FitCase, objective: RankObjective) -> tuple:
-    """``(scorer, box, counts)``: the ``CaseScorer`` of a training case,
-    the whole of its crop as the box ``_carry_out`` edits in, and every
-    label's voxel count in it."""
+def _regions(objective: RankObjective, edits: dict) -> list[RegionSpec]:
+    """The regions holding a label that one key's ``(thresholds, rules)``
+    edits threshold or relabel; every other region scores the same under
+    each of them."""
+    labels = {label for thresholds, rules in edits.values()
+              for label in [*thresholds, *(x for r in rules for x in (r.src, r.dst))]}
+    return [r for r in objective.regions if r.labels & labels]
+
+
+def _search_table(item) -> dict:
+    """``table[key][value]``: the scores of one case after ``apply``'s own
+    edit ``edits[key][value]``, a ``(thresholds, rules)`` pair carried out
+    by ``_actions`` and ``_carry_out``, over the key's ``_regions``.  Each
+    key labels only the labels it thresholds, so one label's component
+    grid is alive at a time, and scores each distinct action tuple once."""
+    case, edits, objective = item
     scorer = CaseScorer(case.pred, case.gt, objective.tolerances,
                         objective.dilation_iters, objective.connectivity)
-    counts = np.bincount(scorer.pred.ravel(), minlength=MAX_LABEL + 1)
-    return scorer, (slice(None),) * scorer.pred.ndim, counts
-
-
-def _score_actions(scorer: CaseScorer, regions, box: tuple[slice, ...],
-                   labelings: dict, actions_of: dict) -> dict:
-    """``{value: scores}`` over ``regions`` of the mask that ``apply``
-    writes for each grid value's action tuple (``actions_of[value]``);
-    each distinct tuple is carried out and scored once."""
-    by_action: dict[tuple, dict[str, float]] = {}
-    for actions in actions_of.values():
-        if actions not in by_action:
-            by_action[actions] = scorer.score(
-                regions, _carry_out(scorer.pred, box, labelings, actions))
-    return {value: by_action[actions] for value, actions in actions_of.items()}
-
-
-def _threshold_table(item) -> dict[int, dict[int, dict[str, float]]]:
-    """``table[label][t]``: the scores of one case after ``apply``'s own
-    removal of the label's components smaller than ``t`` (``_actions``,
-    ``_carry_out``), over the regions holding the label.  The case is
-    labelled one label at a time."""
-    case, (labels, grid), objective = item
-    scorer, box, counts = _fit_scorer(case, objective)
     table = {}
-    for label in labels:
-        cc = connected_components(scorer.pred == label, objective.connectivity)
-        labelings = {label: (cc.labels, _component_sizes(cc))}
-        table[label] = _score_actions(
-            scorer, [r for r in objective.regions if label in r.labels], box,
-            labelings, {t: _actions(labelings, counts, {label: t}, []) for t in grid})
+    for key, by_value in edits.items():
+        labels = sorted({label for thresholds, _ in by_value.values()
+                         for label in thresholds})
+        box, labelings, counts = _label_box(scorer.pred, labels, objective.connectivity)
+        regions = _regions(objective, by_value)
+        by_action: dict[tuple, dict[str, float]] = {}
+        table[key] = {}
+        for value, (thresholds, rules) in by_value.items():
+            actions = _actions(labelings, counts, thresholds, rules)
+            if actions not in by_action:
+                by_action[actions] = scorer.score(
+                    regions, _carry_out(scorer.pred, box, labelings, actions))
+            table[key][value] = by_action[actions]
     return table
 
 
-def _relabel_table(item) -> dict[tuple[int, int], dict[float, dict[str, float]]]:
-    """``table[(src, dst)][c]``: the scores of one case after ``apply``'s
-    own relabel rule ``src -> dst`` at cutoff ``c`` (``_actions``,
-    ``_carry_out``), over the regions holding src or dst.  A case where
-    no cutoff fires the rule is scored once, unchanged."""
-    case, (pairs, cutoffs), objective = item
-    scorer, box, counts = _fit_scorer(case, objective)
-    return {
-        (src, dst): _score_actions(
-            scorer,
-            [r for r in objective.regions if src in r.labels or dst in r.labels],
-            box, {},
-            {c: _actions({}, counts, {}, [RelabelRule(case.cluster, src, dst, c)])
-             for c in cutoffs})
-        for src, dst in pairs
-    }
+def _grid_search(cases: list[FitCase], n_clusters: int, keys, grid: tuple, edit,
+                 objective: RankObjective, threads: int) -> dict[int, dict]:
+    """``best[cluster][key]``: the grid value whose edit, the ``(thresholds,
+    rules)`` pair ``edit(cluster, key, value)``, has the lowest mean rank
+    over the cluster's cases; ties go to the smaller (less destructive)
+    value.  A key with nothing to search, a one-value grid or no region
+    holding its labels, wins ``grid[0]``.
 
-
-def _rank_select(tables: list[tuple[FitCase, dict]], key, grid) -> object:
-    """The grid value whose candidate, ``table[key][value]`` of every
-    (case, table) in ``tables``, has the lowest mean rank; ties go to the
-    smaller (less destructive) value."""
-    result = rank_candidates({
-        value: [CaseMetrics(case.case_id, table[key][value]) for case, table in tables]
-        for value in grid
-    })
-    return min(grid, key=lambda value: (result.scores[value], value))
-
-
-def _tables_by_cluster(
-    worker, cases: list[FitCase], n_clusters: int, arg,
-    objective: RankObjective, threads: int,
-) -> dict[int, list[tuple[FitCase, dict]]]:
-    """Check that every case has a cluster in ``[0, n_clusters)`` and
-    every cluster a case, then run ``worker((case, arg, objective))`` for
-    each case in ``threads`` processes; (case, table) pairs per cluster."""
-    groups: dict[int, list[tuple[FitCase, dict]]] = {c: [] for c in range(n_clusters)}
+    Every case must have a cluster in ``[0, n_clusters)`` and every
+    cluster a case.  Each case is scored once for every searched (key,
+    value), in ``threads`` worker processes (``_search_table``); the
+    choice does not depend on ``threads``.
+    """
     for case in cases:
-        if case.cluster not in groups:
+        if not 0 <= case.cluster < n_clusters:
             raise ValueError(f"{case.case_id}: cluster {case.cluster} out of range")
-    for cluster in groups:
+    for cluster in range(n_clusters):
         if all(case.cluster != cluster for case in cases):
             raise ValueError(f"cluster {cluster} has no training cases")
-    items = [(case, arg, objective) for case in cases]
-    tables = map_ordered(worker, items, [c.case_id for c in cases], threads)
-    for case, table in zip(cases, tables):
-        groups[case.cluster].append((case, table))
-    return groups
+    edits = [{key: {value: edit(cluster, key, value) for value in grid} for key in keys}
+             for cluster in range(n_clusters)]
+    searched = [key for key in keys
+                if len(grid) > 1 and any(_regions(objective, e[key]) for e in edits)]
+    items = [(case, {key: edits[case.cluster][key] for key in searched}, objective)
+             for case in cases]
+    tables = map_ordered(_search_table, items, [c.case_id for c in cases], threads)
+    best = {}
+    for cluster in range(n_clusters):
+        best[cluster] = dict.fromkeys(keys, grid[0])
+        members = [(case, table) for case, table in zip(cases, tables)
+                   if case.cluster == cluster]
+        for key in searched:
+            result = rank_candidates({
+                value: [CaseMetrics(case.case_id, table[key][value])
+                        for case, table in members]
+                for value in grid
+            })
+            best[cluster][key] = min(grid, key=lambda value: (result.scores[value], value))
+    return best
 
 
 def fit_component_thresholds(
@@ -400,31 +386,19 @@ def fit_component_thresholds(
     threads: int = 1,
 ) -> dict[int, dict[int, int]]:
     """Per cluster and per label, the component size threshold whose
-    candidate predictions achieve the best mean rank.
+    candidate predictions achieve the best mean rank (``_grid_search``).
 
     Candidates are evaluated only on regions containing the label under
     search; the other regions are identical across candidates and would
-    contribute equal ranks to every candidate.  Each case's scores are
-    computed once for every (label, threshold) pair, in ``threads``
-    worker processes; the choice does not depend on ``threads``.
+    contribute equal ranks to every candidate.
     """
     grid = tuple(sorted({int(t) for t in grid}))
     if grid and grid[0] < 0:
         raise ValueError(f"threshold grid values must be >= 0, got {grid[0]}")
     if not grid or grid[0] != 0:
         raise ValueError(f"threshold grid must contain 0, got {list(grid)}")
-    searched = [
-        label for label in TUMOR_LABELS
-        if len(grid) > 1 and any(label in r.labels for r in objective.regions)
-    ]
-    groups = _tables_by_cluster(_threshold_table, cases, n_clusters,
-                                (searched, grid), objective, threads)
-    thresholds: dict[int, dict[int, int]] = {}
-    for cluster in range(n_clusters):
-        thresholds[cluster] = {label: grid[0] for label in TUMOR_LABELS}
-        for label in searched:
-            thresholds[cluster][label] = int(_rank_select(groups[cluster], label, grid))
-    return thresholds
+    return _grid_search(cases, n_clusters, TUMOR_LABELS, grid,
+                        lambda cluster, label, t: ({label: t}, []), objective, threads)
 
 
 def fit_relabel_rules(
@@ -436,13 +410,11 @@ def fit_relabel_rules(
     threads: int = 1,
 ) -> list[RelabelRule]:
     """Per cluster and candidate (src, dst) pair, the ratio cutoff whose
-    candidate predictions achieve the best mean rank; rules are emitted
-    only when the winning cutoff actually fires (> 0).
+    candidate predictions achieve the best mean rank (``_grid_search``);
+    rules are emitted only when the winning cutoff actually fires (> 0).
 
     Each pair is searched independently on the given predictions, which
-    are expected to be the component-filtered ones.  Each case's scores
-    are computed once for every (pair, cutoff), in ``threads`` worker
-    processes; the rules do not depend on ``threads``.  Every cutoff
+    are expected to be the component-filtered ones.  Every cutoff
     becomes a ``RelabelRule``, so each must be finite and in [0, 1].
     """
     cutoffs = tuple(sorted({float(c) for c in cutoff_grid}))
@@ -452,33 +424,20 @@ def fit_relabel_rules(
                              f" got {c}")
     if not cutoffs or cutoffs[0] != 0.0:
         raise ValueError(f"cutoff grid must contain 0, got {list(cutoffs)}")
-    for src, dst in candidates:
+    pairs = [(src, dst) for src, dst in candidates]
+    for src, dst in pairs:
         if src == dst:
             raise ValueError(f"candidate pair with src == dst: {src}")
-    searched = [
-        (src, dst) for src, dst in candidates
-        if len(cutoffs) > 1
-        and any(src in r.labels or dst in r.labels for r in objective.regions)
-    ]
-    groups = _tables_by_cluster(_relabel_table, cases, n_clusters,
-                                (searched, cutoffs), objective, threads)
-    rules: list[RelabelRule] = []
-    for cluster in range(n_clusters):
-        for src, dst in searched:
-            best = _rank_select(groups[cluster], (src, dst), cutoffs)
-            if best > 0:
-                rules.append(RelabelRule(cluster, src, dst, float(best)))
-    return rules
+    best = _grid_search(cases, n_clusters, pairs, cutoffs,
+                        lambda cluster, pair, c: ({}, [RelabelRule(cluster, *pair, c)]),
+                        objective, threads)
+    return [RelabelRule(cluster, src, dst, best[cluster][(src, dst)])
+            for cluster in best for src, dst in pairs if best[cluster][(src, dst)] > 0]
 
 
 # ---------------------------------------------------------------------------
 # application
 # ---------------------------------------------------------------------------
-
-def _component_sizes(cc) -> np.ndarray:
-    """Voxel count per component id of a labeling; id 0 counts 0."""
-    return np.array([0] + [cc.sizes[c] for c in range(1, cc.count + 1)])
-
 
 def _label_box(seg: np.ndarray, labels, connectivity: int) -> tuple:
     """``(box, labelings, counts)``: the box of ``seg``'s foreground
@@ -496,7 +455,7 @@ def _label_box(seg: np.ndarray, labels, connectivity: int) -> tuple:
         mask = crop == label
         if mask.any():
             cc = connected_components(mask, connectivity)
-            labelings[label] = (cc.labels, _component_sizes(cc))
+            labelings[label] = (cc.labels, cc.sizes)
     return box, labelings, np.bincount(crop.ravel(), minlength=MAX_LABEL + 1)
 
 

@@ -26,16 +26,7 @@ class RankingResult:
 
     candidates: tuple[str, ...]
     scores: dict[str, float]
-    cells: tuple[str, ...]
     rank_table: np.ndarray  # shape (n_candidates, n_cells)
-
-    def best(self) -> str:
-        """Candidate with the lowest mean rank (first listed wins ties)."""
-        best_name = self.candidates[0]
-        for name in self.candidates[1:]:
-            if self.scores[name] < self.scores[best_name]:
-                best_name = name
-        return best_name
 
 
 def tie_averaged_ranks(values: np.ndarray) -> np.ndarray:
@@ -91,22 +82,15 @@ def rank_candidates(per_candidate: dict[str, list[CaseMetrics]]) -> RankingResul
         raise ValueError("no cases to rank")
     columns = list(per_candidate[names[0]][0].values.keys())
 
-    cells = []
     rank_cols = []
     for case_id in case_ids:
         rows = by_case[case_id]
         for col in columns:
             values = np.array([rows[name].values[col] for name in names])
             rank_cols.append(tie_averaged_ranks(values))
-            cells.append(f"{case_id}/{col}")
     table = np.column_stack(rank_cols)
     scores = {name: float(table[i].mean()) for i, name in enumerate(names)}
-    return RankingResult(
-        candidates=names,
-        scores=scores,
-        cells=tuple(cells),
-        rank_table=table,
-    )
+    return RankingResult(candidates=names, scores=scores, rank_table=table)
 
 
 def write_ranking_csv(path: str | Path, result: RankingResult) -> None:

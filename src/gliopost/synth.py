@@ -87,6 +87,19 @@ class SynthConfig:
     sequences: tuple[str, ...] = SEQUENCES
 
     def __post_init__(self):
+        if len(self.dims) != 3 or min(self.dims) < 1:
+            raise ValueError(f"dims must be 3 sizes >= 1, got {list(self.dims)}")
+        if len(self.spacing) != 3 or not all(0 < s < np.inf for s in self.spacing):
+            raise ValueError(f"spacing must be 3 finite values > 0,"
+                             f" got {list(self.spacing)}")
+        ranges = [("lesion count", self.lesion_count),
+                  ("lesion radius", self.lesion_radius), ("axis scale", self.axis_scale)]
+        ranges += [(f"shell {s.label} outer", s.outer) for s in self.shells]
+        ranges += [(f"island {s.label} {field}", getattr(s, field))
+                   for s in self.islands for field in ("count", "size")]
+        for name, pair in ranges:
+            if len(pair) != 2:
+                raise ValueError(f"{name} range must be MIN,MAX, got {list(pair)}")
         if self.lesion_count[0] < 0 or self.lesion_count[0] > self.lesion_count[1]:
             raise ValueError(f"bad lesion count range {self.lesion_count}")
         if self.lesion_radius[0] <= 0 or self.lesion_radius[0] > self.lesion_radius[1]:

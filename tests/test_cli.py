@@ -461,6 +461,29 @@ def test_fit_policy_io_and_validation_errors(tmp_path):
     assert not (tmp_path / "out" / "run-config.json").exists()
 
 
+@pytest.mark.parametrize("argv, code", (
+    (["synth", "--cases", "1", "--lesion-count", "2"], 4),
+    (["synth", "--cases", "1", "--axis-scale", "1"], 4),
+    (["synth", "--cases", "1", "--lesion-count", "3,1"], 4),
+    (["synth", "--cases", "1", "--spacing=-1,1,1"], 4),
+    (["synth", "--cases", "1", "--dims", "32,32"], 4),
+    (["synth", "--cases", "1", "--start-index", "-1"], 2),
+    (["synth", "--cases", "1", "--seed=-1"], 2),
+    (["fit-policy", "--k-range", "1"], 2),
+    (["fit-policy", "--k-range", "0,2"], 2),
+    (["fit-policy", "--seed", "-1"], 2),
+))
+def test_bad_recipe_or_fit_option_writes_nothing(tmp_path, argv, code):
+    """A bad synth recipe or fit-policy option exits before ``--out``
+    exists."""
+    out = tmp_path / "out"
+    if argv[0] == "fit-policy":
+        missing = str(tmp_path / "missing")
+        argv = argv + ["--preds", missing, "--images", missing, "--gt", missing]
+    assert main(argv + ["--out", str(out)]) == code
+    assert not out.exists()
+
+
 # -- apply -------------------------------------------------------------------------------
 
 def test_apply_restores_ground_truth_here(pipeline):

@@ -40,7 +40,7 @@ def test_offset_tables():
 def test_components_empty_mask():
     cc = connected_components(np.zeros((3, 3, 3), dtype=bool))
     assert cc.count == 0
-    assert cc.sizes == {}
+    assert cc.sizes.tolist() == [0]
     assert not cc.labels.any()
 
 
@@ -50,7 +50,7 @@ def test_components_opposite_corners():
     mask[2, 2, 2] = True
     cc26 = connected_components(mask, connectivity=26)
     assert cc26.count == 2
-    assert cc26.sizes == {1: 1, 2: 1}
+    assert cc26.sizes.tolist() == [0, 1, 1]
     # corner at origin is first in scan order
     assert cc26.labels[0, 0, 0] == 1
     assert cc26.labels[2, 2, 2] == 2
@@ -65,6 +65,25 @@ def test_components_diagonal_touch_depends_on_connectivity():
 
 
 @pytest.mark.parametrize("connectivity", [6, 26])
+def test_component_corners_bound_each_component(connectivity):
+    """``corners[c - 1]`` is the min and the max + 1 of component c's
+    voxels, in the coordinates of the whole grid."""
+    rng = np.random.default_rng(103)
+    for _ in range(8):
+        shape = tuple(rng.integers(4, 12, size=3))
+        blobs = random_blob_mask(rng, shape, density=float(rng.uniform(0.1, 0.5)))
+        mask = np.pad(blobs, ((2, 1), (3, 0), (0, 2)))
+        cc = connected_components(mask, connectivity=connectivity)
+        assert cc.corners.shape == (cc.count, 2, 3)
+        for c in range(1, cc.count + 1):
+            voxels = np.argwhere(cc.labels == c)
+            assert cc.corners[c - 1].tolist() == [voxels.min(axis=0).tolist(),
+                                                  (voxels.max(axis=0) + 1).tolist()]
+    empty = connected_components(np.zeros((4, 5, 6), dtype=bool), connectivity)
+    assert empty.corners.shape == (0, 2, 3)
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
 def test_components_match_union_find(connectivity):
     rng = np.random.default_rng(101)
     for trial in range(12):
@@ -74,8 +93,8 @@ def test_components_match_union_find(connectivity):
         ref = union_find_components(mask, connectivity=connectivity)
 
         assert cc.count == len(ref)
-        assert sorted(cc.sizes) == list(range(1, cc.count + 1))
-        assert sum(cc.sizes.values()) == int(mask.sum())
+        assert cc.sizes.shape == (cc.count + 1,) and cc.sizes[0] == 0
+        assert int(cc.sizes.sum()) == int(mask.sum())
         for comp_id, comp in enumerate(ref, start=1):
             assert cc.sizes[comp_id] == len(comp)
             for voxel in comp:

@@ -23,8 +23,7 @@ from gliopost.policy import (
     PostProcessPolicy,
     RankObjective,
     RelabelRule,
-    _relabel_table,
-    _threshold_table,
+    _search_table,
     apply_component_thresholds,
     apply_policy,
     confusion_matrix,
@@ -554,7 +553,7 @@ def _policy_and_case(draw):
     sizes = {0, 1, 2}
     for label in palette:
         cc = connected_components(seg == label, connectivity)
-        sizes |= {s + d for s in cc.sizes.values() for d in (0, 1)}
+        sizes |= {s + d for s in cc.sizes[1:].tolist() for d in (0, 1)}
     counts = np.bincount(seg.ravel(), minlength=5)
     wt = int(counts[1:4].sum())
     cutoffs = {0.0, 0.05, 0.5, 1.0}
@@ -637,7 +636,7 @@ def _fit_case_and_grids(draw):
     sizes = {0, 1, 2}
     for label in palette:
         cc = connected_components(seg == label, connectivity)
-        sizes |= {s + d for s in cc.sizes.values() for d in (0, 1)}
+        sizes |= {s + d for s in cc.sizes[1:].tolist() for d in (0, 1)}
     counts = np.bincount(seg.ravel(), minlength=5)
     wt = int(counts[1:4].sum())
     cutoffs = {0.0, 0.05, 0.5, 1.0}
@@ -701,16 +700,16 @@ def test_fit_tables_score_the_reference_output(drawn):
         return [r for r in objective.regions if any(x in r.labels for x in labels)]
 
     searched = [label for label in (1, 2, 3, 4) if affected(label)]
-    table = _threshold_table((case, (searched, grid), objective))
-    assert sorted(table) == searched
+    edits = {label: {t: ({label: t}, []) for t in grid} for label in searched}
+    edits |= {pair: {c: ({}, [RelabelRule(0, *pair, c)]) for c in cutoffs}
+              for pair in pairs}
+    table = _search_table((case, edits, objective))
+    assert list(table) == list(edits)
     for label in searched:
         assert sorted(table[label]) == list(grid)
         for t in grid:
             want = naive_postprocess(crop, {label: t}, [], objective.connectivity)
             assert table[label][t] == scorer.score(affected(label), want), (label, t)
-
-    table = _relabel_table((case, (pairs, cutoffs), objective))
-    assert list(table) == pairs
     for src, dst in pairs:
         assert sorted(table[(src, dst)]) == list(cutoffs)
         for c in cutoffs:
