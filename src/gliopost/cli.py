@@ -60,6 +60,7 @@ from .policy import (
     fit_policy_report,
     load_policy,
     save_policy,
+    training_features,
     write_confusion_csv,
     write_fit_report,
 )
@@ -476,6 +477,12 @@ def _case_ids(preds: str) -> list[str]:
     return case_ids
 
 
+def _input_dir(path: str) -> None:
+    """Fail, before any output is written, on a missing input directory."""
+    if not Path(path).is_dir():
+        raise FileNotFoundError(f"directory not found: {path}")
+
+
 def _cmd_synth(cfg: dict) -> dict:
     if cfg["cases"] < 0:
         raise ValueError(f"--cases must be >= 0, got {cfg['cases']}")
@@ -512,6 +519,7 @@ def _extract_matrix(cfg: dict, settings: ExtractionSettings,
 
 def _cmd_extract_features(cfg: dict) -> dict:
     case_ids = _case_ids(cfg["preds"])
+    _input_dir(cfg["images"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_run_config(out, "extract-features", cfg)
@@ -530,24 +538,28 @@ def _cmd_extract_features(cfg: dict) -> dict:
 
 def _cmd_fit_policy(cfg: dict) -> dict:
     case_ids = _case_ids(cfg["preds"])
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write_run_config(out, "fit-policy", cfg)
+    _input_dir(cfg["gt"])
     settings = ExtractionSettings(
         bin_width=cfg["bin_width"],
         bin_count=cfg["bin_count"],
         sequences=tuple(cfg["sequences"]),
     )
+    matrix = None
     if cfg["features"]:
-        matrix = read_feature_csv(cfg["features"])
+        matrix = training_features(read_feature_csv(cfg["features"]), case_ids,
+                                   settings)
     else:
+        _input_dir(cfg["images"])
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    _write_run_config(out, "fit-policy", cfg)
+    if matrix is None:
         matrix = _extract_matrix(cfg, settings, case_ids)
-    cases = [
-        load_case_bundle(cid, cfg["preds"], images_dir=None, gt_dir=cfg["gt"])
-        for cid in case_ids
-    ]
     policy, report = fit_policy_report(
-        cases,
+        case_ids,
+        cfg["preds"],
+        cfg["gt"],
+        matrix,
         task=cfg["task"],
         settings=settings,
         k_range=tuple(cfg["k_range"]) or None,
@@ -556,7 +568,6 @@ def _cmd_fit_policy(cfg: dict) -> dict:
         pcc_grid=tuple(cfg["pcc_grid"]),
         cutoff_grid=tuple(cfg["cutoff_grid"]),
         n_confusions=cfg["confusions"],
-        feature_matrix=matrix,
         threads=cfg["threads"],
     )
     save_policy(policy, out / "policy.json")
@@ -570,6 +581,7 @@ def _cmd_fit_policy(cfg: dict) -> dict:
 def _cmd_apply(cfg: dict) -> dict:
     policy = load_policy(cfg["policy"])  # fail before any output
     case_ids = _case_ids(cfg["preds"])
+    _input_dir(cfg["images"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_run_config(out, "apply", cfg)
@@ -583,6 +595,7 @@ def _cmd_apply(cfg: dict) -> dict:
 
 def _cmd_evaluate(cfg: dict) -> dict:
     case_ids = _case_ids(cfg["preds"])
+    _input_dir(cfg["gt"])
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_run_config(out, "evaluate", cfg)

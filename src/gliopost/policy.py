@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,7 @@ from .radiomics import (
     feature_names,
 )
 from .ranking import rank_candidates
-from .volume import MAX_LABEL, TUMOR_LABELS, CaseBundle, LabelMap
+from .volume import MAX_LABEL, TUMOR_LABELS, CaseBundle, LabelMap, load_case_bundle
 
 POLICY_VERSION = "1"
 DEFAULT_PCC_GRID = (0, 10, 20, 50, 75, 100, 150, 200, 300, 500, 750, 1000)
@@ -128,15 +128,28 @@ class RelabelRule:
 
 @dataclass
 class FitCase:
-    """One training case after clustering: prediction, truth, cluster.
-    The fit crops ``pred`` and ``gt`` to their ``metrics.case_box``;
-    ``outside`` counts the grid voxels beyond it, background in both."""
+    """One training case by reference, which a fit worker loads: where
+    its masks are, its cluster and the size thresholds its prediction is
+    filtered with (none in the threshold search)."""
 
     case_id: str
-    pred: LabelMap
-    gt: LabelMap
+    pred_dir: str
+    gt_dir: str
     cluster: int
-    outside: int = 0
+    thresholds: dict[int, int] = field(default_factory=dict)
+
+    def load(self, dilation_iters: int, connectivity: int) -> tuple:
+        """``(pred, gt, outside)``: the case cropped to its ``case_box``,
+        the prediction filtered, and the count of grid voxels beyond the
+        box, background in both."""
+        case = load_case_bundle(self.case_id, self.pred_dir, gt_dir=self.gt_dir)
+        box = case_box(case.prediction.data, case.ground_truth.data, dilation_iters)
+        pred, gt = (m.with_data(np.ascontiguousarray(m.data[box]))
+                    for m in (case.prediction, case.ground_truth))
+        if any(t > 0 for t in self.thresholds.values()):
+            pred = pred.with_data(apply_component_thresholds(
+                pred.data, self.thresholds, connectivity))
+        return pred, gt, case.prediction.data.size - pred.data.size
 
 
 @dataclass
@@ -204,22 +217,6 @@ class PostProcessPolicy:
 # ---------------------------------------------------------------------------
 # confusion matrix
 # ---------------------------------------------------------------------------
-
-def confusion_matrix(pairs) -> np.ndarray:
-    """5x5 voxel counts; entry (g, p) counts GT label g predicted as p."""
-    n = MAX_LABEL + 1
-    counts = np.zeros(n * n, dtype=np.int64)
-    for pred, gt in pairs:
-        pred_data = pred.data if isinstance(pred, LabelMap) else np.asarray(pred)
-        gt_data = gt.data if isinstance(gt, LabelMap) else np.asarray(gt)
-        if pred_data.shape != gt_data.shape:
-            raise ValueError(
-                f"grid mismatch: {pred_data.shape} vs {gt_data.shape}"
-            )
-        flat = gt_data.astype(np.int64).ravel() * n + pred_data.astype(np.int64).ravel()
-        counts += np.bincount(flat, minlength=n * n)
-    return counts.reshape(n, n)
-
 
 def top_confusions(cm: np.ndarray, n: int = DEFAULT_TOP_CONFUSIONS) -> list[tuple[int, int]]:
     """The n largest off-diagonal confusions among tumor labels, as
@@ -311,44 +308,61 @@ def _regions(objective: RankObjective, edits: dict) -> list[RegionSpec]:
     return [r for r in objective.regions if r.labels & labels]
 
 
-def _search_table(item) -> dict:
-    """``table[key][value]``: the scores of one case after ``apply``'s own
+def _search_table(item) -> tuple[dict, dict, np.ndarray]:
+    """``(table, moved, confusion)`` for one case, loaded here.
+    ``table[key][value]``: the scores of the case after ``apply``'s own
     edit ``edits[key][value]``, a ``(thresholds, rules)`` pair carried out
     by ``_actions`` and ``_carry_out``, over the key's ``_regions``.  Each
     key labels only the labels it thresholds, so one label's component
-    grid is alive at a time, and scores each distinct action tuple once."""
+    grid is alive at a time, and scores each distinct action tuple once.
+    ``moved[key][value]``: the ground-truth labels of the voxels that edit
+    removes.  ``confusion``: the case's (ground truth, prediction) counts.
+    """
     case, edits, objective = item
-    scorer = CaseScorer(case.pred, case.gt, objective.tolerances,
+    pred, gt, outside = case.load(objective.dilation_iters, objective.connectivity)
+    n = MAX_LABEL + 1
+    pairs = (gt.data * n + pred.data).ravel()  # uint8: at most 24
+    pairs = pairs[pairs != 0]  # most voxels are background in both
+    confusion = np.bincount(pairs, minlength=n * n).reshape(n, n)
+    confusion[0, 0] = outside + pred.data.size - pairs.size
+    scorer = CaseScorer(pred, gt, objective.tolerances,
                         objective.dilation_iters, objective.connectivity)
-    table = {}
+    table, moved = {}, {}
     for key, by_value in edits.items():
         labels = sorted({label for thresholds, _ in by_value.values()
                          for label in thresholds})
         box, labelings, counts = _label_box(scorer.pred, labels, objective.connectivity)
+        truth = {}  # per component, its voxels' ground-truth labels
+        for label, (grid, sizes) in labelings.items():
+            inside = grid != 0
+            truth[label] = np.bincount(grid[inside] * n + scorer.gt[box][inside],
+                                       minlength=sizes.size * n).reshape(sizes.size, n)
         regions = _regions(objective, by_value)
         by_action: dict[tuple, dict[str, float]] = {}
-        table[key] = {}
+        table[key], moved[key] = {}, {}
         for value, (thresholds, rules) in by_value.items():
             actions = _actions(labelings, counts, thresholds, rules)
             if actions not in by_action:
                 by_action[actions] = scorer.score(
                     regions, _carry_out(scorer.pred, box, labelings, actions))
             table[key][value] = by_action[actions]
-    return table
+            moved[key][value] = sum((truth[label][list(ids)].sum(axis=0)
+                                     for label, ids in actions[0]), np.zeros(n, np.int64))
+    return table, moved, confusion
 
 
 def _grid_search(cases: list[FitCase], n_clusters: int, keys, grid: tuple, edit,
-                 objective: RankObjective, threads: int) -> dict[int, dict]:
-    """``best[cluster][key]``: the grid value whose edit, the ``(thresholds,
-    rules)`` pair ``edit(cluster, key, value)``, has the lowest mean rank
-    over the cluster's cases; ties go to the smaller (less destructive)
-    value.  A key with nothing to search, a one-value grid or no region
-    holding its labels, wins ``grid[0]``.
+                 objective: RankObjective, threads: int) -> tuple[dict[int, dict], list]:
+    """``(best, results)``: ``best[cluster][key]`` is the grid value whose
+    edit, the ``(thresholds, rules)`` pair ``edit(cluster, key, value)``,
+    has the lowest mean rank over the cluster's cases; ties go to the
+    smaller (less destructive) value.  A key with nothing to search, a
+    one-value grid or no region holding its labels, wins ``grid[0]``.
 
     Every case must have a cluster in ``[0, n_clusters)`` and every
     cluster a case.  Each case is scored once for every searched (key,
-    value), in ``threads`` worker processes (``_search_table``); the
-    choice does not depend on ``threads``.
+    value), in ``threads`` worker processes; ``results`` holds their
+    ``_search_table`` outputs.  The choice does not depend on ``threads``.
     """
     for case in cases:
         if not 0 <= case.cluster < n_clusters:
@@ -362,11 +376,11 @@ def _grid_search(cases: list[FitCase], n_clusters: int, keys, grid: tuple, edit,
                 if len(grid) > 1 and any(_regions(objective, e[key]) for e in edits)]
     items = [(case, {key: edits[case.cluster][key] for key in searched}, objective)
              for case in cases]
-    tables = map_ordered(_search_table, items, [c.case_id for c in cases], threads)
+    results = map_ordered(_search_table, items, [c.case_id for c in cases], threads)
     best = {}
     for cluster in range(n_clusters):
         best[cluster] = dict.fromkeys(keys, grid[0])
-        members = [(case, table) for case, table in zip(cases, tables)
+        members = [(case, table) for case, (table, _, _) in zip(cases, results)
                    if case.cluster == cluster]
         for key in searched:
             result = rank_candidates({
@@ -375,7 +389,7 @@ def _grid_search(cases: list[FitCase], n_clusters: int, keys, grid: tuple, edit,
                 for value in grid
             })
             best[cluster][key] = min(grid, key=lambda value: (result.scores[value], value))
-    return best
+    return best, results
 
 
 def fit_component_thresholds(
@@ -384,9 +398,10 @@ def fit_component_thresholds(
     grid: tuple[int, ...] = DEFAULT_PCC_GRID,
     objective: RankObjective = RankObjective(),
     threads: int = 1,
-) -> dict[int, dict[int, int]]:
+) -> tuple[dict[int, dict[int, int]], np.ndarray]:
     """Per cluster and per label, the component size threshold whose
-    candidate predictions achieve the best mean rank (``_grid_search``).
+    candidate predictions achieve the best mean rank (``_grid_search``),
+    and the 5x5 confusion of all cases after their cluster's thresholds.
 
     Candidates are evaluated only on regions containing the label under
     search; the other regions are identical across candidates and would
@@ -397,8 +412,16 @@ def fit_component_thresholds(
         raise ValueError(f"threshold grid values must be >= 0, got {grid[0]}")
     if not grid or grid[0] != 0:
         raise ValueError(f"threshold grid must contain 0, got {list(grid)}")
-    return _grid_search(cases, n_clusters, TUMOR_LABELS, grid,
-                        lambda cluster, label, t: ({label: t}, []), objective, threads)
+    best, results = _grid_search(cases, n_clusters, TUMOR_LABELS, grid,
+                                 lambda cluster, label, t: ({label: t}, []),
+                                 objective, threads)
+    confusion = sum(counts for _, _, counts in results)
+    for case, (_, moved, _) in zip(cases, results):  # removed voxels become 0
+        for label, t in best[case.cluster].items():
+            if t:  # only a searched label wins above grid[0] = 0
+                confusion[:, label] -= moved[label][t]
+                confusion[:, 0] += moved[label][t]
+    return best, confusion
 
 
 def fit_relabel_rules(
@@ -428,9 +451,9 @@ def fit_relabel_rules(
     for src, dst in pairs:
         if src == dst:
             raise ValueError(f"candidate pair with src == dst: {src}")
-    best = _grid_search(cases, n_clusters, pairs, cutoffs,
-                        lambda cluster, pair, c: ({}, [RelabelRule(cluster, *pair, c)]),
-                        objective, threads)
+    best, _ = _grid_search(cases, n_clusters, pairs, cutoffs,
+                           lambda cluster, pair, c: ({}, [RelabelRule(cluster, *pair, c)]),
+                           objective, threads)
     return [RelabelRule(cluster, src, dst, best[cluster][(src, dst)])
             for cluster in best for src, dst in pairs if best[cluster][(src, dst)] > 0]
 
@@ -569,18 +592,23 @@ def apply_policy(policy: PostProcessPolicy,
 # end-to-end fitting
 # ---------------------------------------------------------------------------
 
-def _fit_case(case: CaseBundle, cluster: int, dilation_iters: int) -> FitCase:
-    """``case`` cropped once to the box ``CaseScorer`` scores it in, so
-    that every scorer of the fit takes the crop as its own box."""
-    box = case_box(case.prediction.data, case.ground_truth.data, dilation_iters)
-    pred, gt = (m.with_data(np.ascontiguousarray(m.data[box]))
-                for m in (case.prediction, case.ground_truth))
-    return FitCase(case.case_id, pred, gt, cluster,
-                   outside=case.prediction.data.size - pred.data.size)
+def training_features(feature_matrix: FeatureMatrix, case_ids: list[str],
+                      settings: ExtractionSettings) -> FeatureMatrix:
+    """The rows of ``feature_matrix`` for ``case_ids``, in their order.
+    A case without a row, or names other than ``settings``' features,
+    raise ValueError."""
+    missing = [c for c in case_ids if c not in feature_matrix.case_ids]
+    if missing:
+        raise ValueError(f"feature matrix missing cases {missing[:5]}")
+    if feature_matrix.names != feature_names(settings):
+        raise ValueError("feature matrix does not match extraction settings")
+    return FeatureMatrix.from_vectors([feature_matrix.row(c) for c in case_ids])
 
 
 def fit_policy_report(
-    cases: list[CaseBundle],
+    case_ids: list[str],
+    pred_dir: str,
+    gt_dir: str,
     feature_matrix: FeatureMatrix,
     task: str = "gli-pre",
     settings: ExtractionSettings = ExtractionSettings(),
@@ -592,61 +620,40 @@ def fit_policy_report(
     n_confusions: int = DEFAULT_TOP_CONFUSIONS,
     threads: int = 1,
 ) -> tuple[PostProcessPolicy, FitReport]:
-    """Fit the complete policy on training cases that carry ground truth.
+    """Fit the complete policy on the training cases ``case_ids``, whose
+    masks are under ``pred_dir`` and ``gt_dir``.
 
     Stages: standardize + PCA + k-means on ``feature_matrix`` (rows
     matched to cases by case id), per-cluster component thresholds,
     confusion-guided relabel rules on the component-filtered
-    predictions.  Everything after clustering works on each case's crop
-    (``_fit_case``); the voxels beyond it join the confusion's (0, 0)
-    cell.  Both grid searches run in ``threads`` worker processes; the
-    policy does not depend on ``threads``.
+    predictions.  Both grid searches load each case in a worker
+    (``FitCase.load``), in ``threads`` worker processes, so this process
+    holds no voxels.  The policy does not depend on ``threads``.
     """
-    if len(cases) < 3:
+    if len(case_ids) < 3:
         raise ValueError("policy fitting needs at least 3 cases")
-    for case in cases:
-        if case.ground_truth is None:
-            raise ValueError(f"{case.case_id}: fitting requires ground truth")
-
-    missing = [c.case_id for c in cases if c.case_id not in feature_matrix.case_ids]
-    if missing:
-        raise ValueError(f"feature matrix missing cases {missing[:5]}")
-    feature_matrix = FeatureMatrix.from_vectors(
-        [feature_matrix.row(c.case_id) for c in cases]
-    )
-    if feature_matrix.names != feature_names(settings):
-        raise ValueError("feature matrix does not match extraction settings")
+    feature_matrix = training_features(feature_matrix, case_ids, settings)
 
     stats = fit_standardizer(feature_matrix.values)
     pca = fit_pca(stats.transform(feature_matrix.values))
     points = pca.project(stats.transform(feature_matrix.values))
 
     if k_range is None:
-        k_range = tuple(k for k in range(2, 11) if k < len(cases))
+        k_range = tuple(k for k in range(2, 11) if k < len(case_ids))
     kmeans, assignments = fit_kmeans(
         points, k_range=k_range, restarts=restarts, seed=seed
     )
 
     objective = RankObjective.for_task(task)
-    fit_cases = [
-        _fit_case(case, int(assignments[i]), objective.dilation_iters)
-        for i, case in enumerate(cases)
-    ]
-
-    thresholds = fit_component_thresholds(
-        fit_cases, kmeans.k, pcc_grid, objective, threads
+    cases = [FitCase(case_id, pred_dir, gt_dir, int(cluster))
+             for case_id, cluster in zip(case_ids, assignments)]
+    thresholds, cm = fit_component_thresholds(
+        cases, kmeans.k, pcc_grid, objective, threads
     )
-
-    filtered = [
-        replace(fc, pred=fc.pred.with_data(apply_component_thresholds(
-            fc.pred.data, thresholds[fc.cluster], objective.connectivity)))
-        for fc in fit_cases
-    ]
-    cm = confusion_matrix((fc.pred, fc.gt) for fc in filtered)
-    cm[0, 0] += sum(fc.outside for fc in filtered)
     candidates = top_confusions(cm, n_confusions)
     rules = fit_relabel_rules(
-        filtered, kmeans.k, candidates, cutoff_grid, objective, threads
+        [replace(case, thresholds=thresholds[case.cluster]) for case in cases],
+        kmeans.k, candidates, cutoff_grid, objective, threads
     )
 
     policy = PostProcessPolicy(
@@ -660,7 +667,7 @@ def fit_policy_report(
         objective=objective,
     )
     report = FitReport(
-        case_ids=[c.case_id for c in cases],
+        case_ids=list(case_ids),
         assignments=[int(a) for a in assignments],
         confusion=cm,
         candidates=candidates,

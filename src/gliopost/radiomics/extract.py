@@ -211,13 +211,16 @@ def write_feature_csv(path: str | Path, matrix: FeatureMatrix) -> None:
 def read_feature_csv(path: str | Path) -> FeatureMatrix:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if not header or header[0] != "case_id":
             raise ValueError(f"{path}: not a feature CSV")
         names = tuple(header[1:])
         case_ids = []
         rows = []
         for rec in reader:
+            if len(rec) != len(header):
+                raise ValueError(f"{path}: row {len(rows) + 1} has {len(rec)}"
+                                 f" fields, expected {len(header)}")
             case_ids.append(rec[0])
             rows.append([float(v) for v in rec[1:]])
     values = np.array(rows, dtype=np.float64).reshape(len(case_ids), len(names))

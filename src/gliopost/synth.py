@@ -13,7 +13,9 @@ exactly (when boundary jitter is disabled).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ import numpy as np
 from .morphology import dilate, padded_box
 from .nifti import atomic_open
 from .volume import (
+    MAX_LABEL,
     SEQUENCES,
     CaseBundle,
     LabelMap,
@@ -92,14 +95,28 @@ class SynthConfig:
         if len(self.spacing) != 3 or not all(0 < s < np.inf for s in self.spacing):
             raise ValueError(f"spacing must be 3 finite values > 0,"
                              f" got {list(self.spacing)}")
-        ranges = [("lesion count", self.lesion_count),
-                  ("lesion radius", self.lesion_radius), ("axis scale", self.axis_scale)]
-        ranges += [(f"shell {s.label} outer", s.outer) for s in self.shells]
-        ranges += [(f"island {s.label} {field}", getattr(s, field))
-                   for s in self.islands for field in ("count", "size")]
-        for name, pair in ranges:
-            if len(pair) != 2:
-                raise ValueError(f"{name} range must be MIN,MAX, got {list(pair)}")
+        ints = [("lesion count", self.lesion_count)]
+        ints += [(f"island {s.label} {field}", getattr(s, field))
+                 for s in self.islands for field in ("count", "size")]
+        reals = [("lesion radius", self.lesion_radius), ("axis scale", self.axis_scale)]
+        reals += [(f"shell {s.label} outer", s.outer) for s in self.shells]
+        for kind, named in ((Integral, ints), (Real, reals)):
+            for name, pair in named:
+                if not (isinstance(pair, tuple) and len(pair) == 2
+                        and all(_finite(v, kind) for v in pair)):
+                    raise ValueError(f"{name} range must be MIN,MAX, two finite"
+                                     f" {kind.__name__.lower()} numbers, got {pair!r}")
+        labels = [("shell", s.label) for s in self.shells]
+        labels += [("island", s.label) for s in self.islands]
+        if self.swap is not None:
+            labels += [("swap src", self.swap.src), ("swap dst", self.swap.dst)]
+            if not _finite(self.swap.trigger, Real):
+                raise ValueError(f"swap trigger must be a finite number,"
+                                 f" got {self.swap.trigger!r}")
+        for name, label in labels:
+            if not (_finite(label, Integral) and 0 <= label <= MAX_LABEL):
+                raise ValueError(f"{name} label must be an integer in"
+                                 f" [0, {MAX_LABEL}], got {label!r}")
         if self.lesion_count[0] < 0 or self.lesion_count[0] > self.lesion_count[1]:
             raise ValueError(f"bad lesion count range {self.lesion_count}")
         if self.lesion_radius[0] <= 0 or self.lesion_radius[0] > self.lesion_radius[1]:
@@ -142,6 +159,9 @@ class SynthConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "SynthConfig":
+        """The recipe ``d`` as ``to_dict`` writes it; absent top-level keys
+        take their defaults.  A shell, island or swap entry that is not an
+        object with exactly its fields raises ValueError."""
         base = SynthConfig()
         swap = d.get("swap", None)
         return SynthConfig(
@@ -151,17 +171,13 @@ class SynthConfig:
             lesion_count=tuple(d.get("lesion_count", base.lesion_count)),
             lesion_radius=tuple(d.get("lesion_radius", base.lesion_radius)),
             axis_scale=tuple(d.get("axis_scale", base.axis_scale)),
-            shells=tuple(
-                ShellSpec(int(s["label"]), tuple(s["outer"]))
-                for s in d.get("shells", [])
-            )
+            shells=tuple(ShellSpec(*_entry(s, "shell", ("label", "outer")))
+                         for s in _entries(d.get("shells", []), "shells"))
             or base.shells,
-            islands=tuple(
-                IslandSpec(int(s["label"]), tuple(s["count"]), tuple(s["size"]))
-                for s in d.get("islands", [])
-            ),
-            swap=SwapSpec(int(swap["src"]), int(swap["dst"]), float(swap["trigger"]))
-            if swap
+            islands=tuple(IslandSpec(*_entry(s, "island", ("label", "count", "size")))
+                          for s in _entries(d.get("islands", []), "islands")),
+            swap=SwapSpec(*_entry(swap, "swap", ("src", "dst", "trigger")))
+            if swap is not None
             else None,
             jitter=int(d.get("jitter", base.jitter)),
             island_margin=int(d.get("island_margin", base.island_margin)),
@@ -170,6 +186,29 @@ class SynthConfig:
             noise_amplitude=float(d.get("noise_amplitude", base.noise_amplitude)),
             sequences=tuple(d.get("sequences", base.sequences)),
         )
+
+
+def _finite(value, kind: type) -> bool:
+    """Whether ``value`` is a finite number of ``kind`` (``Integral`` or
+    ``Real``), bools excluded."""
+    return isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _entries(value, name: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return list(value)
+
+
+def _entry(entry, kind: str, keys: tuple[str, ...]) -> list:
+    """The values of a recipe's ``kind`` entry under ``keys``, ranges as
+    tuples; ``SynthConfig`` checks them."""
+    if not isinstance(entry, dict) or set(entry) != set(keys):
+        got = sorted(entry) if isinstance(entry, dict) else entry
+        raise ValueError(f"{kind} entry must be an object with keys {list(keys)},"
+                         f" got {got!r}")
+    return [tuple(entry[k]) if isinstance(entry[k], (list, tuple)) else entry[k]
+            for k in keys]
 
 
 def case_name(index: int) -> str:

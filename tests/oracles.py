@@ -94,6 +94,18 @@ def naive_postprocess(seg, thresholds, rules, connectivity: int = 26) -> np.ndar
     return out
 
 
+def tally_confusion(pairs) -> np.ndarray:
+    """5x5 voxel counts over ``(pred, gt)`` grid pairs of equal shape:
+    entry (g, p) counts the voxels of ground-truth label g predicted as
+    p, tallied one voxel at a time."""
+    counts = np.zeros((5, 5), dtype=np.int64)
+    for pred, gt in pairs:
+        assert np.shape(pred) == np.shape(gt)
+        for p, g in zip(np.ravel(pred).tolist(), np.ravel(gt).tolist()):
+            counts[g, p] += 1
+    return counts
+
+
 def mask_of(voxels, shape) -> np.ndarray:
     out = np.zeros(shape, dtype=bool)
     for v in voxels:

@@ -484,6 +484,45 @@ def test_bad_recipe_or_fit_option_writes_nothing(tmp_path, argv, code):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", (
+    {"islands": [{"label": 1}]},
+    {"shells": [{"label": 1, "outer": "ab"}]},
+))
+def test_bad_nested_recipe_entry_writes_nothing(tmp_path, override):
+    out = tmp_path / "out"
+    recipe = _write_recipe(tmp_path, **override)
+    assert main(["synth", "--config", str(recipe), "--out", str(out),
+                 "--cases", "2"]) == 4
+    assert not out.exists()
+
+
+def test_bad_inputs_are_found_before_out_is_created(pipeline, tmp_path):
+    """A missing ground-truth or image directory (exit 3) and a feature
+    table that is not one, or does not cover the corpus (exit 4), fail
+    before ``--out`` exists."""
+    corpus = pipeline["corpus"]
+    preds, images, gt = (str(corpus / sub) for sub in ("preds", "images", "gt"))
+    missing = str(tmp_path / "missing")
+    out = tmp_path / "out"
+    fit = ["fit-policy", "--preds", preds, "--out", str(out)]
+    assert main(fit + ["--images", images, "--gt", missing]) == 3
+    assert main(fit + ["--images", missing, "--gt", gt]) == 3
+    assert main(["evaluate", "--preds", preds, "--gt", missing,
+                 "--out", str(out)]) == 3
+    assert main(["extract-features", "--preds", preds, "--images", missing,
+                 "--out", str(out)]) == 3
+    assert main(["apply", "--policy", str(pipeline["fit"] / "policy.json"),
+                 "--preds", preds, "--images", missing, "--out", str(out)]) == 3
+    fit += ["--images", images]
+    features = (pipeline["features"] / "features.csv").read_text().splitlines()
+    for name, text in (("not.csv", "a,b\n1,2\n"), ("empty.csv", ""),
+                       ("short.csv", "\n".join(features[:-1]) + "\n"),
+                       ("ragged.csv", "\n".join(features[:-1] + ["x,1"]) + "\n")):
+        (tmp_path / name).write_text(text)
+        assert main(fit + ["--gt", gt, "--features", str(tmp_path / name)]) == 4, name
+    assert not out.exists()
+
+
 # -- apply -------------------------------------------------------------------------------
 
 def test_apply_restores_ground_truth_here(pipeline):

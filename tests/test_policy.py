@@ -1,7 +1,9 @@
 """Confusion tallies, grid-search fitting, rule application, persistence."""
 
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from gliopost.policy import (
     _search_table,
     apply_component_thresholds,
     apply_policy,
-    confusion_matrix,
     fit_component_thresholds,
     fit_policy_report,
     fit_relabel_rules,
@@ -42,9 +43,16 @@ from gliopost.radiomics import (
     extract_case_features,
     feature_names,
 )
-from gliopost.volume import CaseBundle, LabelMap, ScalarVolume, Spacing
+from gliopost.volume import (
+    CaseBundle,
+    LabelMap,
+    ScalarVolume,
+    Spacing,
+    save_nifti,
+    seg_filename,
+)
 
-from oracles import brute_remove_small, naive_postprocess, random_blob_mask
+from oracles import brute_remove_small, naive_postprocess, random_blob_mask, tally_confusion
 
 SP = Spacing(1.0, 1.0, 1.0)
 
@@ -57,36 +65,28 @@ def _seg(shape=(16, 16, 16)):
     return np.zeros(shape, dtype=np.uint8)
 
 
+def _written_case(root: Path, case_id, pred, gt, cluster=0) -> FitCase:
+    """A training case whose masks are written under ``root/preds`` and
+    ``root/gt``, where the fit's workers load it."""
+    for sub, data in (("preds", pred), ("gt", gt)):
+        (root / sub).mkdir(exist_ok=True)
+        save_nifti(_lm(data), root / sub / seg_filename(case_id))
+    return FitCase(case_id, str(root / "preds"), str(root / "gt"), cluster)
+
+
 # -- confusion matrix ---------------------------------------------------------
 
-def test_confusion_matrix_hand_counts():
+def test_confusion_matrix_hand_counts(tmp_path):
     gt = np.array([0, 1, 2, 3], dtype=np.uint8).reshape(4, 1, 1)
     pred = np.array([0, 1, 3, 3], dtype=np.uint8).reshape(4, 1, 1)
-    cm = confusion_matrix([(pred, gt)])
+    cases = [_written_case(tmp_path, case_id, pred, gt) for case_id in "ab"]
+    _, _, cm = _search_table((cases[0], {}, RankObjective()))
     assert cm.shape == (5, 5)
     assert cm[0, 0] == 1 and cm[1, 1] == 1 and cm[2, 3] == 1 and cm[3, 3] == 1
     assert cm.sum() == 4
-    # accumulates over cases
-    cm2 = confusion_matrix([(pred, gt), (pred, gt)])
+    # the threshold search sums it over cases
+    _, cm2 = fit_component_thresholds(cases, 1, grid=(0,))
     assert np.array_equal(cm2, 2 * cm)
-
-
-def test_confusion_matrix_matches_tally_oracle():
-    rng = np.random.default_rng(31)
-    pairs = []
-    expected = np.zeros((5, 5), dtype=np.int64)
-    for _ in range(3):
-        gt = rng.integers(0, 5, size=(6, 6, 6)).astype(np.uint8)
-        pred = rng.integers(0, 5, size=(6, 6, 6)).astype(np.uint8)
-        pairs.append((_lm(pred), _lm(gt)))
-        for g, p in zip(gt.ravel(), pred.ravel()):
-            expected[g, p] += 1
-    assert np.array_equal(confusion_matrix(pairs), expected)
-
-
-def test_confusion_matrix_grid_mismatch():
-    with pytest.raises(ValueError, match="grid mismatch"):
-        confusion_matrix([(np.zeros((2, 2, 2)), np.zeros((3, 2, 2)))])
 
 
 def test_top_confusions_direction_and_order():
@@ -121,70 +121,74 @@ def test_write_confusion_csv(tmp_path):
 
 # -- component threshold fitting ------------------------------------------------
 
-def _island_case(case_id, cube_slice, island_at, cluster=0):
+def _island_case(root, case_id, cube_slice, island_at, cluster=0):
     """GT holds one enhancing cube; the prediction adds a stray voxel."""
     gt = _seg()
     gt[cube_slice] = 3
     pred = gt.copy()
     pred[island_at] = 3
-    return FitCase(case_id=case_id, pred=_lm(pred), gt=_lm(gt), cluster=cluster)
+    return _written_case(root, case_id, pred, gt, cluster)
 
 
-def _clean_case(case_id, cube_slice, cluster=0):
+def _clean_case(root, case_id, cube_slice, cluster=0):
     gt = _seg()
     gt[cube_slice] = 3
-    return FitCase(case_id=case_id, pred=_lm(gt), gt=_lm(gt), cluster=cluster)
+    return _written_case(root, case_id, gt, gt, cluster)
 
 
 CUBE_A = (slice(2, 8), slice(2, 8), slice(2, 8))
 CUBE_B = (slice(3, 9), slice(3, 9), slice(3, 9))
 
 
-def test_fit_component_thresholds_removes_islands():
+def test_fit_component_thresholds_removes_islands(tmp_path):
     cases = [
-        _island_case("a", CUBE_A, (13, 13, 13)),
-        _island_case("b", CUBE_B, (12, 13, 13)),
+        _island_case(tmp_path, "a", CUBE_A, (13, 13, 13)),
+        _island_case(tmp_path, "b", CUBE_B, (12, 13, 13)),
     ]
-    out = fit_component_thresholds(cases, 1, grid=(0, 10, 2000))
+    out, confusion = fit_component_thresholds(cases, 1, grid=(0, 10, 2000))
     # 10 beats 0 (stray voxel gone) and 2000 (the real cube survives);
     # labels absent from the predictions fall back to the no-op value
     assert out == {0: {1: 0, 2: 0, 3: 10, 4: 0}}
+    # the removed stray voxels are counted as background
+    assert confusion[0, 3] == 0 and confusion[3, 3] == 2 * 216
+    assert confusion.sum() == 2 * 16 ** 3
 
 
-def test_fit_component_thresholds_tie_prefers_noop():
-    cases = [_clean_case("a", CUBE_A), _clean_case("b", CUBE_B)]
-    out = fit_component_thresholds(cases, 1, grid=(0, 10, 50))
+def test_fit_component_thresholds_tie_prefers_noop(tmp_path):
+    cases = [_clean_case(tmp_path, "a", CUBE_A), _clean_case(tmp_path, "b", CUBE_B)]
+    out, _ = fit_component_thresholds(cases, 1, grid=(0, 10, 50))
     assert out == {0: {1: 0, 2: 0, 3: 0, 4: 0}}
 
 
-def test_fit_component_thresholds_per_cluster():
+def test_fit_component_thresholds_per_cluster(tmp_path):
     cases = [
-        _island_case("a", CUBE_A, (13, 13, 13), cluster=0),
-        _island_case("b", CUBE_B, (12, 13, 13), cluster=0),
-        _clean_case("c", CUBE_A, cluster=1),
-        _clean_case("d", CUBE_B, cluster=1),
+        _island_case(tmp_path, "a", CUBE_A, (13, 13, 13), cluster=0),
+        _island_case(tmp_path, "b", CUBE_B, (12, 13, 13), cluster=0),
+        _clean_case(tmp_path, "c", CUBE_A, cluster=1),
+        _clean_case(tmp_path, "d", CUBE_B, cluster=1),
     ]
-    out = fit_component_thresholds(cases, 2, grid=(0, 10))
+    out, _ = fit_component_thresholds(cases, 2, grid=(0, 10))
     assert out[0][3] == 10
     assert out[1][3] == 0
 
 
-def test_fit_component_thresholds_singleton_grid():
-    cases = [_clean_case("a", CUBE_A), _clean_case("b", CUBE_B)]
-    out = fit_component_thresholds(cases, 1, grid=(0,))
+def test_fit_component_thresholds_singleton_grid(tmp_path):
+    cases = [_clean_case(tmp_path, "a", CUBE_A), _clean_case(tmp_path, "b", CUBE_B)]
+    out, _ = fit_component_thresholds(cases, 1, grid=(0,))
     assert out == {0: {1: 0, 2: 0, 3: 0, 4: 0}}
 
 
-def test_fit_component_thresholds_grid_must_contain_zero():
-    cases = [_clean_case("a", CUBE_A), _clean_case("b", CUBE_B)]
+def test_fit_component_thresholds_grid_must_contain_zero(tmp_path):
+    cases = [_clean_case(tmp_path, "a", CUBE_A), _clean_case(tmp_path, "b", CUBE_B)]
     with pytest.raises(ValueError, match=r"must contain 0, got \[10, 20\]"):
         fit_component_thresholds(cases, 1, grid=(10, 20))
     with pytest.raises(ValueError, match=">= 0, got -5"):
         fit_component_thresholds(cases, 1, grid=(-5, 0))
 
 
-def test_fit_component_thresholds_cluster_errors():
-    cases = [_clean_case("a", CUBE_A, cluster=1), _clean_case("b", CUBE_B, cluster=1)]
+def test_fit_component_thresholds_cluster_errors(tmp_path):
+    cases = [_clean_case(tmp_path, "a", CUBE_A, cluster=1),
+             _clean_case(tmp_path, "b", CUBE_B, cluster=1)]
     with pytest.raises(ValueError, match="out of range"):
         fit_component_thresholds(cases, 1, grid=(0, 10))
     with pytest.raises(ValueError, match="no training cases"):
@@ -192,33 +196,35 @@ def test_fit_component_thresholds_cluster_errors():
 
 
 @pytest.mark.parametrize("threads", (1, 2))
-def test_fit_worker_failure_names_the_case(threads):
-    bad = _clean_case("b", CUBE_B)
-    bad = FitCase("b", pred=_lm(np.zeros((8, 8, 8), np.uint8)), gt=bad.gt, cluster=0)
-    cases = [_clean_case("a", CUBE_A), bad, _clean_case("c", CUBE_A)]
-    with pytest.raises(ValueError, match=r"^b: grid mismatch"):
+def test_fit_worker_failure_names_the_case(tmp_path, threads):
+    bad = _written_case(tmp_path, "b", _seg((8, 8, 8)), _seg(), cluster=0)
+    cases = [_clean_case(tmp_path, "a", CUBE_A), bad, _clean_case(tmp_path, "c", CUBE_A)]
+    with pytest.raises(ValueError, match=r"^b: ground_truth dims"):
         fit_component_thresholds(cases, 1, grid=(0, 10), threads=threads)
-    with pytest.raises(ValueError, match=r"^b: grid mismatch"):
+    with pytest.raises(ValueError, match=r"^b: ground_truth dims"):
         fit_relabel_rules(cases, 1, [(1, 3)], threads=threads)
 
 
-def test_fit_is_thread_invariant():
+def test_fit_is_thread_invariant(tmp_path):
     cases = [
-        _island_case("a", CUBE_A, (13, 13, 13)),
-        _island_case("b", CUBE_B, (12, 13, 13), cluster=1),
-        _swap_case("c", (slice(2, 5), slice(2, 5), slice(2, 5))),
-        _clean_case("d", CUBE_B, cluster=1),
+        _island_case(tmp_path, "a", CUBE_A, (13, 13, 13)),
+        _island_case(tmp_path, "b", CUBE_B, (12, 13, 13), cluster=1),
+        _swap_case(tmp_path, "c", (slice(2, 5), slice(2, 5), slice(2, 5))),
+        _clean_case(tmp_path, "d", CUBE_B, cluster=1),
     ]
+    thresholds, confusion = fit_component_thresholds(cases, 2)
+    filtered = [replace(c, thresholds=thresholds[c.cluster]) for c in cases]
     for threads in (2, 3):
-        assert fit_component_thresholds(cases, 2, threads=threads) == \
-            fit_component_thresholds(cases, 2)
-        assert fit_relabel_rules(cases, 2, [(1, 3), (3, 2)], threads=threads) == \
-            fit_relabel_rules(cases, 2, [(1, 3), (3, 2)])
+        again, again_confusion = fit_component_thresholds(cases, 2, threads=threads)
+        assert again == thresholds
+        assert np.array_equal(again_confusion, confusion)
+        assert fit_relabel_rules(filtered, 2, [(1, 3), (3, 2)], threads=threads) == \
+            fit_relabel_rules(filtered, 2, [(1, 3), (3, 2)])
 
 
 # -- relabel rule fitting ---------------------------------------------------------
 
-def _swap_case(case_id, core_slice, cluster=0):
+def _swap_case(root, case_id, core_slice, cluster=0):
     """GT: enhancing core next to a large edema block.  The prediction
     mislabels the whole core as non-enhancing (label 1)."""
     gt = _seg()
@@ -226,23 +232,23 @@ def _swap_case(case_id, core_slice, cluster=0):
     gt[8:14, 8:14, 8:14] = 2
     pred = gt.copy()
     pred[pred == 3] = 1
-    return FitCase(case_id=case_id, pred=_lm(pred), gt=_lm(gt), cluster=cluster)
+    return _written_case(root, case_id, pred, gt, cluster)
 
 
-def _faithful_case(case_id, cluster=0):
+def _faithful_case(root, case_id, cluster=0):
     gt = _seg()
     gt[2:5, 2:5, 2:5] = 1  # genuine non-enhancing core
     gt[8:14, 8:14, 8:14] = 2
     gt[5:7, 2:5, 2:5] = 3
-    return FitCase(case_id=case_id, pred=_lm(gt), gt=_lm(gt), cluster=cluster)
+    return _written_case(root, case_id, gt, gt, cluster)
 
 
-def test_fit_relabel_rules_reverts_mislabeled_core():
+def test_fit_relabel_rules_reverts_mislabeled_core(tmp_path):
     # core ratios: 27/243 = 1/9 and 36/252 = 1/7; the smallest grid
     # cutoff firing on both cases is 29 * 0.005
     cases = [
-        _swap_case("a", (slice(2, 5), slice(2, 5), slice(2, 5))),
-        _swap_case("b", (slice(2, 5), slice(2, 5), slice(2, 6))),
+        _swap_case(tmp_path, "a", (slice(2, 5), slice(2, 5), slice(2, 5))),
+        _swap_case(tmp_path, "b", (slice(2, 5), slice(2, 5), slice(2, 6))),
     ]
     rules = fit_relabel_rules(cases, 1, candidates=[(1, 3)])
     assert len(rules) == 1
@@ -251,25 +257,25 @@ def test_fit_relabel_rules_reverts_mislabeled_core():
     assert rule.cutoff == DEFAULT_CUTOFF_GRID[29]
 
 
-def test_fit_relabel_rules_leaves_faithful_predictions_alone():
-    cases = [_faithful_case("a"), _faithful_case("b")]
+def test_fit_relabel_rules_leaves_faithful_predictions_alone(tmp_path):
+    cases = [_faithful_case(tmp_path, "a"), _faithful_case(tmp_path, "b")]
     assert fit_relabel_rules(cases, 1, candidates=[(1, 3)]) == []
 
 
-def test_fit_relabel_rules_per_cluster():
+def test_fit_relabel_rules_per_cluster(tmp_path):
     cases = [
-        _swap_case("a", (slice(2, 5), slice(2, 5), slice(2, 5)), cluster=0),
-        _swap_case("b", (slice(2, 5), slice(2, 5), slice(2, 5)), cluster=0),
-        _faithful_case("c", cluster=1),
-        _faithful_case("d", cluster=1),
+        _swap_case(tmp_path, "a", (slice(2, 5), slice(2, 5), slice(2, 5)), cluster=0),
+        _swap_case(tmp_path, "b", (slice(2, 5), slice(2, 5), slice(2, 5)), cluster=0),
+        _faithful_case(tmp_path, "c", cluster=1),
+        _faithful_case(tmp_path, "d", cluster=1),
     ]
     rules = fit_relabel_rules(cases, 2, candidates=[(1, 3)])
     assert [r.cluster for r in rules] == [0]
     assert rules[0].cutoff == DEFAULT_CUTOFF_GRID[23]  # just above 1/9
 
 
-def test_fit_relabel_rules_validation():
-    cases = [_faithful_case("a"), _faithful_case("b")]
+def test_fit_relabel_rules_validation(tmp_path):
+    cases = [_faithful_case(tmp_path, "a"), _faithful_case(tmp_path, "b")]
     with pytest.raises(ValueError, match="src == dst"):
         fit_relabel_rules(cases, 1, candidates=[(1, 1)])
     with pytest.raises(ValueError, match="must contain 0"):
@@ -689,9 +695,10 @@ def _empty_src_example():
 @given(_fit_case_and_grids())
 def test_fit_tables_score_the_reference_output(drawn):
     """Every candidate of both grid searches scores what the reference
-    post-processing writes for that threshold or relabel rule."""
+    post-processing writes for that threshold or relabel rule; the
+    voxels it turns to background are counted by ground-truth label, and
+    the case's confusion is the voxel tally of the loaded grids."""
     pred, gt, grid, pairs, cutoffs, objective = drawn
-    case = FitCase("h", pred, gt, cluster=0)
     scorer = CaseScorer(pred, gt, objective.tolerances, objective.dilation_iters,
                         objective.connectivity)
     crop = scorer.pred
@@ -703,19 +710,33 @@ def test_fit_tables_score_the_reference_output(drawn):
     edits = {label: {t: ({label: t}, []) for t in grid} for label in searched}
     edits |= {pair: {c: ({}, [RelabelRule(0, *pair, c)]) for c in cutoffs}
               for pair in pairs}
-    table = _search_table((case, edits, objective))
-    assert list(table) == list(edits)
+    thresholds = {label: grid[len(grid) // 2] for label in searched}
+    with tempfile.TemporaryDirectory() as tmp:
+        case = _written_case(Path(tmp), "h", pred.data, gt.data)
+        table, moved, confusion = _search_table((case, edits, objective))
+        filtered, _, _ = replace(case, thresholds=thresholds).load(
+            objective.dilation_iters, objective.connectivity)
+    assert np.array_equal(filtered.data, naive_postprocess(
+        crop, thresholds, [], objective.connectivity))
+    assert np.array_equal(confusion, tally_confusion([(pred.data, gt.data)]))
+    assert list(table) == list(moved) == list(edits)
+
+    def check(key, value, want, regions):
+        assert table[key][value] == scorer.score(regions, want), (key, value)
+        removed = (crop != 0) & (want == 0)
+        assert np.array_equal(moved[key][value],
+                              np.bincount(scorer.gt[removed], minlength=5)), (key, value)
+
     for label in searched:
         assert sorted(table[label]) == list(grid)
         for t in grid:
             want = naive_postprocess(crop, {label: t}, [], objective.connectivity)
-            assert table[label][t] == scorer.score(affected(label), want), (label, t)
+            check(label, t, want, affected(label))
     for src, dst in pairs:
         assert sorted(table[(src, dst)]) == list(cutoffs)
         for c in cutoffs:
             want = naive_postprocess(crop, {}, [RelabelRule(0, src, dst, c)])
-            assert table[(src, dst)][c] == scorer.score(affected(src, dst), want), \
-                (src, dst, c)
+            check((src, dst), c, want, affected(src, dst))
 
 
 def test_policy_validates_threshold_coverage():
@@ -768,7 +789,15 @@ def _features(cases) -> FeatureMatrix:
     return FeatureMatrix.from_vectors([extract_case_features(c) for c in cases])
 
 
-def test_fit_policy_end_to_end_removes_islands():
+def _write_training(root: Path, cases) -> tuple[list[str], str, str]:
+    """``fit_policy_report``'s first three arguments for ``cases``, whose
+    masks are written under ``root``."""
+    for case in cases:
+        _written_case(root, case.case_id, case.prediction.data, case.ground_truth.data)
+    return [c.case_id for c in cases], str(root / "preds"), str(root / "gt")
+
+
+def _island_bundles():
     cubes = [
         (slice(2, 6), slice(2, 6), slice(2, 6)),
         (slice(2, 7), slice(2, 6), slice(2, 6)),
@@ -778,11 +807,16 @@ def test_fit_policy_end_to_end_removes_islands():
         (slice(2, 6), slice(2, 6), slice(3, 8)),
     ]
     corners = [(14, 14, 14), (1, 14, 14), (14, 1, 14), (14, 14, 1)]
-    cases = [
+    return [
         _training_bundle(f"case{i}", cube, corners[: 2 + i % 2], seed=100 + i)
         for i, cube in enumerate(cubes)
     ]
-    policy, report = fit_policy_report(cases, _features(cases), k_range=(2,),
+
+
+def test_fit_policy_end_to_end_removes_islands(tmp_path):
+    cases = _island_bundles()
+    policy, report = fit_policy_report(*_write_training(tmp_path, cases),
+                                       _features(cases), k_range=(2,),
                                        restarts=3, seed=5)
 
     assert policy.kmeans.k == 2
@@ -803,10 +837,49 @@ def test_fit_policy_end_to_end_removes_islands():
         assert np.array_equal(out.data, case.ground_truth.data)
 
 
-def test_fit_confusion_on_boxes_equals_full_grid_count():
-    """The fit counts confusions inside each case's box and adds the
-    voxels beyond it to cell (0, 0): that equals the count over the
-    full grids, for tumors on the grid's edge and an empty prediction."""
+def test_fit_loads_cases_only_in_its_workers(tmp_path, monkeypatch):
+    """At two threads the fitting process never loads a case; in process
+    each of the two grid searches loads every case once."""
+    from gliopost import policy as policy_module
+
+    cases = _island_bundles()
+    args = _write_training(tmp_path, cases)
+    features = _features(cases)
+    calls = []
+    real = policy_module.load_case_bundle
+
+    def counting(*a, **k):
+        calls.append(a[0])
+        return real(*a, **k)
+
+    monkeypatch.setattr(policy_module, "load_case_bundle", counting)
+    pooled, _ = fit_policy_report(*args, features, k_range=(2,), restarts=3,
+                                  seed=5, threads=2)
+    assert calls == []
+    serial, _ = fit_policy_report(*args, features, k_range=(2,), restarts=3, seed=5)
+    assert sorted(calls) == sorted(2 * args[0])
+    assert (pooled.thresholds, pooled.rules) == (serial.thresholds, serial.rules)
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_fit_names_every_case_without_ground_truth(tmp_path, threads):
+    cases = _island_bundles()
+    case_ids, preds, gt = _write_training(tmp_path, cases)
+    for case_id in ("case1", "case4"):
+        (Path(gt) / seg_filename(case_id)).unlink()
+    with pytest.raises(FileNotFoundError,
+                       match=r"^case1: missing ground truth .*"
+                             r"\(2 cases failed: case1, case4\)$"):
+        fit_policy_report(case_ids, preds, gt, _features(cases), k_range=(2,),
+                          restarts=3, seed=5, threads=threads)
+
+
+def test_fit_confusion_on_boxes_equals_full_grid_count(tmp_path):
+    """The fit counts confusions inside each case's box, adds the voxels
+    beyond it to cell (0, 0) and moves the voxels its thresholds remove
+    to the background column: that equals the count over the full
+    filtered grids, for tumors on the grid's edge and an empty
+    prediction."""
     cubes = [
         (slice(0, 4), slice(2, 6), slice(2, 6)),  # on the low x face
         (slice(12, 16), slice(12, 16), slice(2, 6)),  # the high x and y faces
@@ -819,32 +892,29 @@ def test_fit_confusion_on_boxes_equals_full_grid_count():
         for i, cube in enumerate(cubes)
     ]
     cases.append(replace(cases[-1], case_id="empty", prediction=_lm(_seg())))
-    policy, report = fit_policy_report(cases, _features(cases), k_range=(2,),
+    policy, report = fit_policy_report(*_write_training(tmp_path, cases),
+                                       _features(cases), k_range=(2,),
                                        restarts=3, seed=5)
     filtered = [
         apply_component_thresholds(case.prediction.data, policy.thresholds[cluster],
                                    policy.objective.connectivity)
         for case, cluster in zip(cases, report.assignments)
     ]
-    expected = confusion_matrix(zip(filtered, (c.ground_truth for c in cases)))
+    expected = tally_confusion(zip(filtered, (c.ground_truth.data for c in cases)))
     assert np.array_equal(report.confusion, expected)
 
 
-def test_fit_policy_validation():
-    cases = [
-        _training_bundle("a", (slice(2, 6), slice(2, 6), slice(2, 6)), [], seed=1),
-        _training_bundle("b", (slice(2, 6), slice(2, 6), slice(2, 6)), [], seed=2),
-    ]
+def test_fit_policy_validation(tmp_path):
+    cases = _island_bundles()
+    case_ids, preds, gt = _write_training(tmp_path, cases)
+    features = _features(cases)
     with pytest.raises(ValueError, match="at least 3"):
-        fit_policy_report(cases, _features(cases))
-    missing_gt = CaseBundle(
-        case_id="c",
-        prediction=cases[0].prediction,
-        sequences=cases[0].sequences,
-    )
-    with pytest.raises(ValueError, match="ground truth"):
-        cases.append(missing_gt)
-        fit_policy_report(cases, _features(cases))
+        fit_policy_report(case_ids[:2], preds, gt, features)
+    with pytest.raises(ValueError, match=r"feature matrix missing cases \['other'\]"):
+        fit_policy_report(case_ids + ["other"], preds, gt, features)
+    with pytest.raises(ValueError, match="does not match extraction settings"):
+        fit_policy_report(case_ids, preds, gt, features,
+                          settings=ExtractionSettings(sequences=("t1n",)))
 
 
 # -- persistence ----------------------------------------------------------------------

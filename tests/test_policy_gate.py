@@ -1,8 +1,8 @@
 """Behaviour gate for policy fitting: ``fit_policy_report`` on two
-in-memory seeded corpora must reproduce the cluster assignments,
-component-size thresholds, relabel rules, confusion matrix and relabel
-candidates pinned in ``policy_gate.json`` exactly, at one thread and at
-two.
+seeded corpora, written to a temporary directory, must reproduce the
+cluster assignments, component-size thresholds, relabel rules, confusion
+matrix and relabel candidates pinned in ``policy_gate.json`` exactly, at
+one thread and at two.
 
 The corpora are the first cases of the acceptance recipe (one lesion,
 islands of every label, a 3->1 swap) and of the crowded recipe (two or
@@ -15,6 +15,7 @@ and says so in CHANGES.md.
 """
 
 import json
+import tempfile
 from functools import lru_cache
 from pathlib import Path
 
@@ -23,6 +24,7 @@ import pytest
 from gliopost.policy import fit_policy_report
 from gliopost.radiomics import FeatureMatrix, extract_case_features
 from gliopost.synth import SynthConfig, generate_case
+from gliopost.volume import save_nifti, seg_filename
 
 FIXTURE = Path(__file__).with_name("policy_gate.json")
 # thresholds around the 3-8 voxel island sizes make the search close
@@ -60,19 +62,28 @@ CORPORA = {
 
 @lru_cache(maxsize=None)
 def _corpus(name: str):
+    """The temporary directory the corpus's masks are written to (removed
+    when the interpreter exits), the corpus's case ids, the directories
+    of its predicted and ground-truth masks, and its feature matrix."""
     recipe, n_cases = CORPORA[name]
     cfg = SynthConfig.from_dict(recipe)
     cases = [generate_case(cfg, index)[0] for index in range(n_cases)]
+    masks = tempfile.TemporaryDirectory(prefix=f"policy-gate-{name}-")
+    dirs = [Path(masks.name) / sub for sub in ("preds", "gt")]
+    for directory in dirs:
+        directory.mkdir()
+    for case in cases:
+        for directory, mask in zip(dirs, (case.prediction, case.ground_truth)):
+            save_nifti(mask, directory / seg_filename(case.case_id))
     features = FeatureMatrix.from_vectors(
         [extract_case_features(c) for c in cases])
-    return cases, features
+    return masks, [c.case_id for c in cases], *map(str, dirs), features
 
 
 def _fit(name: str, **kwargs) -> dict:
-    cases, features = _corpus(name)
+    _, *corpus = _corpus(name)
     policy, report = fit_policy_report(
-        cases, pcc_grid=PCC_GRID, n_confusions=3, feature_matrix=features,
-        **kwargs)
+        *corpus, pcc_grid=PCC_GRID, n_confusions=3, **kwargs)
     return {
         "assignments": report.assignments,
         "pcc_thresholds": {

@@ -53,6 +53,32 @@ def test_config_validation():
         SynthConfig(islands=(IslandSpec(3, (3, 1), (1, 3)),))
 
 
+@pytest.mark.parametrize("override, message", (
+    ({"islands": [{"label": 1}]}, "island entry must be an object with keys"),
+    ({"islands": [{"label": 1, "count": [1, 2], "size": [3, 8], "x": 0}]},
+     "island entry must be an object with keys"),
+    ({"islands": [{"label": 1, "count": [1.5, 2], "size": [3, 8]}]},
+     "island 1 count range"),
+    ({"islands": [{"label": 1, "count": [1, 2], "size": "38"}]},
+     "island 1 size range"),
+    ({"islands": {"label": 1}}, "islands must be a list"),
+    ({"shells": [{"label": 1, "outer": "ab"}]}, "shell 1 outer range"),
+    ({"shells": [{"label": 1, "outer": [0.5, float("nan")]}]}, "shell 1 outer range"),
+    ({"shells": [{"label": 1, "outer": [0.5, None]}]}, "shell 1 outer range"),
+    ({"shells": [{"label": 1, "outer": 0.5}]}, "shell 1 outer range"),
+    ({"shells": [{"label": 9, "outer": [1.0, 1.0]}]}, "shell label must be"),
+    ({"shells": [{"label": None, "outer": [1.0, 1.0]}]}, "shell label must be"),
+    ({"shells": [3]}, "shell entry must be an object"),
+    ({"swap": {"src": 3, "dst": 1}}, "swap entry must be an object"),
+    ({"swap": {"src": 3, "dst": 1, "trigger": "x"}}, "swap trigger"),
+    ({"swap": {"src": 3, "dst": "1", "trigger": 0.1}}, "swap dst label"),
+))
+def test_from_dict_checks_nested_entries(override, message):
+    recipe = dict(SynthConfig().to_dict(), **override)
+    with pytest.raises(ValueError, match=message):
+        SynthConfig.from_dict(recipe)
+
+
 def test_config_round_trip():
     cfg = SynthConfig(
         seed=11,
