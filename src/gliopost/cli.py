@@ -107,13 +107,14 @@ class _ConfigError(Exception):
 
 
 def _int(value) -> int:
-    if isinstance(value, bool):
-        raise ValueError(f"expected an integer, got {value!r}")
-    if isinstance(value, int):
-        return value
+    """An integer that fits in 64 bits, as numpy and scipy take them."""
     if isinstance(value, str):
-        return int(value)
-    raise ValueError(f"expected an integer, got {value!r}")
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"expected a 64-bit integer, got {value}")
+    return value
 
 
 def _at_least(low: int, name: str) -> Callable:
@@ -354,7 +355,7 @@ def _merge_config(ns: argparse.Namespace, spec: tuple[_Opt, ...]) -> dict:
                 raise _ConfigError(f"{config_path}: unknown option {key!r}")
             try:
                 merged[key] = by_dest[key].coerce(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise _ConfigError(f"{config_path}: option {key!r}: {exc}")
 
     for key, value in vars(ns).items():

@@ -22,6 +22,7 @@ from .morphology import (
     connected_components,
     dilate,
     euclidean_distance_transform,
+    nonzero_box,
     padded_box,
 )
 from .nifti import atomic_open
@@ -376,15 +377,13 @@ def case_box(pred: np.ndarray, gt: np.ndarray, dilation_iters: int) -> tuple[sli
     """The box a case is scored in: the joint foreground of the label
     grids ``pred`` and ``gt`` padded by ``dilation_iters + 1`` and
     clipped to the grid, or the whole grid for an empty case."""
-    coords = np.nonzero((pred != 0) | (gt != 0))
-    if not coords[0].size:
-        return tuple(slice(0, n) for n in gt.shape)
-    return padded_box(coords, dilation_iters + 1, gt.shape)
+    return (nonzero_box(pred | gt, dilation_iters + 1)
+            or tuple(slice(0, n) for n in gt.shape))
 
 
 class CaseScorer:
-    """Lesion-wise scoring of one case's prediction, and of candidates
-    made from it, against the case's ground truth.
+    """Lesion-wise scoring of candidates made from one case's prediction
+    against the case's ground truth.
 
     The prediction and the ground truth are cropped once, to their
     ``case_box``: ``pred`` and ``gt`` hold the crops, and every
@@ -396,13 +395,12 @@ class CaseScorer:
     already cropped to its box (as the policy fit crops it) is its own
     box, and is kept without a copy.
 
-    ``evaluate`` scores the prediction itself, dropping each region's
-    ``RegionScorer`` once it has scored.  ``score`` serves the policy
-    fit, which scores each distinct candidate once: a region mask that
-    only removes voxels from the prediction's own region mask is scored
-    from the match of that mask (``RegionScorer.score_subset``), which
-    is kept for the life of the scorer; any other is matched in full.
-    Candidates come on the box, as edits of ``pred``.
+    ``score`` takes every candidate at once and works region by region:
+    it builds the region's ``RegionScorer`` and the match of the
+    prediction's region mask, scores each candidate that asks for the
+    region, from that match (``RegionScorer.score_subset``) if it only
+    removes voxels from it and in full otherwise, and drops both before
+    it builds the next region's.
     """
 
     def __init__(
@@ -420,40 +418,30 @@ class CaseScorer:
         self.gt = np.ascontiguousarray(gt.data[self.box])
         self.tolerances = tuple(tolerances)
         self._scorer_args = (gt.spacing, dilation_iters, connectivity)
-        self._bases: dict[str, tuple[RegionScorer, MatchState]] = {}
 
-    def evaluate(self, regions) -> dict[str, float]:
-        """``LW_<metric>_<region>`` scores of the case's prediction."""
-        out: dict[str, float] = {}
-        for region in regions:
-            scorer = RegionScorer(region_mask(self.gt, region), *self._scorer_args)
-            raw = scorer.score(region_mask(self.pred, region), self.tolerances)
-            out.update({f"{k}_{region.name}": v for k, v in raw.items()})
-        return out
-
-    def _base(self, region: RegionSpec) -> tuple[RegionScorer, MatchState]:
-        if region.name not in self._bases:
+    def score(self, candidates) -> list[dict[str, float]]:
+        """``LW_<metric>_<region>`` scores of each candidate, a ``(grid,
+        regions)`` pair: a label grid on the case's box (the shape of
+        ``pred``) and the regions to score it on, in their order.
+        Regions are scored in the order the candidates first ask for
+        them."""
+        for grid, _ in candidates:
+            if grid.shape != self.pred.shape:
+                raise ValueError(f"candidate grid {grid.shape} is not the case's "
+                                 f"box {self.pred.shape}")
+        raw = [{} for _ in candidates]
+        for region in dict.fromkeys(r for _, regions in candidates for r in regions):
             scorer = RegionScorer(region_mask(self.gt, region), *self._scorer_args)
             state = scorer.match_state(region_mask(self.pred, region), self.tolerances)
-            self._bases[region.name] = (scorer, state)
-        return self._bases[region.name]
-
-    def score(self, regions, pred_data: np.ndarray) -> dict[str, float]:
-        """``LW_<metric>_<region>`` scores of ``pred_data``, a candidate on
-        the case's box (the shape of ``pred``), over ``regions``."""
-        if pred_data.shape != self.pred.shape:
-            raise ValueError(f"candidate grid {pred_data.shape} is not the case's "
-                             f"box {self.pred.shape}")
-        out: dict[str, float] = {}
-        for region in regions:
-            mask = region_mask(pred_data, region)
-            scorer, state = self._base(region)
-            if (mask & ~state.mask).any():
-                raw = scorer.score(mask, self.tolerances)
-            else:
-                raw = scorer.score_subset(state, mask)
-            out.update({f"{k}_{region.name}": v for k, v in raw.items()})
-        return out
+            for (grid, regions), out in zip(candidates, raw):
+                if region in regions:
+                    mask = region_mask(grid, region)
+                    out[region] = (scorer.score(mask, self.tolerances)
+                                   if (mask & ~state.mask).any()
+                                   else scorer.score_subset(state, mask))
+            del scorer, state, mask  # before the next region's are built
+        return [{f"{k}_{r.name}": v for r in regions for k, v in out[r].items()}
+                for (_, regions), out in zip(candidates, raw)]
 
 
 def evaluate_case(
@@ -467,7 +455,7 @@ def evaluate_case(
 ) -> CaseMetrics:
     """Lesion-wise Dice and NSD for every region of one case."""
     scorer = CaseScorer(pred, gt, tolerances, dilation_iters, connectivity)
-    return CaseMetrics(case_id=case_id, values=scorer.evaluate(regions))
+    return CaseMetrics(case_id=case_id, values=scorer.score([(scorer.pred, regions)])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,18 @@ def padded_box(coords, pad: int, shape: tuple[int, ...]) -> tuple[slice, ...]:
                  for c, n in zip(coords, shape))
 
 
+def nonzero_box(grid: np.ndarray, pad: int = 0) -> tuple[slice, ...] | None:
+    """The ``padded_box`` of ``grid``'s nonzero voxels, or None if it has
+    none.  Taken from per-axis ``any()`` projections, which scan the grid
+    twice, rather than from ``np.nonzero``, which builds an index array
+    per axis over every nonzero voxel."""
+    shape, hits = grid.shape, []
+    while grid.ndim:
+        hits.append(np.flatnonzero(grid.any(axis=tuple(range(1, grid.ndim)))))
+        grid = grid.any(axis=0)
+    return padded_box(hits, pad, shape) if hits[0].size else None
+
+
 def _structure(connectivity: int) -> np.ndarray:
     if connectivity == 6:
         from scipy import ndimage  # only labelling commands load ndimage

@@ -38,7 +38,7 @@ from .metrics import (
     RegionSpec,
     case_box,
 )
-from .morphology import connected_components, padded_box
+from .morphology import connected_components, nonzero_box
 from .nifti import atomic_open
 from .parallel import map_ordered
 from .radiomics import (
@@ -314,7 +314,8 @@ def _search_table(item) -> tuple[dict, dict, np.ndarray]:
     edit ``edits[key][value]``, a ``(thresholds, rules)`` pair carried out
     by ``_actions`` and ``_carry_out``, over the key's ``_regions``.  Each
     key labels only the labels it thresholds, so one label's component
-    grid is alive at a time, and scores each distinct action tuple once.
+    grid is alive at a time.  Each distinct action tuple, across keys, is
+    carried out once and scored once, in one ``CaseScorer.score`` call.
     ``moved[key][value]``: the ground-truth labels of the voxels that edit
     removes.  ``confusion``: the case's (ground truth, prediction) counts.
     """
@@ -327,7 +328,7 @@ def _search_table(item) -> tuple[dict, dict, np.ndarray]:
     confusion[0, 0] = outside + pred.data.size - pairs.size
     scorer = CaseScorer(pred, gt, objective.tolerances,
                         objective.dilation_iters, objective.connectivity)
-    table, moved = {}, {}
+    grids, asked, table, moved = {}, {}, {}, {}  # grids, asked: per action tuple
     for key, by_value in edits.items():
         labels = sorted({label for thresholds, _ in by_value.values()
                          for label in thresholds})
@@ -338,16 +339,22 @@ def _search_table(item) -> tuple[dict, dict, np.ndarray]:
             truth[label] = np.bincount(grid[inside] * n + scorer.gt[box][inside],
                                        minlength=sizes.size * n).reshape(sizes.size, n)
         regions = _regions(objective, by_value)
-        by_action: dict[tuple, dict[str, float]] = {}
         table[key], moved[key] = {}, {}
         for value, (thresholds, rules) in by_value.items():
             actions = _actions(labelings, counts, thresholds, rules)
-            if actions not in by_action:
-                by_action[actions] = scorer.score(
-                    regions, _carry_out(scorer.pred, box, labelings, actions))
-            table[key][value] = by_action[actions]
+            if actions not in grids:
+                grids[actions] = _carry_out(scorer.pred, box, labelings, actions)
+            asked.setdefault(actions, set()).update(regions)
+            table[key][value] = actions
             moved[key][value] = sum((truth[label][list(ids)].sum(axis=0)
                                      for label, ids in actions[0]), np.zeros(n, np.int64))
+    scores = dict(zip(grids, scorer.score(
+        [(grid, [r for r in objective.regions if r in asked[actions]])
+         for actions, grid in grids.items()])))
+    for key, by_value in table.items():
+        columns = CaseMetrics.columns(_regions(objective, edits[key]), objective.tolerances)
+        table[key] = {value: {c: scores[actions][c] for c in columns}
+                      for value, actions in by_value.items()}
     return table, moved, confusion
 
 
@@ -470,8 +477,7 @@ def _label_box(seg: np.ndarray, labels, connectivity: int) -> tuple:
     other labels never changes a label's mask, so one labeling per label
     serves every threshold and every cluster.
     """
-    coords = np.nonzero(seg)
-    box = padded_box(coords, 0, seg.shape) if coords[0].size else (slice(0, 0),) * seg.ndim
+    box = nonzero_box(seg) or (slice(0, 0),) * seg.ndim
     crop = seg[box]
     labelings = {}
     for label in labels:

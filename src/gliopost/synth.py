@@ -128,6 +128,20 @@ class SynthConfig:
                 raise ValueError(f"bad island size range {spec.size}")
             if spec.count[0] < 0 or spec.count[0] > spec.count[1]:
                 raise ValueError(f"bad island count range {spec.count}")
+        for name, low, kind in (("jitter", 0, Integral), ("island_margin", 1, Integral),
+                                ("lesion_separation", 0, Real), ("noise_sigma", 0, Real),
+                                ("noise_amplitude", 0, Real)):
+            value = getattr(self, name)
+            if not (_finite(value, kind) and value >= low):
+                what = "an integer" if kind is Integral else "a finite number"
+                raise ValueError(f"{name.replace('_', ' ')} must be {what} >= {low},"
+                                 f" got {value!r}")
+        # each name becomes part of a file name (``seq_filename``)
+        names = self.sequences
+        if not (names and all(isinstance(s, str) and s and "/" not in s and "\\" not in s
+                              for s in names) and len(set(names)) == len(names)):
+            raise ValueError(f"sequences must be distinct non-empty names without a"
+                             f" path separator, got {list(names)!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -190,8 +204,12 @@ class SynthConfig:
 
 def _finite(value, kind: type) -> bool:
     """Whether ``value`` is a finite number of ``kind`` (``Integral`` or
-    ``Real``), bools excluded."""
-    return isinstance(value, kind) and not isinstance(value, bool) and math.isfinite(value)
+    ``Real``), bools and integers beyond the float range excluded."""
+    try:
+        return (isinstance(value, kind) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
 
 
 def _entries(value, name: str) -> list:

@@ -487,6 +487,14 @@ def test_bad_recipe_or_fit_option_writes_nothing(tmp_path, argv, code):
 @pytest.mark.parametrize("override", (
     {"islands": [{"label": 1}]},
     {"shells": [{"label": 1, "outer": "ab"}]},
+    {"noise_amplitude": float("nan")},
+    {"lesion_separation": float("inf")},
+    {"noise_sigma": -1.0},
+    {"island_margin": 0},
+    {"jitter": -1},
+    {"sequences": ["a/b"]},
+    {"sequences": ["t1n", "t1n"]},
+    {"sequences": []},
 ))
 def test_bad_nested_recipe_entry_writes_nothing(tmp_path, override):
     out = tmp_path / "out"

@@ -369,15 +369,22 @@ def test_case_scorer_matches_evaluate_case(data, shape, connectivity):
                         connectivity=connectivity)
     # candidates as the grid searches make them: the case itself, a label
     # removed (a subset), a label relabelled (a subset of the source's
-    # regions, a superset of the destination's), and both at once
+    # regions, a superset of the destination's), and both at once, scored
+    # in one call, each on its own regions in its own order
     src, dst = data.draw(st.sampled_from([(1, 3), (3, 1), (1, 2), (2, 3)]))
     relabelled = np.where(pred == src, dst, pred)
-    for candidate in (pred, np.where(pred == src, 0, pred), relabelled,
-                      np.where(relabelled == dst, 0, relabelled), pred):
-        want = evaluate_case(_case(candidate), _case(gt), regions=regions,
+
+    def some_regions():
+        order = data.draw(st.permutations(regions))
+        return tuple(order[:data.draw(st.integers(1, len(order)))])
+
+    candidates = [(candidate, some_regions())
+                  for candidate in (pred, np.where(pred == src, 0, pred), relabelled,
+                                    np.where(relabelled == dst, 0, relabelled), pred)]
+    for (candidate, asked), got in zip(candidates, scorer.score(candidates)):
+        want = evaluate_case(_case(candidate), _case(gt), regions=asked,
                              dilation_iters=1, connectivity=connectivity).values
-        assert scorer.score(regions, candidate) == want
-    assert scorer.evaluate(regions) == scorer.score(regions, pred)
+        assert list(got.items()) == list(want.items())
 
 
 @st.composite
@@ -450,7 +457,7 @@ def test_boxed_scores_match_brute_force(case, connectivity, dilation, spacing, p
         values = evaluate_case(LabelMap(data=candidate, spacing=sp),
                                LabelMap(data=gt, spacing=sp), regions=regions,
                                **kwargs).values
-        assert scorer.score(regions, candidate[scorer.box]) == values
+        assert scorer.score([(candidate[scorer.box], regions)]) == [values]
         for region in regions:
             dice, nsd = brute_lesionwise(region_mask(gt, region),
                                          region_mask(candidate, region),
@@ -469,10 +476,10 @@ def test_case_scorer_rejects_candidate_outside_box():
     assert scorer.box == (slice(0, 6),) * 3
     inside = seg.copy()
     inside[5, 5, 5] = 2  # a voxel the prediction lacks, inside the box
-    assert scorer.score((WT,), inside[scorer.box]) == evaluate_case(
-        _case(inside), _case(seg), regions=(WT,), dilation_iters=1).values
+    assert scorer.score([(inside[scorer.box], (WT,))]) == [evaluate_case(
+        _case(inside), _case(seg), regions=(WT,), dilation_iters=1).values]
     with pytest.raises(ValueError, match="is not the case's box"):
-        scorer.score((WT,), seg[:8])
+        scorer.score([(inside[scorer.box], (WT,)), (seg[:8], (WT,))])
 
 
 @settings(max_examples=150, deadline=None)

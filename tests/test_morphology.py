@@ -3,6 +3,9 @@ checked against the brute-force oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gliopost.morphology import (
     OFFSETS_6,
@@ -13,6 +16,8 @@ from gliopost.morphology import (
     dilate,
     euclidean_distance_transform,
     line_order,
+    nonzero_box,
+    padded_box,
 )
 from gliopost.volume import Spacing
 
@@ -35,6 +40,20 @@ def test_offset_tables():
     # the 13-offset half plus its negation covers all 26
     full = set(OFFSETS_13) | {(-a, -b, -c) for a, b, c in OFFSETS_13}
     assert full == set(OFFSETS_26)
+
+
+@settings(max_examples=200, deadline=None)
+@example(np.ones((3, 4, 5), dtype=np.uint8), 1)  # touches every face
+@example(np.zeros((3, 4, 5), dtype=np.uint8), 2)
+@example(np.zeros((2, 0, 3), dtype=np.uint8), 0)
+@given(hnp.arrays(np.uint8, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
+                  elements=st.sampled_from((0, 0, 0, 1, 4))),
+       st.integers(0, 3))
+def test_nonzero_box_is_the_box_of_nonzero(grid, pad):
+    coords = np.nonzero(grid)
+    want = padded_box(coords, pad, grid.shape) if coords[0].size else None
+    assert nonzero_box(grid, pad) == want
+    assert nonzero_box(grid.astype(bool), pad) == want
 
 
 def test_components_empty_mask():

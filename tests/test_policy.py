@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +18,13 @@ from gliopost.clustering import (
     StandardizationStats,
     assign_cluster,
 )
-from gliopost.metrics import REGIONS_POST_TREATMENT, REGIONS_PRE_TREATMENT, CaseScorer
+from gliopost.metrics import (
+    REGIONS_POST_TREATMENT,
+    REGIONS_PRE_TREATMENT,
+    CaseScorer,
+    RegionScorer,
+    evaluate_case,
+)
 from gliopost.policy import (
     DEFAULT_CUTOFF_GRID,
     POLICY_VERSION,
@@ -722,7 +729,7 @@ def test_fit_tables_score_the_reference_output(drawn):
     assert list(table) == list(moved) == list(edits)
 
     def check(key, value, want, regions):
-        assert table[key][value] == scorer.score(regions, want), (key, value)
+        assert table[key][value] == scorer.score([(want, regions)])[0], (key, value)
         removed = (crop != 0) & (want == 0)
         assert np.array_equal(moved[key][value],
                               np.bincount(scorer.gt[removed], minlength=5)), (key, value)
@@ -737,6 +744,39 @@ def test_fit_tables_score_the_reference_output(drawn):
         for c in cutoffs:
             want = naive_postprocess(crop, {}, [RelabelRule(0, src, dst, c)])
             check((src, dst), c, want, affected(src, dst))
+
+
+@pytest.mark.parametrize("connectivity", (6, 26))
+def test_scoring_holds_one_region_scorer_at_a_time(tmp_path, monkeypatch, connectivity):
+    """``evaluate_case`` and a grid-search table build each region's
+    ``RegionScorer`` once, and only after the previous region's is gone."""
+    alive, builds = weakref.WeakSet(), []
+    init = RegionScorer.__init__
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        alive.add(self)
+        builds.append(len(alive))
+
+    monkeypatch.setattr(RegionScorer, "__init__", tracked_init)
+    gt = _seg()
+    gt[3:9, 3:9, 3:9] = 2
+    gt[5:7, 5:7, 5:7] = 3
+    gt[4, 4, 4] = 1
+    gt[11:14, 11:14, 11:14] = 4
+    pred = gt.copy()
+    pred[5:7, 5:7, 5] = 1
+    pred[1, 14, 1] = 1
+    pred[14, 1, 14] = 3
+    regions = REGIONS_POST_TREATMENT
+    evaluate_case(_lm(pred), _lm(gt), regions=regions, connectivity=connectivity)
+    assert builds == [1] * len(regions)
+    builds.clear()
+    objective = RankObjective(regions=regions, connectivity=connectivity)
+    edits = {label: {t: ({label: t}, []) for t in (0, 2, 10)} for label in (1, 2, 3, 4)}
+    edits[(1, 3)] = {c: ({}, [RelabelRule(0, 1, 3, c)]) for c in (0.0, 0.5)}
+    _search_table((_written_case(tmp_path, "a", pred, gt), edits, objective))
+    assert builds == [1] * len(regions)
 
 
 def test_policy_validates_threshold_coverage():

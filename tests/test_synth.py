@@ -72,6 +72,16 @@ def test_config_validation():
     ({"swap": {"src": 3, "dst": 1}}, "swap entry must be an object"),
     ({"swap": {"src": 3, "dst": 1, "trigger": "x"}}, "swap trigger"),
     ({"swap": {"src": 3, "dst": "1", "trigger": 0.1}}, "swap dst label"),
+    ({"shells": [{"label": 1, "outer": [0.5, 10 ** 400]}]}, "shell 1 outer range"),
+    ({"jitter": -1}, "jitter must be an integer >= 0"),
+    ({"island_margin": 0}, "island margin must be an integer >= 1"),
+    ({"lesion_separation": float("inf")}, "lesion separation must be a finite number"),
+    ({"noise_sigma": -0.5}, "noise sigma must be a finite number >= 0"),
+    ({"noise_amplitude": float("nan")}, "noise amplitude must be a finite number"),
+    ({"sequences": []}, "sequences must be distinct non-empty names"),
+    ({"sequences": ["t1n", "t1n"]}, "sequences must be distinct"),
+    ({"sequences": ["a/b"]}, "without a path separator"),
+    ({"sequences": ["t1n", ""]}, "sequences must be distinct non-empty names"),
 ))
 def test_from_dict_checks_nested_entries(override, message):
     recipe = dict(SynthConfig().to_dict(), **override)
