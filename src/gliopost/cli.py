@@ -21,7 +21,8 @@ take distance transforms (``synth``, ``fit-policy``, ``apply``,
 inherit it instead of importing it one by one.  ``extract-features`` and
 ``rank`` run on numpy alone.
 
-Exit codes: 0 success, 2 bad configuration, 3 I/O failure, 4 invalid data.
+Exit codes: 0 success, 2 bad configuration, 3 I/O failure, 4 invalid data
+or out of memory.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ from .volume import (
     SEQUENCES,
     discover_case_ids,
     load_case_bundle,
-    load_nifti,
     save_nifti,
     seg_filename,
 )
@@ -378,17 +378,9 @@ def _merge_config(ns: argparse.Namespace, spec: tuple[_Opt, ...]) -> dict:
     return merged
 
 
-def _json_safe(value):
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    return value
-
-
 def _write_run_config(out_dir: Path, command: str, cfg: dict,
                       run: dict | None = None) -> None:
-    echo = {k: _json_safe(v) for k, v in cfg.items() if k != "threads"}
+    echo = {k: v for k, v in cfg.items() if k != "threads"}
     doc = {"command": command, "config": echo}
     if run is not None:
         doc["run"] = run
@@ -421,8 +413,7 @@ def _run_record(start: float) -> dict:
 # ---------------------------------------------------------------------------
 
 def _synth_case(item):
-    recipe, index, out_dir = item
-    cfg = SynthConfig.from_dict(recipe)
+    cfg, index, out_dir = item
     bundle, inventory = generate_case(cfg, index)
     out = Path(out_dir)
     save_case(bundle, out / "images", out / "preds", out / "gt")
@@ -430,8 +421,7 @@ def _synth_case(item):
 
 
 def _extract_features_case(item):
-    case_id, pred_dir, images_dir, settings_dict = item
-    settings = ExtractionSettings.from_dict(settings_dict)
+    case_id, pred_dir, images_dir, settings = item
     case = load_case_bundle(case_id, pred_dir, images_dir,
                             sequences=settings.sequences)
     return extract_case_features(case, settings)
@@ -448,16 +438,11 @@ def _apply_case(item):
 
 
 def _evaluate_metrics_case(item):
-    case_id, pred_dir, gt_dir, objective_dict = item
-    objective = RankObjective.from_dict(objective_dict)
-    gt_path = Path(gt_dir) / seg_filename(case_id)
-    if not gt_path.exists():
-        raise FileNotFoundError(f"missing ground truth {gt_path}")
-    pred = load_nifti(Path(pred_dir) / seg_filename(case_id), kind="label")
-    gt = load_nifti(gt_path, kind="label")
+    case_id, pred_dir, gt_dir, objective = item
+    case = load_case_bundle(case_id, pred_dir, gt_dir=gt_dir)
     return evaluate_case(
-        pred,
-        gt,
+        case.prediction,
+        case.ground_truth,
         regions=objective.regions,
         tolerances=objective.tolerances,
         dilation_iters=objective.dilation_iters,
@@ -487,8 +472,7 @@ def _input_dir(path: str) -> None:
 def _cmd_synth(cfg: dict) -> dict:
     if cfg["cases"] < 0:
         raise ValueError(f"--cases must be >= 0, got {cfg['cases']}")
-    recipe = {key: _json_safe(cfg[key]) for key in _RECIPE_KEYS}
-    syn = SynthConfig.from_dict(recipe)
+    syn = SynthConfig.from_dict({key: cfg[key] for key in _RECIPE_KEYS})
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_run_config(out, "synth", cfg)
@@ -499,7 +483,7 @@ def _cmd_synth(cfg: dict) -> dict:
         write_inventory(out, syn, {})
         return {}
     start = cfg["start_index"]
-    items = [(recipe, index, str(out))
+    items = [(syn, index, str(out))
              for index in range(start, start + cfg["cases"])]
     results = map_ordered(_synth_case, items,
                           [case_name(index) for _, index, _ in items],
@@ -511,7 +495,7 @@ def _cmd_synth(cfg: dict) -> dict:
 
 def _extract_matrix(cfg: dict, settings: ExtractionSettings,
                     case_ids: list[str]) -> FeatureMatrix:
-    items = [(cid, cfg["preds"], cfg["images"], settings.to_dict())
+    items = [(cid, cfg["preds"], cfg["images"], settings)
              for cid in case_ids]
     vectors = map_ordered(_extract_features_case, items, case_ids,
                           cfg["threads"])
@@ -606,7 +590,7 @@ def _cmd_evaluate(cfg: dict) -> dict:
         dilation_iters=cfg["dilation"],
         connectivity=cfg["connectivity"],
     )
-    items = [(cid, cfg["preds"], cfg["gt"], objective.to_dict())
+    items = [(cid, cfg["preds"], cfg["gt"], objective)
              for cid in case_ids]
     rows = map_ordered(_evaluate_metrics_case, items, case_ids,
                        cfg["threads"])
@@ -723,7 +707,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         log.error("%s", exc)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         log.error("%s", exc)
         return EXIT_INVALID
 

@@ -411,8 +411,9 @@ class CaseScorer:
         dilation_iters: int = DEFAULT_DILATION_ITERS,
         connectivity: int = DEFAULT_CONNECTIVITY,
     ):
-        if pred.dims != gt.dims:
-            raise ValueError(f"grid mismatch: pred {pred.dims} vs gt {gt.dims}")
+        if pred.dims != gt.dims or pred.spacing != gt.spacing:
+            raise ValueError(f"grid mismatch: pred {pred.dims} at {pred.spacing.as_tuple()}"
+                             f" vs gt {gt.dims} at {gt.spacing.as_tuple()}")
         self.box = case_box(pred.data, gt.data, dilation_iters)
         self.pred = np.ascontiguousarray(pred.data[self.box])
         self.gt = np.ascontiguousarray(gt.data[self.box])
@@ -453,7 +454,8 @@ def evaluate_case(
     connectivity: int = DEFAULT_CONNECTIVITY,
     case_id: str = "",
 ) -> CaseMetrics:
-    """Lesion-wise Dice and NSD for every region of one case."""
+    """Lesion-wise Dice and NSD for every region of one case.  A ``pred``
+    whose dims or spacing differ from ``gt``'s raises ValueError."""
     scorer = CaseScorer(pred, gt, tolerances, dilation_iters, connectivity)
     return CaseMetrics(case_id=case_id, values=scorer.score([(scorer.pred, regions)])[0])
 

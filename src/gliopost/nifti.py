@@ -115,14 +115,6 @@ class Orientation:
     srow_y: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 0.0)
     srow_z: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 0.0)
 
-    @staticmethod
-    def default_for_spacing(dx: float, dy: float, dz: float) -> "Orientation":
-        return Orientation(
-            srow_x=(dx, 0.0, 0.0, 0.0),
-            srow_y=(0.0, dy, 0.0, 0.0),
-            srow_z=(0.0, 0.0, dz, 0.0),
-        )
-
 
 @dataclass
 class RawNifti:
@@ -130,9 +122,7 @@ class RawNifti:
 
     data: np.ndarray
     spacing: tuple[float, float, float]
-    orientation: Orientation = field(
-        default_factory=lambda: Orientation.default_for_spacing(1.0, 1.0, 1.0)
-    )
+    orientation: Orientation = field(default_factory=Orientation)
 
 
 def _read_bytes(path: Path) -> bytes:

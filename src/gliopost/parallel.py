@@ -15,11 +15,12 @@ from typing import Callable
 
 
 def _reported(failed: list[tuple[str, Exception]]) -> Exception:
-    """The first of the ``(case_id, exception)`` failures, same type, its
-    message led by its case id and, when more cases failed, followed by
-    the ids of all of them."""
+    """The first of the ``(case_id, exception)`` failures, its message
+    (or, when empty, its type's name) led by its case id and, when more
+    cases failed, followed by the ids of all of them.  It keeps its type,
+    or the nearest base type whose message can be set."""
     case_id, exc = failed[0]
-    message = str(exc)
+    message = str(exc) or type(exc).__name__
     if not message.startswith(f"{case_id}: "):
         message = f"{case_id}: {message}"
     if len(failed) > 1:
@@ -30,7 +31,17 @@ def _reported(failed: list[tuple[str, Exception]]) -> Exception:
         return type(exc)(message)
     except TypeError:  # a type that cannot be built from one message
         exc.args = (message,)
+    if str(exc) == message:
         return exc
+    # its message ignores args, as numpy's _ArrayMemoryError's does: the
+    # nearest base type that carries the message (BaseException always)
+    for base in type(exc).__mro__[1:]:
+        try:
+            reported = base(message)
+        except TypeError:
+            continue
+        if str(reported) == message:
+            return reported
 
 
 def map_ordered(worker: Callable, items: list, case_ids: list[str],
@@ -42,7 +53,8 @@ def map_ordered(worker: Callable, items: list, case_ids: list[str],
     stop the other items.  Once all have run, the first failure in item
     order is raised with its case id in front of its message and, when
     more items failed, the ids of all failing cases in item order after
-    it.  It keeps its type, so callers map it to the same exit code.
+    it.  It keeps its type, or a base type that carries the message, so
+    callers map it to the same exit code.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

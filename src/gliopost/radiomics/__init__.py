@@ -7,7 +7,6 @@ from .extract import (
     extract_case_features,
     feature_names,
     read_feature_csv,
-    read_manifest,
     write_feature_csv,
     write_manifest,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "extract_case_features",
     "feature_names",
     "read_feature_csv",
-    "read_manifest",
     "write_feature_csv",
     "write_manifest",
     "FIRSTORDER_FEATURE_NAMES",

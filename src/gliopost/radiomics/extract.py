@@ -4,8 +4,7 @@ The feature name order is a stable contract: shape features first, then
 per sequence (in configured order) the first-order, GLCM, GLRLM, GLSZM,
 GLDM and NGTDM families.  Identifiers are ``shape/<name>`` and
 ``<seq>/<family>/<name>``.  Cases whose predicted whole-tumor mask has
-fewer than two voxels produce the all-zero sentinel vector and are
-flagged degenerate.
+fewer than two voxels produce the all-zero sentinel vector.
 """
 
 from __future__ import annotations
@@ -100,7 +99,6 @@ class FeatureVector:
     case_id: str
     names: tuple[str, ...]
     values: np.ndarray
-    degenerate: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -121,7 +119,6 @@ class FeatureMatrix:
     names: tuple[str, ...]
     case_ids: list[str] = field(default_factory=list)
     values: np.ndarray | None = None
-    degenerate: list[bool] = field(default_factory=list)
 
     @staticmethod
     def from_vectors(vectors: list[FeatureVector]) -> "FeatureMatrix":
@@ -135,17 +132,11 @@ class FeatureMatrix:
             names=names,
             case_ids=[v.case_id for v in vectors],
             values=np.vstack([v.values for v in vectors]),
-            degenerate=[v.degenerate for v in vectors],
         )
 
     def row(self, case_id: str) -> FeatureVector:
         i = self.case_ids.index(case_id)
-        return FeatureVector(
-            case_id=case_id,
-            names=self.names,
-            values=self.values[i],
-            degenerate=self.degenerate[i],
-        )
+        return FeatureVector(case_id=case_id, names=self.names, values=self.values[i])
 
 
 def extract_case_features(
@@ -162,12 +153,8 @@ def extract_case_features(
 
     wt = region_mask(case.prediction, WT)
     if int(wt.sum()) < 2:
-        return FeatureVector(
-            case_id=case.case_id,
-            names=names,
-            values=np.zeros(len(names)),
-            degenerate=True,
-        )
+        return FeatureVector(case_id=case.case_id, names=names,
+                             values=np.zeros(len(names)))
 
     values: list[float] = []
     shape = shape_features(wt, case.prediction.spacing)
@@ -224,10 +211,7 @@ def read_feature_csv(path: str | Path) -> FeatureMatrix:
             case_ids.append(rec[0])
             rows.append([float(v) for v in rec[1:]])
     values = np.array(rows, dtype=np.float64).reshape(len(case_ids), len(names))
-    degenerate = [bool(np.all(r == 0.0)) for r in values]
-    return FeatureMatrix(
-        names=names, case_ids=case_ids, values=values, degenerate=degenerate
-    )
+    return FeatureMatrix(names=names, case_ids=case_ids, values=values)
 
 
 def write_manifest(path: str | Path, settings: ExtractionSettings) -> None:
@@ -240,13 +224,3 @@ def write_manifest(path: str | Path, settings: ExtractionSettings) -> None:
     with atomic_open(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_manifest(path: str | Path) -> tuple[tuple[str, ...], ExtractionSettings]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    settings = ExtractionSettings.from_dict(doc["settings"])
-    names = tuple(doc["feature_names"])
-    if names != feature_names(settings):
-        raise ValueError(f"{path}: manifest names do not match settings")
-    return names, settings

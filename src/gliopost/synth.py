@@ -325,6 +325,16 @@ def _make_sequences(
 _GROW_STEPS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
 
 
+def _open_neighbours(v, allowed: np.ndarray, chosen: set):
+    """The 6-neighbours of voxel ``v`` inside the grid, allowed and not
+    yet chosen."""
+    for step in _GROW_STEPS:
+        nb = tuple(c + d for c, d in zip(v, step))
+        if (all(0 <= c < n for c, n in zip(nb, allowed.shape))
+                and allowed[nb] and nb not in chosen):
+            yield nb
+
+
 def _grow_island(
     allowed: np.ndarray, size: int, rng: np.random.Generator, tries: int = 50
 ) -> list[tuple[int, int, int]] | None:
@@ -333,29 +343,16 @@ def _grow_island(
     free = np.argwhere(allowed)
     if free.shape[0] == 0:
         return None
-    dims = allowed.shape
     for _ in range(tries):
         seed = tuple(int(v) for v in free[int(rng.integers(free.shape[0]))])
         chosen = {seed}
-        frontier = set()
-        for v in (seed,):
-            for dx, dy, dz in _GROW_STEPS:
-                nb = (v[0] + dx, v[1] + dy, v[2] + dz)
-                if all(0 <= nb[a] < dims[a] for a in range(3)) and allowed[nb]:
-                    frontier.add(nb)
+        frontier = set(_open_neighbours(seed, allowed, chosen))
         while len(chosen) < size and frontier:
             ordered = sorted(frontier)
             pick = ordered[int(rng.integers(len(ordered)))]
             frontier.discard(pick)
             chosen.add(pick)
-            for dx, dy, dz in _GROW_STEPS:
-                nb = (pick[0] + dx, pick[1] + dy, pick[2] + dz)
-                if (
-                    all(0 <= nb[a] < dims[a] for a in range(3))
-                    and allowed[nb]
-                    and nb not in chosen
-                ):
-                    frontier.add(nb)
+            frontier.update(_open_neighbours(pick, allowed, chosen))
         if len(chosen) == size:
             return sorted(chosen)
     return None

@@ -143,10 +143,6 @@ class CaseBundle:
             if g.spacing != spacing:
                 raise ValueError(f"{self.case_id}: {name} spacing mismatch")
 
-    @property
-    def spacing(self) -> Spacing:
-        return self.prediction.spacing
-
 
 def load_nifti(path: str | Path, kind: str) -> ScalarVolume | LabelMap:
     """Load a NIfTI-1 file as a scalar volume (``kind='scalar'``) or a

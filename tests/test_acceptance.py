@@ -42,8 +42,8 @@ from oracles import brute_edt, brute_lesionwise, naive_postprocess, random_blob_
 THREADS = "4"
 TRAIN_CASES = 40
 HELD_CASES = 20
-PIPELINE_BUDGET_SECONDS = 60.0
-EXTRACTION_BUDGET_SECONDS = 2.0
+PIPELINE_BUDGET_SECONDS = 45.0
+EXTRACTION_BUDGET_SECONDS = 1.0
 MIN_TRUE_LESION_VOXELS = 150
 
 # One ellipsoidal lesion per case with a thin enhancing core (label 3)
@@ -193,7 +193,7 @@ def test_criterion_1_feature_inventory_and_speed(pipeline):
     elapsed = time.perf_counter() - start
     assert elapsed < EXTRACTION_BUDGET_SECONDS
     assert vector.values.shape == (386,)
-    assert not vector.degenerate
+    assert vector.values.any()  # not the all-zero sentinel of a tiny mask
     assert np.all(np.isfinite(vector.values))
     _passline(1, f"386 = 14 + 4*93 names, one 64^3 case in {elapsed:.2f}s")
 

@@ -10,12 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from numpy._core._exceptions import _ArrayMemoryError
 
 import gliopost
 from gliopost.cli import main
 from gliopost.metrics import evaluate_case, read_metrics_csv
 from gliopost.radiomics import read_feature_csv
-from gliopost.volume import load_nifti
+from gliopost.volume import LabelMap, Spacing, load_nifti, save_nifti
 
 RECIPE = {
     "seed": 33,
@@ -715,7 +716,7 @@ def test_evaluate_failure_names_the_case(tmp_path, corpus, caplog, threads):
         assert main(["evaluate", "--preds", str(corpus / "preds"),
                      "--gt", str(gt), "--out", str(tmp_path / "out"),
                      "--threads", threads]) == 4
-    assert any(r.message.startswith("case-0003: grid mismatch")
+    assert any(r.message.startswith("case-0003: ground_truth dims")
                for r in caplog.records)
 
 
@@ -726,7 +727,7 @@ def test_evaluate_failures_name_every_failing_case(tmp_path, corpus, caplog, thr
     for path in (corpus / "gt").iterdir():
         (gt / path.name).write_bytes(path.read_bytes())
     # case-0001 on a smaller grid, case-0004 without ground truth: the
-    # first failure's type (a grid mismatch, exit 4) decides the exit code
+    # first failure's type (a dims mismatch, exit 4) decides the exit code
     small = tmp_path / "small"
     recipe = _write_recipe(tmp_path, dims=[20, 20, 20], seed=44)
     assert main(["synth", "--config", str(recipe), "--out", str(small),
@@ -740,9 +741,59 @@ def test_evaluate_failures_name_every_failing_case(tmp_path, corpus, caplog, thr
                      "--threads", threads]) == 4
     errors = [r.message for r in caplog.records if r.levelno == logging.ERROR]
     assert len(errors) == 1
-    assert errors[0].startswith("case-0001: grid mismatch")
+    assert errors[0].startswith("case-0001: ground_truth dims")
     assert errors[0].endswith("(2 cases failed: case-0001, case-0004)")
     assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("threads", ("1", "2"))
+def test_evaluate_rejects_a_spacing_mismatch(tmp_path, corpus, caplog, threads):
+    """NSD is a distance in mm, so a ground truth on another spacing is
+    rejected, as the fit rejects it, not scored at its spacing."""
+    gt = tmp_path / "gt"
+    gt.mkdir()
+    for path in (corpus / "gt").iterdir():
+        (gt / path.name).write_bytes(path.read_bytes())
+    name = "case-0002-seg.nii.gz"
+    mask = load_nifti(gt / name, kind="label")
+    save_nifti(LabelMap(data=mask.data, spacing=Spacing(1.0, 1.0, 2.0)), gt / name)
+    with caplog.at_level(logging.ERROR):
+        assert main(["evaluate", "--preds", str(corpus / "preds"),
+                     "--gt", str(gt), "--out", str(tmp_path / "out"),
+                     "--threads", threads]) == 4
+    errors = [r.message for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == ["case-0002: ground_truth spacing mismatch"]
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+# -- worker failures ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("threads", ("1", "2"))
+@pytest.mark.parametrize("error", (
+    MemoryError,
+    # numpy's own, whose message ignores its args; building it allocates nothing
+    lambda: _ArrayMemoryError((10 ** 5,) * 3, np.dtype("u1")),
+), ids=("plain", "numpy"))
+def test_worker_memory_error_exits_4_naming_the_case(tmp_path, monkeypatch, caplog,
+                                                     threads, error):
+    from gliopost import cli
+
+    real = cli.generate_case
+
+    def generate(cfg, index):
+        if index == 1:
+            raise error()
+        return real(cfg, index)
+
+    monkeypatch.setattr(cli, "generate_case", generate)
+    recipe = _write_recipe(tmp_path)
+    with caplog.at_level(logging.ERROR):
+        assert main(["synth", "--config", str(recipe), "--out", str(tmp_path / "out"),
+                     "--cases", "2", "--threads", threads]) == 4
+    errors = [r.message for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1
+    assert errors[0].startswith("case-0001: ")
+    assert errors[0] != "case-0001: "
 
 
 # -- rank --------------------------------------------------------------------------------

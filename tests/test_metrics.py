@@ -354,6 +354,17 @@ def test_evaluate_case_grid_mismatch():
         evaluate_case(_case(_labels((4, 4, 4))), _case(_labels((5, 4, 4))))
 
 
+def test_evaluate_case_rejects_a_spacing_mismatch():
+    """NSD tolerances are in mm: a pair on two spacings is not scored."""
+    seg = _labels((6, 6, 6))
+    seg[2:4, 2:4, 2:4] = 3
+    gt = LabelMap(data=seg, spacing=Spacing(1.0, 1.0, 2.0))
+    with pytest.raises(ValueError, match="grid mismatch"):
+        evaluate_case(LabelMap(data=seg, spacing=Spacing(1.0, 1.0, 1.0)), gt)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        CaseScorer(gt, LabelMap(data=seg, spacing=Spacing(1.0, 1.0, 1.0)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.data(),

@@ -201,7 +201,7 @@ def test_load_case_bundle_full(tmp_path):
     assert bundle.case_id == "case-7"
     assert set(bundle.sequences) == {"t1n", "t1c", "t2w", "t2f"}
     assert bundle.ground_truth is not None
-    assert bundle.spacing == SP
+    assert bundle.prediction.spacing == SP
 
 
 def test_load_case_bundle_masks_only(tmp_path):
