@@ -46,6 +46,7 @@ from .metrics import (
     DEFAULT_CONNECTIVITY,
     DEFAULT_DILATION_ITERS,
     DEFAULT_TOLERANCES_MM,
+    RankObjective,
     evaluate_case,
     read_metrics_csv,
     write_metrics_csv,
@@ -56,7 +57,6 @@ from .policy import (
     DEFAULT_CUTOFF_GRID,
     DEFAULT_PCC_GRID,
     DEFAULT_TOP_CONFUSIONS,
-    RankObjective,
     apply_policy,
     fit_policy_report,
     load_policy,
@@ -176,13 +176,7 @@ def _k_range(value) -> tuple[int, ...]:
 
 
 def _tolerances(value) -> tuple[float, ...]:
-    tolerances = _floats(value)
-    if not all(math.isfinite(tol) and tol > 0 for tol in tolerances):
-        raise ValueError(f"tolerances must be finite and > 0, got {list(tolerances)}")
-    # distinct as the metric columns print them (LW_NSD@<tol:g>)
-    if len({f"{tol:g}" for tol in tolerances}) != len(tolerances):
-        raise ValueError(f"tolerances must be distinct, got {list(tolerances)}")
-    return tolerances
+    return RankObjective.check_tolerances(_floats(value))
 
 
 def _pcc_grid(value) -> tuple[int, ...]:
@@ -224,6 +218,22 @@ class _Opt:
 _SYNTH_RECIPE = SynthConfig().to_dict()
 _RECIPE_KEYS = tuple(_SYNTH_RECIPE)
 
+# options that several commands share
+_PREDS = _Opt("preds", "--preds", _str, _REQUIRED, "directory of predicted masks")
+_IMAGES = _Opt("images", "--images", _str, _REQUIRED, "directory of image sequences")
+_GT = _Opt("gt", "--gt", _str, _REQUIRED, "directory of ground-truth masks")
+_OUT = _Opt("out", "--out", _str, _REQUIRED, "output directory")
+_TASK = _Opt("task", "--task", _str, "gli-pre", "challenge task", choices=TASKS)
+_THREADS = _Opt("threads", "--threads", _threads, 1, "worker processes")
+_EXTRACTION_OPTS = (
+    _Opt("bin_width", "--bin-width", _bin_width, DEFAULT_BIN_WIDTH,
+         "intensity bin width for first-order features"),
+    _Opt("bin_count", "--bin-count", _at_least(1, "bin count"), DEFAULT_BIN_COUNT,
+         "gray-level count for texture features"),
+    _Opt("sequences", "--sequences", _strs, list(SEQUENCES),
+         "sequence names to extract from"),
+)
+
 _SYNTH_SPEC = (
     _Opt("out", "--out", _str, _REQUIRED, "corpus directory to create"),
     _Opt("cases", "--cases", _int, _REQUIRED, "number of cases to generate"),
@@ -257,28 +267,13 @@ _SYNTH_SPEC = (
          _SYNTH_RECIPE["noise_amplitude"], "standard deviation of image noise"),
     _Opt("sequences", "--sequences", _strs, _SYNTH_RECIPE["sequences"],
          "sequence names to synthesize"),
-    _Opt("threads", "--threads", _threads, 1, "worker processes"),
+    _THREADS,
 )
 
-_EXTRACT_SPEC = (
-    _Opt("preds", "--preds", _str, _REQUIRED, "directory of predicted masks"),
-    _Opt("images", "--images", _str, _REQUIRED, "directory of image sequences"),
-    _Opt("out", "--out", _str, _REQUIRED, "output directory"),
-    _Opt("bin_width", "--bin-width", _bin_width, DEFAULT_BIN_WIDTH,
-         "intensity bin width for first-order features"),
-    _Opt("bin_count", "--bin-count", _at_least(1, "bin count"), DEFAULT_BIN_COUNT,
-         "gray-level count for texture features"),
-    _Opt("sequences", "--sequences", _strs, list(SEQUENCES),
-         "sequence names to extract from"),
-    _Opt("threads", "--threads", _threads, 1, "worker processes"),
-)
+_EXTRACT_SPEC = (_PREDS, _IMAGES, _OUT, *_EXTRACTION_OPTS, _THREADS)
 
 _FIT_SPEC = (
-    _Opt("preds", "--preds", _str, _REQUIRED, "directory of predicted masks"),
-    _Opt("images", "--images", _str, _REQUIRED, "directory of image sequences"),
-    _Opt("gt", "--gt", _str, _REQUIRED, "directory of ground-truth masks"),
-    _Opt("out", "--out", _str, _REQUIRED, "output directory"),
-    _Opt("task", "--task", _str, "gli-pre", "challenge task", choices=TASKS),
+    _PREDS, _IMAGES, _GT, _OUT, _TASK,
     _Opt("seed", "--seed", _at_least(0, "seed"), 0, "clustering seed"),
     _Opt("restarts", "--restarts", _at_least(1, "restarts"), 10,
          "k-means restarts per k"),
@@ -291,44 +286,35 @@ _FIT_SPEC = (
     _Opt("confusions", "--confusions", _at_least(1, "confusions"),
          DEFAULT_TOP_CONFUSIONS,
          "how many confusion pairs become relabel candidates"),
-    _Opt("bin_width", "--bin-width", _bin_width, DEFAULT_BIN_WIDTH,
-         "intensity bin width for first-order features"),
-    _Opt("bin_count", "--bin-count", _at_least(1, "bin count"), DEFAULT_BIN_COUNT,
-         "gray-level count for texture features"),
-    _Opt("sequences", "--sequences", _strs, list(SEQUENCES),
-         "sequence names to extract from"),
+    *_EXTRACTION_OPTS,
     _Opt("features", "--features", _str, None,
          "precomputed features.csv (skips extraction)"),
-    _Opt("threads", "--threads", _threads, 1, "worker processes"),
+    _THREADS,
 )
 
 _APPLY_SPEC = (
     _Opt("policy", "--policy", _str, _REQUIRED, "policy JSON to apply"),
-    _Opt("preds", "--preds", _str, _REQUIRED, "directory of predicted masks"),
-    _Opt("images", "--images", _str, _REQUIRED, "directory of image sequences"),
+    _PREDS, _IMAGES,
     _Opt("out", "--out", _str, _REQUIRED, "output directory for masks"),
-    _Opt("threads", "--threads", _threads, 1, "worker processes"),
+    _THREADS,
 )
 
 _EVALUATE_SPEC = (
-    _Opt("preds", "--preds", _str, _REQUIRED, "directory of predicted masks"),
-    _Opt("gt", "--gt", _str, _REQUIRED, "directory of ground-truth masks"),
-    _Opt("out", "--out", _str, _REQUIRED, "output directory"),
-    _Opt("task", "--task", _str, "gli-pre", "challenge task", choices=TASKS),
+    _PREDS, _GT, _OUT, _TASK,
     _Opt("tolerances", "--tolerances", _tolerances, list(DEFAULT_TOLERANCES_MM),
          "surface tolerances in mm"),
     _Opt("dilation", "--dilation", _at_least(0, "dilation"), DEFAULT_DILATION_ITERS,
          "lesion-merging dilation iterations"),
     _Opt("connectivity", "--connectivity", _int, DEFAULT_CONNECTIVITY,
          "component connectivity (6 or 26)", choices=(6, 26)),
-    _Opt("threads", "--threads", _threads, 1, "worker processes"),
+    _THREADS,
 )
 
 _RANK_SPEC = (
     _Opt("csvs", None, _strs, _REQUIRED,
          "metric CSVs as name=path (bare paths use the file stem)",
          positional=True),
-    _Opt("out", "--out", _str, _REQUIRED, "output directory"),
+    _OUT,
 )
 
 
@@ -440,15 +426,7 @@ def _apply_case(item):
 def _evaluate_metrics_case(item):
     case_id, pred_dir, gt_dir, objective = item
     case = load_case_bundle(case_id, pred_dir, gt_dir=gt_dir)
-    return evaluate_case(
-        case.prediction,
-        case.ground_truth,
-        regions=objective.regions,
-        tolerances=objective.tolerances,
-        dilation_iters=objective.dilation_iters,
-        connectivity=objective.connectivity,
-        case_id=case_id,
-    )
+    return evaluate_case(case.prediction, case.ground_truth, objective, case_id=case_id)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +471,11 @@ def _cmd_synth(cfg: dict) -> dict:
     return {}
 
 
+def _extraction_settings(cfg: dict) -> ExtractionSettings:
+    return ExtractionSettings(bin_width=cfg["bin_width"], bin_count=cfg["bin_count"],
+                              sequences=tuple(cfg["sequences"]))
+
+
 def _extract_matrix(cfg: dict, settings: ExtractionSettings,
                     case_ids: list[str]) -> FeatureMatrix:
     items = [(cid, cfg["preds"], cfg["images"], settings)
@@ -508,11 +491,7 @@ def _cmd_extract_features(cfg: dict) -> dict:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_run_config(out, "extract-features", cfg)
-    settings = ExtractionSettings(
-        bin_width=cfg["bin_width"],
-        bin_count=cfg["bin_count"],
-        sequences=tuple(cfg["sequences"]),
-    )
+    settings = _extraction_settings(cfg)
     matrix = _extract_matrix(cfg, settings, case_ids)
     write_feature_csv(out / "features.csv", matrix)
     write_manifest(out / "feature-manifest.json", settings)
@@ -524,11 +503,7 @@ def _cmd_extract_features(cfg: dict) -> dict:
 def _cmd_fit_policy(cfg: dict) -> dict:
     case_ids = _case_ids(cfg["preds"])
     _input_dir(cfg["gt"])
-    settings = ExtractionSettings(
-        bin_width=cfg["bin_width"],
-        bin_count=cfg["bin_count"],
-        sequences=tuple(cfg["sequences"]),
-    )
+    settings = _extraction_settings(cfg)
     matrix = None
     if cfg["features"]:
         matrix = training_features(read_feature_csv(cfg["features"]), case_ids,
@@ -581,15 +556,15 @@ def _cmd_apply(cfg: dict) -> dict:
 def _cmd_evaluate(cfg: dict) -> dict:
     case_ids = _case_ids(cfg["preds"])
     _input_dir(cfg["gt"])
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write_run_config(out, "evaluate", cfg)
     objective = RankObjective(
         regions=RankObjective.for_task(cfg["task"]).regions,
         tolerances=tuple(cfg["tolerances"]),
         dilation_iters=cfg["dilation"],
         connectivity=cfg["connectivity"],
     )
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    _write_run_config(out, "evaluate", cfg)
     items = [(cid, cfg["preds"], cfg["gt"], objective)
              for cid in case_ids]
     rows = map_ordered(_evaluate_metrics_case, items, case_ids,
@@ -600,9 +575,6 @@ def _cmd_evaluate(cfg: dict) -> dict:
 
 
 def _cmd_rank(cfg: dict) -> dict:
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write_run_config(out, "rank", cfg)
     per_candidate = {}
     for spec in cfg["csvs"]:
         if "=" in spec:
@@ -614,7 +586,10 @@ def _cmd_rank(cfg: dict) -> dict:
         if name in per_candidate:
             raise ValueError(f"duplicate candidate name {name!r}")
         per_candidate[name] = read_metrics_csv(path)
-    result = rank_candidates(per_candidate)
+    result = rank_candidates(per_candidate)  # bad input fails before any output
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    _write_run_config(out, "rank", cfg)
     write_ranking_csv(out / "ranking.csv", result)
     for name in sorted(result.candidates,
                        key=lambda n: (result.scores[n], n)):
@@ -701,9 +676,6 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         log.error("malformed JSON: %s", exc)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        log.error("%s", exc)
-        return EXIT_IO
     except OSError as exc:
         log.error("%s", exc)
         return EXIT_IO

@@ -11,6 +11,7 @@ with false positives scoring 0.  A region empty in both masks scores 1.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -53,6 +54,71 @@ REGIONS_BY_NAME = {r.name: r for r in (ET, NETC, SNFH, RC, TC, WT)}
 #: region sets per task; the resection cavity only exists post-treatment
 REGIONS_PRE_TREATMENT = (ET, TC, WT, NETC, SNFH)
 REGIONS_POST_TREATMENT = (ET, TC, WT, NETC, SNFH, RC)
+
+
+@dataclass(frozen=True)
+class RankObjective:
+    """How a case is scored: the regions, the NSD tolerances in mm, the
+    dilation that merges ground-truth components into lesions and the
+    component connectivity.  Construction checks every field, so every
+    scorer built from it can rely on them."""
+
+    regions: tuple[RegionSpec, ...] = REGIONS_PRE_TREATMENT
+    tolerances: tuple[float, ...] = DEFAULT_TOLERANCES_MM
+    dilation_iters: int = DEFAULT_DILATION_ITERS
+    connectivity: int = DEFAULT_CONNECTIVITY
+
+    def __post_init__(self):
+        if not isinstance(self.connectivity, int) or self.connectivity not in (6, 26):
+            raise ValueError(f"connectivity must be 6 or 26, got {self.connectivity!r}")
+        iters = self.dilation_iters
+        if isinstance(iters, bool) or not isinstance(iters, int) or iters < 0:
+            raise ValueError(f"dilation_iters must be an integer >= 0, got {iters!r}")
+        self.check_tolerances(self.tolerances)
+
+    @staticmethod
+    def check_tolerances(tolerances: tuple[float, ...]) -> tuple[float, ...]:
+        """``tolerances`` if each is finite and > 0 and they are distinct
+        as the metric names print them (``LW_NSD@<tol:g>``)."""
+        if not all(math.isfinite(tol) and tol > 0 for tol in tolerances):
+            raise ValueError(f"tolerances must be finite and > 0, got {list(tolerances)}")
+        if len({f"{tol:g}" for tol in tolerances}) != len(tolerances):
+            raise ValueError(f"tolerances must be distinct, got {list(tolerances)}")
+        return tolerances
+
+    @property
+    def metrics(self) -> list[str]:
+        """The keys of a region's scores: ``LW_Dice``, then ``LW_NSD@<tol>``
+        at each tolerance."""
+        return ["LW_Dice", *(f"LW_NSD@{tol:g}" for tol in self.tolerances)]
+
+    def columns(self, regions) -> list[str]:
+        """The metric columns of ``regions``: ``<metric>_<region>`` for
+        each metric of each region, in order."""
+        return [f"{metric}_{r.name}" for r in regions for metric in self.metrics]
+
+    def to_dict(self) -> dict:
+        return {
+            "regions": [r.name for r in self.regions],
+            "tolerances": list(self.tolerances),
+            "dilation_iters": self.dilation_iters,
+            "connectivity": self.connectivity,
+        }
+
+    @staticmethod
+    def from_dict(d: dict) -> "RankObjective":
+        return RankObjective(
+            regions=tuple(REGIONS_BY_NAME[n] for n in d["regions"]),
+            tolerances=tuple(float(t) for t in d["tolerances"]),
+            dilation_iters=d["dilation_iters"],
+            connectivity=d["connectivity"],
+        )
+
+    @staticmethod
+    def for_task(task: str) -> "RankObjective":
+        if task == "gli-post":
+            return RankObjective(regions=REGIONS_POST_TREATMENT)
+        return RankObjective(regions=REGIONS_PRE_TREATMENT)
 
 
 def region_mask(seg: LabelMap | np.ndarray, region: RegionSpec) -> np.ndarray:
@@ -118,21 +184,6 @@ def _assign_components(
     return lesion_of
 
 
-def _summary(
-    dice: list[float], nsd: list[dict[float, float]], n_fp: int,
-    tolerances: tuple[float, ...],
-) -> dict[str, float]:
-    """Lesion-wise Dice plus NSD at each tolerance, as a flat dict: each a
-    mean over the lesions and the false positives, which score 0."""
-    units = len(dice) + n_fp
-    out = {"LW_Dice": sum(dice) / units if units else 1.0}
-    for tol in tolerances:
-        if not tol > 0:  # NaN included
-            raise ValueError(f"tolerance must be > 0, got {tol}")
-        out[f"LW_NSD@{tol:g}"] = sum(n[tol] for n in nsd) / units if units else 1.0
-    return out
-
-
 @dataclass
 class MatchState:
     """A prediction mask matched against a ``RegionScorer``: what
@@ -151,7 +202,6 @@ class MatchState:
     lesions: np.ndarray
     dice: list[float]
     nsd: list[dict[float, float]]
-    tolerances: tuple[float, ...]
 
     @property
     def n_fp(self) -> int:
@@ -160,10 +210,6 @@ class MatchState:
     @cached_property
     def mask(self) -> np.ndarray:
         return self.labels != 0
-
-    @property
-    def scores(self) -> dict[str, float]:
-        return _summary(self.dice, self.nsd, self.n_fp, self.tolerances)
 
 
 class RegionScorer:
@@ -201,15 +247,11 @@ class RegionScorer:
     lesion order.
     """
 
-    def __init__(
-        self,
-        gt_mask: np.ndarray,
-        spacing: Spacing,
-        dilation_iters: int = DEFAULT_DILATION_ITERS,
-        connectivity: int = DEFAULT_CONNECTIVITY,
-    ):
+    def __init__(self, gt_mask: np.ndarray, spacing: Spacing,
+                 objective: RankObjective = RankObjective()):
         self.spacing = spacing
-        self.connectivity = connectivity
+        self.objective = objective
+        dilation_iters, connectivity = objective.dilation_iters, objective.connectivity
         gt_cc = connected_components(gt_mask, connectivity)
 
         # merge gt components whose dilations overlap (transitively): each
@@ -265,12 +307,12 @@ class RegionScorer:
         return _assign_components(comps, lesions, cc.count, self.n_lesions)
 
     def _lesion_scores(
-        self, lid: int, lesions: np.ndarray, corners: np.ndarray,
-        tolerances: tuple[float, ...],
+        self, lid: int, lesions: np.ndarray, corners: np.ndarray
     ) -> tuple[float, dict[float, float]]:
         """Dice and NSD of lesion ``lid`` against the voxels of ``lesions``
         equal to ``lid``, whose components have the boxes ``corners``; a
         lesion without prediction components scores 0."""
+        tolerances = self.objective.tolerances
         if not len(corners):
             return 0.0, {t: 0.0 for t in tolerances}
         box = padded_box(np.concatenate((self._gt_corners[lid - 1], corners)), 1,
@@ -281,20 +323,27 @@ class RegionScorer:
         if not tolerances:
             return dice, {}
         nsd = _surface_counts(boundary_voxels(pred_mask), boundary_voxels(gt_mask),
-                              self.spacing, tuple(tolerances))
+                              self.spacing, tolerances)
         return dice, nsd
 
-    def match_state(
-        self, pred_mask: np.ndarray, tolerances: tuple[float, ...] = ()
-    ) -> MatchState:
+    def _summary(self, dice: list[float], nsd: list[dict[float, float]],
+                 n_fp: int) -> dict[str, float]:
+        """Lesion-wise Dice plus NSD at each tolerance, keyed by the
+        objective's ``metrics``: each a mean over the lesions and the false
+        positives, which score 0."""
+        units = len(dice) + n_fp
+        sums = [sum(dice), *(sum(n[tol] for n in nsd) for tol in self.objective.tolerances)]
+        return dict(zip(self.objective.metrics, (s / units if units else 1.0 for s in sums)))
+
+    def match_state(self, pred_mask: np.ndarray) -> MatchState:
         """Assign prediction components to lesions and score each lesion."""
-        pred_cc = connected_components(pred_mask, self.connectivity)
+        pred_cc = connected_components(pred_mask, self.objective.connectivity)
         lesion_of = self._assign(pred_cc)
         lesions = _scatter(pred_mask.shape, pred_cc.voxels,
                            lesion_of[pred_cc.labels.ravel()[pred_cc.voxels]])
         corners = pred_cc.corners
         per_lesion = [
-            self._lesion_scores(lid, lesions, corners[lesion_of[1:] == lid], tolerances)
+            self._lesion_scores(lid, lesions, corners[lesion_of[1:] == lid])
             for lid in range(1, self.n_lesions + 1)
         ]
         return MatchState(
@@ -304,22 +353,20 @@ class RegionScorer:
             lesions=lesions,
             dice=[d for d, _ in per_lesion],
             nsd=[n for _, n in per_lesion],
-            tolerances=tuple(tolerances),
         )
 
-    def score(
-        self, pred_mask: np.ndarray, tolerances: tuple[float, ...] = DEFAULT_TOLERANCES_MM
-    ) -> dict[str, float]:
+    def score(self, pred_mask: np.ndarray) -> dict[str, float]:
         """Lesion-wise Dice plus NSD at each tolerance, as a flat dict."""
-        return self.match_state(pred_mask, tolerances).scores
+        state = self.match_state(pred_mask)
+        return self._summary(state.dice, state.nsd, state.n_fp)
 
     def score_subset(self, base: MatchState, pred_mask: np.ndarray) -> dict[str, float]:
-        """``score(pred_mask, base.tolerances)`` for a ``pred_mask`` that is
-        a subset of the mask ``base`` was matched from, computed from
-        ``base`` (see the class docstring)."""
+        """``score(pred_mask)`` for a ``pred_mask`` that is a subset of the
+        mask ``base`` was matched from, computed from ``base`` (see the
+        class docstring)."""
         touched = np.unique(base.labels[base.mask & ~pred_mask])
         if touched.size == 0:
-            return base.scores
+            return self._summary(base.dice, base.nsd, base.n_fp)
         dice, nsd, n_fp = list(base.dice), list(base.nsd), base.n_fp
         lesions = base.lesions.copy()
         # the lesion and the box of every component of the candidate
@@ -338,7 +385,7 @@ class RegionScorer:
             part_lesions[own] = 0
             part = own & pred_mask[box]
             if part.any():
-                cc = connected_components(part, self.connectivity)
+                cc = connected_components(part, self.objective.connectivity)
                 part_lesion = self._assign(cc, box)
                 n_fp += int((part_lesion[1:] == 0).sum())
                 changed.update(int(lid) for lid in part_lesion[1:] if lid)
@@ -348,29 +395,20 @@ class RegionScorer:
         lesion_of, corners = np.concatenate(lesion_of), np.concatenate(corners)
         for lid in changed:
             dice[lid - 1], nsd[lid - 1] = self._lesion_scores(
-                lid, lesions, corners[lesion_of == lid], base.tolerances)
-        return _summary(dice, nsd, n_fp, base.tolerances)
+                lid, lesions, corners[lesion_of == lid])
+        return self._summary(dice, nsd, n_fp)
 
 
 @dataclass
 class CaseMetrics:
     """Per-region lesion-wise scores for one case.
 
-    ``values`` maps column names (``LW_Dice_<region>``,
-    ``LW_NSD@<tol>_<region>``) to scores in [0, 1].
+    ``values`` maps column names (``RankObjective.columns``) to scores in
+    [0, 1].
     """
 
     case_id: str
     values: dict[str, float]
-
-    @staticmethod
-    def columns(regions, tolerances) -> list[str]:
-        cols = []
-        for r in regions:
-            name = r.name if isinstance(r, RegionSpec) else r
-            cols.append(f"LW_Dice_{name}")
-            cols.extend(f"LW_NSD@{t:g}_{name}" for t in tolerances)
-        return cols
 
 
 def case_box(pred: np.ndarray, gt: np.ndarray, dilation_iters: int) -> tuple[slice, ...]:
@@ -403,61 +441,51 @@ class CaseScorer:
     it builds the next region's.
     """
 
-    def __init__(
-        self,
-        pred: LabelMap,
-        gt: LabelMap,
-        tolerances: tuple[float, ...] = DEFAULT_TOLERANCES_MM,
-        dilation_iters: int = DEFAULT_DILATION_ITERS,
-        connectivity: int = DEFAULT_CONNECTIVITY,
-    ):
+    def __init__(self, pred: LabelMap, gt: LabelMap,
+                 objective: RankObjective = RankObjective()):
         if pred.dims != gt.dims or pred.spacing != gt.spacing:
             raise ValueError(f"grid mismatch: pred {pred.dims} at {pred.spacing.as_tuple()}"
                              f" vs gt {gt.dims} at {gt.spacing.as_tuple()}")
-        self.box = case_box(pred.data, gt.data, dilation_iters)
+        self.box = case_box(pred.data, gt.data, objective.dilation_iters)
         self.pred = np.ascontiguousarray(pred.data[self.box])
         self.gt = np.ascontiguousarray(gt.data[self.box])
-        self.tolerances = tuple(tolerances)
-        self._scorer_args = (gt.spacing, dilation_iters, connectivity)
+        self.spacing = gt.spacing
+        self.objective = objective
 
     def score(self, candidates) -> list[dict[str, float]]:
-        """``LW_<metric>_<region>`` scores of each candidate, a ``(grid,
-        regions)`` pair: a label grid on the case's box (the shape of
-        ``pred``) and the regions to score it on, in their order.
-        Regions are scored in the order the candidates first ask for
-        them."""
+        """The scores of each candidate, a ``(grid, regions)`` pair: a
+        label grid on the case's box (the shape of ``pred``) and the
+        regions to score it on, keyed by the objective's ``columns`` of
+        those regions.  Regions are scored in the order the candidates
+        first ask for them."""
         for grid, _ in candidates:
             if grid.shape != self.pred.shape:
                 raise ValueError(f"candidate grid {grid.shape} is not the case's "
                                  f"box {self.pred.shape}")
         raw = [{} for _ in candidates]
         for region in dict.fromkeys(r for _, regions in candidates for r in regions):
-            scorer = RegionScorer(region_mask(self.gt, region), *self._scorer_args)
-            state = scorer.match_state(region_mask(self.pred, region), self.tolerances)
+            scorer = RegionScorer(region_mask(self.gt, region), self.spacing, self.objective)
+            state = scorer.match_state(region_mask(self.pred, region))
             for (grid, regions), out in zip(candidates, raw):
                 if region in regions:
                     mask = region_mask(grid, region)
-                    out[region] = (scorer.score(mask, self.tolerances)
-                                   if (mask & ~state.mask).any()
+                    out[region] = (scorer.score(mask) if (mask & ~state.mask).any()
                                    else scorer.score_subset(state, mask))
             del scorer, state, mask  # before the next region's are built
-        return [{f"{k}_{r.name}": v for r in regions for k, v in out[r].items()}
+        return [dict(zip(self.objective.columns(regions),
+                         (v for r in regions for v in out[r].values())))
                 for (_, regions), out in zip(candidates, raw)]
 
 
-def evaluate_case(
-    pred: LabelMap,
-    gt: LabelMap,
-    regions: tuple[RegionSpec, ...] = REGIONS_PRE_TREATMENT,
-    tolerances: tuple[float, ...] = DEFAULT_TOLERANCES_MM,
-    dilation_iters: int = DEFAULT_DILATION_ITERS,
-    connectivity: int = DEFAULT_CONNECTIVITY,
-    case_id: str = "",
-) -> CaseMetrics:
-    """Lesion-wise Dice and NSD for every region of one case.  A ``pred``
-    whose dims or spacing differ from ``gt``'s raises ValueError."""
-    scorer = CaseScorer(pred, gt, tolerances, dilation_iters, connectivity)
-    return CaseMetrics(case_id=case_id, values=scorer.score([(scorer.pred, regions)])[0])
+def evaluate_case(pred: LabelMap, gt: LabelMap,
+                  objective: RankObjective = RankObjective(),
+                  case_id: str = "") -> CaseMetrics:
+    """Lesion-wise Dice and NSD for every region of ``objective`` in one
+    case.  A ``pred`` whose dims or spacing differ from ``gt``'s raises
+    ValueError."""
+    scorer = CaseScorer(pred, gt, objective)
+    return CaseMetrics(case_id=case_id,
+                       values=scorer.score([(scorer.pred, objective.regions)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +508,15 @@ def write_metrics_csv(path: str | Path, rows: list[CaseMetrics]) -> None:
 def read_metrics_csv(path: str | Path) -> list[CaseMetrics]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if not header or header[0] != "case_id":
             raise ValueError(f"{path}: not a metrics CSV (missing case_id column)")
         columns = header[1:]
         rows = []
         for rec in reader:
+            if len(rec) != len(header):
+                raise ValueError(f"{path}: row {len(rows) + 1} has {len(rec)}"
+                                 f" fields, expected {len(header)}")
             values = {c: float(v) for c, v in zip(columns, rec[1:])}
             rows.append(CaseMetrics(case_id=rec[0], values=values))
     return rows

@@ -27,14 +27,10 @@ from .clustering import (
 )
 from .metrics import (
     DEFAULT_CONNECTIVITY,
-    DEFAULT_DILATION_ITERS,
-    DEFAULT_TOLERANCES_MM,
-    REGIONS_BY_NAME,
-    REGIONS_POST_TREATMENT,
-    REGIONS_PRE_TREATMENT,
     WT,
     CaseMetrics,
     CaseScorer,
+    RankObjective,
     RegionSpec,
     case_box,
 )
@@ -55,39 +51,6 @@ DEFAULT_PCC_GRID = (0, 10, 20, 50, 75, 100, 150, 200, 300, 500, 750, 1000)
 DEFAULT_CUTOFF_GRID = tuple(i * 0.005 for i in range(51))
 DEFAULT_TOP_CONFUSIONS = 2
 WT_LABELS = tuple(sorted(WT.labels))
-
-
-@dataclass(frozen=True)
-class RankObjective:
-    """Metric configuration for the rank-based fitting objective."""
-
-    regions: tuple[RegionSpec, ...] = REGIONS_PRE_TREATMENT
-    tolerances: tuple[float, ...] = DEFAULT_TOLERANCES_MM
-    dilation_iters: int = DEFAULT_DILATION_ITERS
-    connectivity: int = DEFAULT_CONNECTIVITY
-
-    def to_dict(self) -> dict:
-        return {
-            "regions": [r.name for r in self.regions],
-            "tolerances": list(self.tolerances),
-            "dilation_iters": self.dilation_iters,
-            "connectivity": self.connectivity,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "RankObjective":
-        return RankObjective(
-            regions=tuple(REGIONS_BY_NAME[n] for n in d["regions"]),
-            tolerances=tuple(float(t) for t in d["tolerances"]),
-            dilation_iters=int(d["dilation_iters"]),
-            connectivity=int(d["connectivity"]),
-        )
-
-    @staticmethod
-    def for_task(task: str) -> "RankObjective":
-        if task == "gli-post":
-            return RankObjective(regions=REGIONS_POST_TREATMENT)
-        return RankObjective(regions=REGIONS_PRE_TREATMENT)
 
 
 @dataclass(frozen=True)
@@ -138,17 +101,18 @@ class FitCase:
     cluster: int
     thresholds: dict[int, int] = field(default_factory=dict)
 
-    def load(self, dilation_iters: int, connectivity: int) -> tuple:
-        """``(pred, gt, outside)``: the case cropped to its ``case_box``,
-        the prediction filtered, and the count of grid voxels beyond the
-        box, background in both."""
+    def load(self, objective: RankObjective) -> tuple:
+        """``(pred, gt, outside)``: the case cropped to its ``case_box``
+        under ``objective``, the prediction filtered, and the count of
+        grid voxels beyond the box, background in both."""
         case = load_case_bundle(self.case_id, self.pred_dir, gt_dir=self.gt_dir)
-        box = case_box(case.prediction.data, case.ground_truth.data, dilation_iters)
+        box = case_box(case.prediction.data, case.ground_truth.data,
+                       objective.dilation_iters)
         pred, gt = (m.with_data(np.ascontiguousarray(m.data[box]))
                     for m in (case.prediction, case.ground_truth))
         if any(t > 0 for t in self.thresholds.values()):
             pred = pred.with_data(apply_component_thresholds(
-                pred.data, self.thresholds, connectivity))
+                pred.data, self.thresholds, objective.connectivity))
         return pred, gt, case.prediction.data.size - pred.data.size
 
 
@@ -320,14 +284,13 @@ def _search_table(item) -> tuple[dict, dict, np.ndarray]:
     removes.  ``confusion``: the case's (ground truth, prediction) counts.
     """
     case, edits, objective = item
-    pred, gt, outside = case.load(objective.dilation_iters, objective.connectivity)
+    pred, gt, outside = case.load(objective)
     n = MAX_LABEL + 1
     pairs = (gt.data * n + pred.data).ravel()  # uint8: at most 24
     pairs = pairs[pairs != 0]  # most voxels are background in both
     confusion = np.bincount(pairs, minlength=n * n).reshape(n, n)
     confusion[0, 0] = outside + pred.data.size - pairs.size
-    scorer = CaseScorer(pred, gt, objective.tolerances,
-                        objective.dilation_iters, objective.connectivity)
+    scorer = CaseScorer(pred, gt, objective)
     grids, asked, table, moved = {}, {}, {}, {}  # grids, asked: per action tuple
     for key, by_value in edits.items():
         labels = sorted({label for thresholds, _ in by_value.values()
@@ -352,7 +315,7 @@ def _search_table(item) -> tuple[dict, dict, np.ndarray]:
         [(grid, [r for r in objective.regions if r in asked[actions]])
          for actions, grid in grids.items()])))
     for key, by_value in table.items():
-        columns = CaseMetrics.columns(_regions(objective, edits[key]), objective.tolerances)
+        columns = objective.columns(_regions(objective, edits[key]))
         table[key] = {value: {c: scores[actions][c] for c in columns}
                       for value, actions in by_value.items()}
     return table, moved, confusion

@@ -81,6 +81,11 @@ def rank_candidates(per_candidate: dict[str, list[CaseMetrics]]) -> RankingResul
     if not case_ids:
         raise ValueError("no cases to rank")
     columns = list(per_candidate[names[0]][0].values.keys())
+    for name, rows in per_candidate.items():
+        for row in rows:
+            if row.values.keys() != set(columns):
+                raise ValueError(f"candidate {name}, case {row.case_id}: metric columns"
+                                 f" differ from those of {names[0]}")
 
     rank_cols = []
     for case_id in case_ids:

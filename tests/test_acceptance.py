@@ -18,7 +18,7 @@ import pytest
 
 from gliopost.cli import main
 from gliopost.clustering import fit_kmeans, fit_pca
-from gliopost.metrics import CaseMetrics, RegionScorer
+from gliopost.metrics import CaseMetrics, RankObjective, RegionScorer
 from gliopost.morphology import connected_components, euclidean_distance_transform
 from gliopost.policy import (
     apply_component_thresholds,
@@ -216,7 +216,8 @@ def test_criterion_2_metrics_match_brute_force():
             pred = random_blob_mask(rng, shape, density=float(rng.uniform(0.05, 0.28)))
         spacing = spacings[trial % 2]
 
-        scores = RegionScorer(gt, Spacing(*spacing)).score(pred, tolerances)
+        scores = RegionScorer(gt, Spacing(*spacing),
+                              RankObjective(tolerances=tolerances)).score(pred)
         ref_dice, ref_nsd = brute_lesionwise(gt, pred, spacing, tolerances)
         worst_dice = max(worst_dice, abs(scores["LW_Dice"] - ref_dice))
         assert abs(scores["LW_Dice"] - ref_dice) <= 1e-9

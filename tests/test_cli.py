@@ -14,7 +14,12 @@ from numpy._core._exceptions import _ArrayMemoryError
 
 import gliopost
 from gliopost.cli import main
-from gliopost.metrics import evaluate_case, read_metrics_csv
+from gliopost.metrics import (
+    REGIONS_POST_TREATMENT,
+    RankObjective,
+    evaluate_case,
+    read_metrics_csv,
+)
 from gliopost.radiomics import read_feature_csv
 from gliopost.volume import LabelMap, Spacing, load_nifti, save_nifti
 
@@ -323,9 +328,12 @@ def test_run_record_is_added_after_success(pipeline, tmp_path, monkeypatch):
                                "scipy": scipy.__version__}
     assert [p.name for p in out.iterdir() if p.name.startswith(".")] == []
 
-    # a failed command keeps the early echo, without a run record
-    failed = tmp_path / "failed"
-    assert main(["rank", f"a={raw}", f"a={post}", "--out", str(failed)]) == 4
+    # a failed command keeps the early echo, without a run record: here
+    # evaluate, whose cases all lack their ground truth
+    failed, no_gt = tmp_path / "failed", tmp_path / "no-gt"
+    no_gt.mkdir()
+    assert main(["evaluate", "--preds", str(pipeline["corpus"] / "preds"),
+                 "--gt", str(no_gt), "--out", str(failed)]) == 3
     assert "run" not in json.loads((failed / "run-config.json").read_text())
 
 
@@ -505,10 +513,11 @@ def test_bad_nested_recipe_entry_writes_nothing(tmp_path, override):
     assert not out.exists()
 
 
-def test_bad_inputs_are_found_before_out_is_created(pipeline, tmp_path):
-    """A missing ground-truth or image directory (exit 3) and a feature
-    table that is not one, or does not cover the corpus (exit 4), fail
-    before ``--out`` exists."""
+def test_bad_inputs_are_found_before_out_is_created(pipeline, tmp_path, caplog):
+    """A missing ground-truth or image directory or metric CSV (exit 3),
+    a feature table that is not one, or does not cover the corpus, and a
+    metric CSV that is not one, or whose columns differ from the other
+    candidate's (exit 4), fail before ``--out`` exists."""
     corpus = pipeline["corpus"]
     preds, images, gt = (str(corpus / sub) for sub in ("preds", "images", "gt"))
     missing = str(tmp_path / "missing")
@@ -529,6 +538,20 @@ def test_bad_inputs_are_found_before_out_is_created(pipeline, tmp_path):
                        ("ragged.csv", "\n".join(features[:-1] + ["x,1"]) + "\n")):
         (tmp_path / name).write_text(text)
         assert main(fit + ["--gt", gt, "--features", str(tmp_path / name)]) == 4, name
+    raw = pipeline["raw_metrics"] / "metrics.csv"
+    rank = ["rank", "--out", str(out), f"identity={raw}"]
+    assert main(rank + [f"gone={missing}"]) == 3
+    metrics = raw.read_text().splitlines()
+    for name, lines, named in (
+            ("empty.csv", [], "empty.csv: not a metrics CSV"),
+            ("short.csv", metrics[:-1] + [metrics[-1].rsplit(",", 1)[0]], "short.csv: row 6"),
+            ("narrow.csv", [line.rsplit(",", 1)[0] for line in metrics],
+             "candidate bad, case case-0000: metric columns")):
+        (tmp_path / name).write_text("".join(line + "\n" for line in lines))
+        caplog.clear()
+        with caplog.at_level(logging.ERROR):
+            assert main(rank + [f"bad={tmp_path / name}"]) == 4, name
+        assert named in caplog.text
     assert not out.exists()
 
 
@@ -637,12 +660,22 @@ def _malformed(doc, case):
         doc["feature_manifest"]["settings"]["bin_width"] = float("nan")
     elif case == "bin-count-zero":
         doc["feature_manifest"]["settings"]["bin_count"] = 0
+    elif case == "connectivity-7":
+        doc["metric_config"]["connectivity"] = 7
+    elif case == "connectivity-6.5":
+        doc["metric_config"]["connectivity"] = 6.5
+    elif case == "dilation-negative":
+        doc["metric_config"]["dilation_iters"] = -1
+    elif case == "tolerance-negative":
+        doc["metric_config"]["tolerances"] = [-1]
     return doc
 
 
 @pytest.mark.parametrize("case", ["top-level-list", "no-task", "no-pca-center",
                                   "relabel-rules-string", "settings-null",
-                                  "bin-width-nan", "bin-count-zero"])
+                                  "bin-width-nan", "bin-count-zero", "connectivity-7",
+                                  "connectivity-6.5", "dilation-negative",
+                                  "tolerance-negative"])
 def test_apply_malformed_policy_is_invalid(tmp_path, pipeline, caplog, case):
     doc = json.loads((pipeline["fit"] / "policy.json").read_text())
     policy = tmp_path / "policy.json"
@@ -680,6 +713,43 @@ def test_evaluate_post_task_scores_resection_cavity(corpus, tmp_path):
     header = (out / "metrics.csv").read_text().splitlines()[0]
     assert "LW_Dice_RC" in header
     assert "LW_NSD@1_RC" in header
+
+
+@pytest.mark.parametrize("threads", ("1", "2"))
+def test_evaluate_options_reach_the_scorer(corpus, tmp_path, threads):
+    """Every metric option of evaluate reaches the scorer of each case: the
+    corpus plus a case that scores otherwise at each default."""
+    preds, gt = tmp_path / "preds", tmp_path / "gt"
+    for kind, copy in (("preds", preds), ("gt", gt)):
+        copy.mkdir()
+        for path in (corpus / kind).iterdir():
+            (copy / path.name).write_bytes(path.read_bytes())
+    truth = np.zeros((16, 16, 16), dtype=np.uint8)
+    truth[4, 4, [4, 9]] = 2  # one lesion at --dilation 3, two at 1
+    truth[10, 10, 10] = 3
+    guess = truth.copy()
+    guess[4, 4, 9] = 0
+    guess[11, 11, 11] = 3  # a corner neighbour: its own component at 6
+    for seg, directory in ((guess, preds), (truth, gt)):
+        save_nifti(LabelMap(data=seg, spacing=Spacing(1.0, 1.0, 1.0)),
+                   directory / "case-0006-seg.nii.gz")
+    out = tmp_path / "opts"
+    assert main(["evaluate", "--preds", str(preds), "--gt", str(gt), "--out", str(out),
+                 "--task", "gli-post", "--connectivity", "6", "--dilation", "1",
+                 "--tolerances", "1,2", "--threads", threads]) == 0
+    rows = read_metrics_csv(out / "metrics.csv")
+    assert [row.case_id for row in rows] == [f"case-{i:04d}" for i in range(7)]
+    objective = RankObjective(REGIONS_POST_TREATMENT, (1.0, 2.0), 1, 6)
+    for row in rows:
+        pred, truth = (load_nifti(root / f"{row.case_id}-seg.nii.gz", kind="label")
+                       for root in (preds, gt))
+        assert row.values == evaluate_case(pred, truth, objective, case_id=row.case_id).values
+    # each option at its default scores the hand-made case otherwise
+    for default in (RankObjective(REGIONS_POST_TREATMENT, (1.0, 2.0), 3, 6),
+                    RankObjective(REGIONS_POST_TREATMENT, (1.0, 2.0), 1, 26),
+                    RankObjective(REGIONS_POST_TREATMENT, dilation_iters=1, connectivity=6),
+                    RankObjective(dilation_iters=1, connectivity=6)):
+        assert evaluate_case(pred, truth, default).values != rows[-1].values
 
 
 def test_evaluate_empty_preds_is_invalid(tmp_path):

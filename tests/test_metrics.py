@@ -1,6 +1,8 @@
 """Lesion-wise Dice and surface agreement, checked against hand-built
 cases and the pairwise brute-force oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from gliopost.metrics import (
     WT,
     CaseMetrics,
     CaseScorer,
+    RankObjective,
     RegionScorer,
     evaluate_case,
     read_metrics_csv,
@@ -67,10 +70,14 @@ def test_region_mask_counts():
 
 # -- matching ----------------------------------------------------------------
 
+def _scorer(gt, tolerances=DEFAULT_TOLERANCES_MM, spacing=SP):
+    return RegionScorer(gt, spacing, RankObjective(tolerances=tolerances))
+
+
 def _match(gt, pred, spacing=SP, tolerances=DEFAULT_TOLERANCES_MM):
     """The ground-truth scorer of ``gt`` and its match of ``pred``."""
-    scorer = RegionScorer(gt, spacing)
-    return scorer, scorer.match_state(pred, tolerances)
+    scorer = _scorer(gt, tolerances, spacing)
+    return scorer, scorer.match_state(pred)
 
 
 def _counts(scorer, state):
@@ -87,8 +94,8 @@ def test_match_both_empty():
     empty = np.zeros((4, 4, 4), dtype=bool)
     scorer, state = _match(empty, empty)
     assert _counts(scorer, state) == (0, 0)
-    assert state.scores["LW_Dice"] == 1.0
-    assert scorer.score(empty, (1.0,))["LW_NSD@1"] == 1.0
+    assert scorer.score(empty)["LW_Dice"] == 1.0
+    assert _scorer(empty, (1.0,)).score(empty)["LW_NSD@1"] == 1.0
 
 
 def test_match_identical_blob():
@@ -98,7 +105,7 @@ def test_match_identical_blob():
     assert _counts(scorer, state) == (1, 0)
     assert state.dice == [1.0]
     assert state.nsd == [{0.5: 1.0, 1.0: 1.0}]
-    assert state.scores == {"LW_Dice": 1.0, "LW_NSD@0.5": 1.0, "LW_NSD@1": 1.0}
+    assert scorer.score(mask) == {"LW_Dice": 1.0, "LW_NSD@0.5": 1.0, "LW_NSD@1": 1.0}
 
 
 def test_false_positive_halves_perfect_score():
@@ -110,8 +117,8 @@ def test_false_positive_halves_perfect_score():
     assert _counts(scorer, state) == (1, 1)
     assert _components_of(state, 1) == (1,)
     assert _components_of(state, 0) == (2,)
-    assert state.scores["LW_Dice"] == pytest.approx(0.5)
-    assert state.scores["LW_NSD@1"] == pytest.approx(0.5)
+    assert scorer.score(pred)["LW_Dice"] == pytest.approx(0.5)
+    assert scorer.score(pred)["LW_NSD@1"] == pytest.approx(0.5)
 
 
 def test_empty_prediction_scores_zero():
@@ -119,8 +126,7 @@ def test_empty_prediction_scores_zero():
     gt[1:4, 1:4, 1:4] = True
     scorer, state = _match(gt, np.zeros_like(gt), tolerances=(1.0,))
     assert _counts(scorer, state) == (1, 0)
-    assert state.scores["LW_Dice"] == 0.0
-    assert state.scores["LW_NSD@1"] == 0.0
+    assert scorer.score(np.zeros_like(gt)) == {"LW_Dice": 0.0, "LW_NSD@1": 0.0}
 
 
 def test_lesion_merge_boundary():
@@ -165,7 +171,7 @@ def test_shifted_cube_nsd_tolerances():
     gt[2:5, 2:5, 2:5] = True
     pred = np.zeros_like(gt)
     pred[3:6, 2:5, 2:5] = True  # one-voxel shift along x
-    scores = RegionScorer(gt, SP).score(pred, (0.5, 1.0))
+    scores = _scorer(gt, (0.5, 1.0)).score(pred)
     assert scores["LW_Dice"] == pytest.approx(2 * 18 / 54)
     assert scores["LW_NSD@1"] == pytest.approx(1.0)
 
@@ -180,7 +186,7 @@ def test_nsd_monotone_in_tolerance():
     for _ in range(4):
         gt = random_blob_mask(rng, (10, 10, 10), density=0.25)
         pred = random_blob_mask(rng, (10, 10, 10), density=0.25)
-        scores = RegionScorer(gt, SP).score(pred, (0.5, 1.0, 2.0))
+        scores = _scorer(gt, (0.5, 1.0, 2.0)).score(pred)
         vals = [scores[f"LW_NSD@{t:g}"] for t in (0.5, 1.0, 2.0)]
         assert vals[0] <= vals[1] + 1e-12 <= vals[2] + 2e-12
 
@@ -191,11 +197,11 @@ def test_adding_false_positive_never_helps():
     gt[2:6, 2:6, 2:6] = True
     pred = np.zeros_like(gt)
     pred[2:6, 2:6, 3:7] = True
-    scorer = RegionScorer(gt, SP)
-    base = scorer.score(pred, (1.0,))
+    scorer = _scorer(gt, (1.0,))
+    base = scorer.score(pred)
     noisy_pred = pred.copy()
     noisy_pred[20:22, 7:9, 7:9] = True
-    noisy = scorer.score(noisy_pred, (1.0,))
+    noisy = scorer.score(noisy_pred)
     assert noisy["LW_Dice"] < base["LW_Dice"]
     assert noisy["LW_NSD@1"] < base["LW_NSD@1"]
 
@@ -230,7 +236,7 @@ def test_lesionwise_matches_brute_force(spacing):
             pred = gt ^ (rng.random(shape) > 0.9)
         else:
             pred = random_blob_mask(rng, shape, density=float(rng.uniform(0.08, 0.3)))
-        scores = RegionScorer(gt, Spacing(*spacing)).score(pred, tolerances)
+        scores = _scorer(gt, tolerances, Spacing(*spacing)).score(pred)
         ref_dice, ref_nsd = brute_lesionwise(gt, pred, spacing, tolerances)
         assert scores["LW_Dice"] == pytest.approx(ref_dice, abs=1e-9)
         for tol in tolerances:
@@ -238,29 +244,26 @@ def test_lesionwise_matches_brute_force(spacing):
 
 
 def test_nsd_validation():
-    empty = np.zeros((3, 3, 3), dtype=bool)
-    mask = empty.copy()
+    # a scorer's tolerances are checked once, when its objective is built
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="tolerances must be finite and > 0"):
+            RankObjective(tolerances=(tol,))
+    mask = np.zeros((3, 3, 3), dtype=bool)
     mask[1, 1, 1] = True
-    for gt in (empty, mask):
-        scorer = RegionScorer(gt, SP)
-        for tol in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError):
-                scorer.score(gt, (tol,))
     # NSD is computed, and reported, at exactly the tolerances asked for
     scorer, state = _match(mask, mask, tolerances=(1.0,))
     assert state.nsd == [{1.0: 1.0}]
-    assert set(state.scores) == {"LW_Dice", "LW_NSD@1"}
+    assert set(scorer.score(mask)) == {"LW_Dice", "LW_NSD@1"}
 
 
 def test_region_scorer_reuse_matches_fresh_match():
     rng = np.random.default_rng(15)
     gt = random_blob_mask(rng, (12, 12, 12), density=0.2)
-    scorer = RegionScorer(gt, SP)
+    scorer = _scorer(gt, (0.5, 1.0))
     for _ in range(3):
         pred = random_blob_mask(rng, (12, 12, 12), density=0.2)
-        via_scorer = scorer.score(pred, (0.5, 1.0))
-        _, fresh = _match(gt, pred, tolerances=(0.5, 1.0))
-        assert via_scorer == fresh.scores
+        via_scorer = scorer.score(pred)
+        assert via_scorer == _scorer(gt, (0.5, 1.0)).score(pred)
         assert set(via_scorer) == {"LW_Dice", "LW_NSD@0.5", "LW_NSD@1"}
 
 
@@ -300,11 +303,12 @@ def subset_cases(draw):
 @given(subset_cases())
 def test_score_subset_equals_full_scoring(case):
     gt, pred, subset, spacing, dilation, connectivity = case
-    tolerances = (0.5, 1.0, 2.0)
-    scorer = RegionScorer(gt, spacing, dilation, connectivity)
-    base = scorer.match_state(pred, tolerances)
-    assert scorer.score_subset(base, pred) == scorer.score(pred, tolerances)
-    assert scorer.score_subset(base, subset) == scorer.score(subset, tolerances)
+    objective = RankObjective(tolerances=(0.5, 1.0, 2.0), dilation_iters=dilation,
+                              connectivity=connectivity)
+    scorer = RegionScorer(gt, spacing, objective)
+    base = scorer.match_state(pred)
+    assert scorer.score_subset(base, pred) == scorer.score(pred)
+    assert scorer.score_subset(base, subset) == scorer.score(subset)
 
 
 # -- per-case evaluation ------------------------------------------------------
@@ -319,9 +323,7 @@ def test_evaluate_case_perfect_prediction():
     seg[5:7, 2:5, 2:5] = 1
     seg[2:7, 5:8, 2:5] = 2
     cm = evaluate_case(_case(seg), _case(seg), case_id="p")
-    assert set(cm.values) == set(
-        CaseMetrics.columns(REGIONS_PRE_TREATMENT, DEFAULT_TOLERANCES_MM)
-    )
+    assert list(cm.values) == RankObjective().columns(REGIONS_PRE_TREATMENT)
     assert all(v == 1.0 for v in cm.values.values())
 
 
@@ -376,8 +378,8 @@ def test_case_scorer_matches_evaluate_case(data, shape, connectivity):
                         fill=st.nothing())
     gt, pred = data.draw(labels), data.draw(labels)
     regions = REGIONS_POST_TREATMENT
-    scorer = CaseScorer(_case(pred), _case(gt), dilation_iters=1,
-                        connectivity=connectivity)
+    objective = RankObjective(dilation_iters=1, connectivity=connectivity)
+    scorer = CaseScorer(_case(pred), _case(gt), objective)
     # candidates as the grid searches make them: the case itself, a label
     # removed (a subset), a label relabelled (a subset of the source's
     # regions, a superset of the destination's), and both at once, scored
@@ -393,8 +395,8 @@ def test_case_scorer_matches_evaluate_case(data, shape, connectivity):
                   for candidate in (pred, np.where(pred == src, 0, pred), relabelled,
                                     np.where(relabelled == dst, 0, relabelled), pred)]
     for (candidate, asked), got in zip(candidates, scorer.score(candidates)):
-        want = evaluate_case(_case(candidate), _case(gt), regions=asked,
-                             dilation_iters=1, connectivity=connectivity).values
+        want = evaluate_case(_case(candidate), _case(gt),
+                             replace(objective, regions=asked)).values
         assert list(got.items()) == list(want.items())
 
 
@@ -454,11 +456,10 @@ def test_boxed_scores_match_brute_force(case, connectivity, dilation, spacing, p
     gt, pred, island, high = case
     tolerances = (0.5, 1.0, 2.0)
     regions = (ET, TC, WT)
-    kwargs = dict(tolerances=tolerances, dilation_iters=dilation,
-                  connectivity=connectivity)
+    objective = RankObjective(regions, tolerances, dilation, connectivity)
     sp = Spacing(*spacing)
     scorer = CaseScorer(LabelMap(data=pred, spacing=sp), LabelMap(data=gt, spacing=sp),
-                        **kwargs)
+                        objective)
     reaches = [b.start == 0 if high else b.stop == n for b, n in zip(scorer.box, gt.shape)]
     assert all(reaches) == island
     src, dst = pair
@@ -466,8 +467,7 @@ def test_boxed_scores_match_brute_force(case, connectivity, dilation, spacing, p
     # searches make them, on the box
     for candidate in (pred, np.where(pred == src, dst, pred), np.where(pred == src, 0, pred)):
         values = evaluate_case(LabelMap(data=candidate, spacing=sp),
-                               LabelMap(data=gt, spacing=sp), regions=regions,
-                               **kwargs).values
+                               LabelMap(data=gt, spacing=sp), objective).values
         assert scorer.score([(candidate[scorer.box], regions)]) == [values]
         for region in regions:
             dice, nsd = brute_lesionwise(region_mask(gt, region),
@@ -482,13 +482,14 @@ def test_boxed_scores_match_brute_force(case, connectivity, dilation, spacing, p
 def test_case_scorer_rejects_candidate_outside_box():
     seg = _labels((16, 16, 16))
     seg[2:4, 2:4, 2:4] = 1
-    scorer = CaseScorer(_case(seg), _case(seg), dilation_iters=1)
+    objective = RankObjective(regions=(WT,), dilation_iters=1)
+    scorer = CaseScorer(_case(seg), _case(seg), objective)
     # the joint foreground padded by dilation_iters + 1
     assert scorer.box == (slice(0, 6),) * 3
     inside = seg.copy()
     inside[5, 5, 5] = 2  # a voxel the prediction lacks, inside the box
     assert scorer.score([(inside[scorer.box], (WT,))]) == [evaluate_case(
-        _case(inside), _case(seg), regions=(WT,), dilation_iters=1).values]
+        _case(inside), _case(seg), objective).values]
     with pytest.raises(ValueError, match="is not the case's box"):
         scorer.score([(inside[scorer.box], (WT,)), (seg[:8], (WT,))])
 
@@ -503,14 +504,13 @@ def test_evaluate_case_bounded_and_perfect_on_itself(data):
     gt, pred = data.draw(labels), data.draw(labels)
     spacing = Spacing(*data.draw(st.tuples(*[st.sampled_from((0.5, 1.0, 1.7))] * 3)))
     tolerances = (0.5, 1.0, 2.0)
-    kwargs = dict(regions=REGIONS_POST_TREATMENT, tolerances=tolerances,
-                  dilation_iters=data.draw(st.integers(0, 3)),
-                  connectivity=data.draw(st.sampled_from((6, 26))))
-    columns = CaseMetrics.columns(REGIONS_POST_TREATMENT, tolerances)
+    objective = RankObjective(REGIONS_POST_TREATMENT, tolerances,
+                              data.draw(st.integers(0, 3)), data.draw(st.sampled_from((6, 26))))
+    columns = objective.columns(REGIONS_POST_TREATMENT)
 
     def evaluate(p, g):
         values = evaluate_case(LabelMap(data=p, spacing=spacing),
-                               LabelMap(data=g, spacing=spacing), **kwargs).values
+                               LabelMap(data=g, spacing=spacing), objective).values
         assert list(values) == columns
         return values
 
@@ -521,7 +521,7 @@ def test_evaluate_case_bounded_and_perfect_on_itself(data):
 
 def test_metrics_csv_round_trip(tmp_path):
     rng = np.random.default_rng(19)
-    cols = CaseMetrics.columns(REGIONS_PRE_TREATMENT, DEFAULT_TOLERANCES_MM)
+    cols = RankObjective().columns(REGIONS_PRE_TREATMENT)
     rows = [
         CaseMetrics(case_id=f"case-{i}", values={c: float(rng.random()) for c in cols})
         for i in range(4)
@@ -538,7 +538,7 @@ def test_metrics_csv_round_trip(tmp_path):
 
 
 def test_metrics_columns_layout():
-    cols = CaseMetrics.columns((ET, WT), (0.5, 1.0))
+    cols = RankObjective(tolerances=(0.5, 1.0)).columns((ET, WT))
     assert cols == [
         "LW_Dice_ET",
         "LW_NSD@0.5_ET",

@@ -706,8 +706,7 @@ def test_fit_tables_score_the_reference_output(drawn):
     voxels it turns to background are counted by ground-truth label, and
     the case's confusion is the voxel tally of the loaded grids."""
     pred, gt, grid, pairs, cutoffs, objective = drawn
-    scorer = CaseScorer(pred, gt, objective.tolerances, objective.dilation_iters,
-                        objective.connectivity)
+    scorer = CaseScorer(pred, gt, objective)
     crop = scorer.pred
 
     def affected(*labels):
@@ -721,8 +720,7 @@ def test_fit_tables_score_the_reference_output(drawn):
     with tempfile.TemporaryDirectory() as tmp:
         case = _written_case(Path(tmp), "h", pred.data, gt.data)
         table, moved, confusion = _search_table((case, edits, objective))
-        filtered, _, _ = replace(case, thresholds=thresholds).load(
-            objective.dilation_iters, objective.connectivity)
+        filtered, _, _ = replace(case, thresholds=thresholds).load(objective)
     assert np.array_equal(filtered.data, naive_postprocess(
         crop, thresholds, [], objective.connectivity))
     assert np.array_equal(confusion, tally_confusion([(pred.data, gt.data)]))
@@ -769,10 +767,10 @@ def test_scoring_holds_one_region_scorer_at_a_time(tmp_path, monkeypatch, connec
     pred[1, 14, 1] = 1
     pred[14, 1, 14] = 3
     regions = REGIONS_POST_TREATMENT
-    evaluate_case(_lm(pred), _lm(gt), regions=regions, connectivity=connectivity)
+    objective = RankObjective(regions=regions, connectivity=connectivity)
+    evaluate_case(_lm(pred), _lm(gt), objective)
     assert builds == [1] * len(regions)
     builds.clear()
-    objective = RankObjective(regions=regions, connectivity=connectivity)
     edits = {label: {t: ({label: t}, []) for t in (0, 2, 10)} for label in (1, 2, 3, 4)}
     edits[(1, 3)] = {c: ({}, [RelabelRule(0, 1, 3, c)]) for c in (0.0, 0.5)}
     _search_table((_written_case(tmp_path, "a", pred, gt), edits, objective))
@@ -1033,10 +1031,22 @@ def test_load_policy_rejects_tampered_manifest(tmp_path):
          lambda d: d["pcc_thresholds"].update({"1": d["pcc_thresholds"]["0"]})),
         ("relabel_rules", lambda d: d["relabel_rules"][0].update(cluster=1)),
         ("relabel_rules", lambda d: d["relabel_rules"][0].update(cluster=-1)),
+        ("connectivity", lambda d: d["metric_config"].update(connectivity=7)),
+        ("connectivity", lambda d: d["metric_config"].update(connectivity=6.5)),
+        ("connectivity", lambda d: d["metric_config"].update(connectivity="26")),
+        ("dilation_iters", lambda d: d["metric_config"].update(dilation_iters=-1)),
+        ("dilation_iters", lambda d: d["metric_config"].update(dilation_iters=2.0)),
+        ("dilation_iters", lambda d: d["metric_config"].update(dilation_iters=True)),
+        ("tolerances", lambda d: d["metric_config"].update(tolerances=[-1])),
+        ("tolerances", lambda d: d["metric_config"].update(tolerances=[0.5, float("nan")])),
+        ("tolerances", lambda d: d["metric_config"].update(tolerances=[1, 1.0])),
     ],
     ids=["mean-width", "std-width", "center-width", "components-width",
          "centroid-width", "centroid-count", "threshold-cluster",
-         "rule-cluster-high", "rule-cluster-negative"],
+         "rule-cluster-high", "rule-cluster-negative",
+         "connectivity-7", "connectivity-6.5", "connectivity-string",
+         "dilation-negative", "dilation-float", "dilation-bool",
+         "tolerance-negative", "tolerance-nan", "tolerances-repeated"],
 )
 def test_load_policy_rejects_inconsistent_fields(tmp_path, field, mutate):
     path = tmp_path / "policy.json"

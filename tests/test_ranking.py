@@ -117,6 +117,12 @@ def test_rank_candidates_validation():
     dup = _rows({"c1": {"m": 0.5}}) + _rows({"c1": {"m": 0.6}})
     with pytest.raises(ValueError, match="duplicate"):
         rank_candidates({"a": dup, "b": dup})
+    # every row carries exactly the first row's columns: none missing, none extra
+    two = _rows({"c1": {"m": 0.5, "n": 0.5}, "c2": {"m": 0.5, "n": 0.5}})
+    for name, changed in (("c2", {"m": 0.5}), ("c1", {"m": 0.5, "n": 0.5, "o": 0.5})):
+        bad = _rows({"c1": {"m": 0.5, "n": 0.5}, "c2": {"m": 0.5, "n": 0.5}} | {name: changed})
+        with pytest.raises(ValueError, match=f"candidate b, case {name}: metric columns"):
+            rank_candidates({"a": two, "b": bad})
 
 
 def test_write_ranking_csv(tmp_path):
