@@ -15,11 +15,10 @@ When the command succeeds, that file is rewritten with a ``run`` record:
 wall time, peak RSS and the package, numpy and scipy versions (and, for
 ``apply``, ``clustered_cases``: how many cases needed their cluster).
 
-``scipy.ndimage`` is loaded only by the commands that label, dilate or
-take distance transforms (``synth``, ``fit-policy``, ``apply``,
-``evaluate``), before their first process pool forks, so the workers
-inherit it instead of importing it one by one.  ``extract-features`` and
-``rank`` run on numpy alone.
+Only ``synth`` loads ``scipy.ndimage``, for its Gaussian noise, and
+loads it before its process pool forks, so the workers inherit it
+instead of importing it one by one.  Every other command runs on numpy
+alone.
 
 Exit codes: 0 success, 2 bad configuration, 3 I/O failure, 4 invalid data
 or out of memory.
@@ -52,7 +51,7 @@ from .metrics import (
     write_metrics_csv,
 )
 from .nifti import atomic_open
-from .parallel import map_ordered
+from .parallel import error_message, map_ordered
 from .policy import (
     DEFAULT_CUTOFF_GRID,
     DEFAULT_PCC_GRID,
@@ -617,9 +616,6 @@ _COMMANDS: dict[str, tuple[tuple[_Opt, ...], Callable[[dict], dict], str]] = {
              "aggregate metric CSVs into mean-rank scores"),
 }
 
-# the commands whose workers call scipy.ndimage
-_LABELLING_COMMANDS = ("synth", "fit-policy", "apply", "evaluate")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -667,7 +663,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     try:
-        if ns.command in _LABELLING_COMMANDS:
+        if ns.command == "synth":
             import scipy.ndimage  # noqa: F401  (before any pool forks)
         extra = handler(cfg)
         _write_run_config(Path(cfg["out"]), ns.command, cfg,
@@ -679,8 +675,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         log.error("%s", exc)
         return EXIT_IO
-    except (ValueError, MemoryError) as exc:
-        log.error("%s", exc)
+    except (ValueError, KeyError, MemoryError) as exc:
+        log.error("%s", error_message(exc))
         return EXIT_INVALID
 
 

@@ -138,8 +138,9 @@ def _surface_counts(
 ) -> dict[float, float]:
     """Per tolerance: (|a within tol of b| + |b within tol of a|) / (|a| + |b|),
     for two non-empty surfaces."""
-    d_to_b = euclidean_distance_transform(surf_b, spacing)
-    d_to_a = euclidean_distance_transform(surf_a, spacing)
+    reach = max(tolerances)
+    d_to_b = euclidean_distance_transform(surf_b, spacing, reach)
+    d_to_a = euclidean_distance_transform(surf_a, spacing, reach)
     n = int(surf_a.sum()) + int(surf_b.sum())
     return {
         tol: (int((d_to_b[surf_a] <= tol).sum()) + int((d_to_a[surf_b] <= tol).sum())) / n
@@ -517,6 +518,12 @@ def read_metrics_csv(path: str | Path) -> list[CaseMetrics]:
             if len(rec) != len(header):
                 raise ValueError(f"{path}: row {len(rows) + 1} has {len(rec)}"
                                  f" fields, expected {len(header)}")
-            values = {c: float(v) for c, v in zip(columns, rec[1:])}
+            values = {}
+            for c, v in zip(columns, rec[1:]):
+                try:
+                    values[c] = float(v)
+                except ValueError:
+                    raise ValueError(f"{path}: case {rec[0]!r}, column {c!r}: "
+                                     f"not a number: {v!r}") from None
             rows.append(CaseMetrics(case_id=rec[0], values=values))
     return rows

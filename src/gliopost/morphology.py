@@ -7,16 +7,17 @@ operates on boolean (x, y, z) grids or voxel index lists and is pure: no
 function mutates its input.  Scoring, the fit, ``apply`` and the
 radiomics work inside boxes of voxels, each of them a ``padded_box``.
 
-``scipy.ndimage`` is imported inside the functions that call it, so a
-process that never labels, dilates or takes an EDT (``extract-features``,
-``rank``) never loads it.  Commands that do label load it before they
-fork their workers (see ``cli``).
+Everything here runs on numpy alone.  Components are joined from runs
+of voxels, dilation ORs shifted copies and the EDT is separable, and
+each gives the values ``scipy.ndimage`` gives (``label`` on the
+transposed box, ``binary_dilation``, ``distance_transform_edt``), which
+the tests use as oracles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -57,16 +58,6 @@ def nonzero_box(grid: np.ndarray, pad: int = 0) -> tuple[slice, ...] | None:
     return padded_box(hits, pad, shape) if hits[0].size else None
 
 
-def _structure(connectivity: int) -> np.ndarray:
-    if connectivity == 6:
-        from scipy import ndimage  # only labelling commands load ndimage
-
-        return ndimage.generate_binary_structure(3, 1)
-    if connectivity == 26:
-        return np.ones((3, 3, 3), dtype=bool)
-    raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
-
-
 @dataclass(frozen=True)
 class ComponentLabeling:
     """Connected components of a binary mask.
@@ -76,7 +67,7 @@ class ComponentLabeling:
     is the voxel count of component c, and ``sizes[0]`` is 0.  ``voxels``
     holds the flat (C order) indices of the foreground voxels, and
     ``box`` the box they span; ``corners[c - 1]`` holds the start and
-    the stop of component c's ``find_objects`` box, shape (count, 2, 3).
+    the stop of component c's box, shape (count, 2, 3).
     """
 
     labels: np.ndarray  # int32 grid
@@ -84,17 +75,66 @@ class ComponentLabeling:
     count: int
     voxels: np.ndarray
     box: tuple[slice, ...]
+    corners: np.ndarray
 
-    @cached_property
-    def corners(self) -> np.ndarray:
-        objects = []
-        if self.count:
-            from scipy import ndimage  # only labelling commands load ndimage
 
-            objects = ndimage.find_objects(self.labels[self.box], self.count)
-        corners = np.array([[[s.start for s in obj], [s.stop for s in obj]]
-                            for obj in objects], dtype=np.intp)
-        return corners.reshape(-1, 2, self.labels.ndim) + [b.start for b in self.box]
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs ``[first, last)`` of foreground voxels along the last axis
+    of a 3-d mask, and the line ``x * Y + y`` of each, in C order."""
+    lines, z = mask.shape[0] * mask.shape[1], mask.shape[2]
+    padded = np.zeros((lines, z + 2), dtype=bool)
+    padded[:, 1:-1] = mask.reshape(lines, z)
+    # a run starts and stops where the padded line changes, so the changes
+    # alternate first, last; change i lies between columns i and i + 1
+    line, edge = np.divmod(np.flatnonzero(padded[:, 1:] != padded[:, :-1]), z + 1)
+    return line[0::2], edge[0::2], edge[1::2]
+
+
+def _run_roots(line: np.ndarray, first: np.ndarray, last: np.ndarray,
+               shape: tuple[int, ...], connectivity: int) -> np.ndarray:
+    """For each run of ``_runs``, the smallest index of a run in its
+    component.
+
+    Runs on neighbouring lines join when their z-ranges overlap (6) or
+    touch (26); each run looks only at the lines ahead of it, whose runs
+    it finds by binary search on sorted ``(line, first)`` and ``(line,
+    last)`` keys.  The joins are unioned by hooking each root onto the
+    smallest root it meets (``np.minimum.at``), then pointer jumping,
+    until no join spans two roots."""
+    y_size, width = shape[1], shape[2] + 1
+    starts, stops = line * width + first, line * width + last
+    y = line % y_size
+    if connectivity == 6:
+        steps = ((1, y < y_size - 1), (y_size, True))
+    else:
+        steps = ((1, y < y_size - 1), (y_size - 1, y > 0), (y_size, True),
+                 (y_size + 1, y < y_size - 1))
+    reach = int(connectivity == 26)
+    left, right = [], []
+    for step, inside in steps:
+        base = (line + step) * width
+        # the runs on line + step with first < last + reach and
+        # last > first - reach form one slice of the sorted keys
+        lo = np.searchsorted(stops, base + first - reach, side="right")
+        hi = np.searchsorted(starts, base + last + reach, side="left")
+        count = np.where(inside, hi - lo, 0).clip(0)
+        run = np.repeat(np.arange(line.size), count)
+        left.append(run)
+        right.append(lo[run] + np.arange(run.size) - (np.cumsum(count) - count)[run])
+    left, right = np.concatenate(left), np.concatenate(right)
+    root = np.arange(line.size)
+    while True:
+        a, b = root[left], root[right]
+        apart = a != b
+        if not apart.any():
+            return root
+        a, b = a[apart], b[apart]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
 
 
 def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentLabeling:
@@ -102,38 +142,71 @@ def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentL
 
     Component ids are assigned by first-encountered voxel in scan order
     (x fastest, then y, then z), so the labeling is deterministic for a
-    fixed input.
+    fixed input.  The mask's foreground box is split into runs along z,
+    and runs on neighbouring lines are joined (``_run_roots``).
     """
-    from scipy import ndimage  # only labelling commands load ndimage
-
+    if connectivity not in (6, 26):
+        raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
     mask = np.asarray(mask, dtype=bool)
-    structure = _structure(connectivity)
     labels = np.zeros(mask.shape, dtype=np.int32)
     voxels = np.flatnonzero(mask)
-    box = (slice(0, 0),) * mask.ndim
-    if voxels.size:
-        # labelled inside the box of the foreground, whose scan order is
-        # the grid's; ndimage.label numbers components by their first
-        # voxel in C order, and C order on the transposed box is x-fastest
-        # order on it
-        box = padded_box(np.unravel_index(voxels, mask.shape), 0, mask.shape)
-        labels[box] = ndimage.label(mask[box].T, structure=structure)[0].T
-    sizes = np.bincount(labels.ravel()[voxels], minlength=1)
-    return ComponentLabeling(labels=labels, sizes=sizes, count=sizes.size - 1,
-                             voxels=voxels, box=box)
+    if not voxels.size:
+        return ComponentLabeling(labels=labels, sizes=np.zeros(1, dtype=np.intp),
+                                 count=0, voxels=voxels,
+                                 box=(slice(0, 0),) * mask.ndim,
+                                 corners=np.zeros((0, 2, mask.ndim), dtype=np.intp))
+    box = padded_box(np.unravel_index(voxels, mask.shape), 0, mask.shape)
+    crop = mask[box]
+    line, first, last = _runs(crop)
+    roots, run_root = np.unique(_run_roots(line, first, last, crop.shape, connectivity),
+                                return_inverse=True)
+    # number the components by their first voxel in x-fastest order
+    x, y = np.divmod(line, crop.shape[1])
+    scan = np.full(roots.size, np.iinfo(np.intp).max)
+    np.minimum.at(scan, run_root, x + crop.shape[0] * (y + crop.shape[1] * first))
+    ids = np.empty(roots.size, dtype=np.int32)
+    ids[np.argsort(scan)] = np.arange(1, roots.size + 1, dtype=np.int32)
+    run_id = ids[run_root]
+    lengths = last - first
+    # the runs, in order, cover the foreground voxels in C order
+    labels.reshape(-1)[voxels] = np.repeat(run_id, lengths)
+    sizes = np.bincount(run_id, weights=lengths, minlength=roots.size + 1).astype(np.intp)
+    lo = np.full((roots.size + 1, 3), np.iinfo(np.intp).max)
+    hi = np.full((roots.size + 1, 3), -1)
+    np.minimum.at(lo, run_id, np.stack((x, y, first), axis=1))
+    np.maximum.at(hi, run_id, np.stack((x + 1, y + 1, last), axis=1))
+    corners = np.stack((lo[1:], hi[1:]), axis=1) + [b.start for b in box]
+    return ComponentLabeling(labels=labels, sizes=sizes, count=roots.size,
+                             voxels=voxels, box=box, corners=corners)
 
 
 def dilate(mask: np.ndarray, iterations: int, connectivity: int = 26) -> np.ndarray:
-    """Binary dilation by the connectivity neighborhood, ``iterations`` times."""
+    """Binary dilation by the connectivity neighborhood, ``iterations``
+    times (fewer once the mask stops growing); voxels beyond the grid
+    are background."""
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
+    if connectivity not in (6, 26):
+        raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
     mask = np.asarray(mask, dtype=bool)
     if iterations == 0 or not mask.any():
         return mask.copy()
-    from scipy import ndimage  # only labelling commands load ndimage
-
-    return ndimage.binary_dilation(mask, structure=_structure(connectivity),
-                                   iterations=iterations)
+    for _ in range(iterations):
+        grown = mask.copy()
+        for axis in range(mask.ndim):
+            ahead = (slice(None),) * axis + (slice(1, None),)
+            behind = (slice(None),) * axis + (slice(None, -1),)
+            # the cube is a segment of 3 along each axis in turn (the
+            # second OR also sees the first, which adds nothing: a voxel
+            # shifted ahead and back is in the input); the cross is the
+            # input's six face shifts
+            src = grown if connectivity == 26 else mask
+            grown[ahead] |= src[behind]
+            grown[behind] |= src[ahead]
+        if np.array_equal(grown, mask):
+            break
+        mask = grown
+    return mask
 
 
 def boundary_voxels(mask: np.ndarray) -> np.ndarray:
@@ -164,18 +237,35 @@ def shifted(mask: np.ndarray, offset: tuple[int, int, int]) -> np.ndarray:
     return out
 
 
-def euclidean_distance_transform(mask: np.ndarray, spacing: Spacing) -> np.ndarray:
+def euclidean_distance_transform(mask: np.ndarray, spacing: Spacing,
+                                 reach: float = math.inf) -> np.ndarray:
     """Exact Euclidean distance (mm) from each voxel to the nearest
-    foreground voxel center, honoring anisotropic spacing.
+    foreground voxel center, honoring anisotropic spacing, wherever that
+    distance is at most ``reach``; +inf elsewhere.
 
-    Foreground voxels get 0; an empty mask yields +inf everywhere.
+    Foreground voxels get 0; an empty mask yields +inf everywhere.  One
+    pass per axis takes the minimum of the previous pass's squared
+    distances plus ``(k * s) * (k * s)`` over shifts k, for every k
+    whose term alone is within ``reach``.  A distance is formed as
+    ``scipy.ndimage.distance_transform_edt`` forms it (scaled offsets,
+    squared, added in axis order), and rounding is monotone, so the
+    nested minima are its values.
     """
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        return np.full(mask.shape, np.inf)
-    from scipy import ndimage  # only labelling commands load ndimage
-
-    return ndimage.distance_transform_edt(~mask, sampling=spacing.as_tuple())
+    squared = np.where(mask, 0.0, np.inf)
+    for axis, step in enumerate(spacing.as_tuple()):
+        previous, squared = squared, squared.copy()
+        for k in range(1, mask.shape[axis]):
+            term = (k * step) * (k * step)
+            if math.sqrt(term) > reach:
+                break
+            ahead = (slice(None),) * axis + (slice(k, None),)
+            behind = (slice(None),) * axis + (slice(None, -k),)
+            np.minimum(squared[ahead], previous[behind] + term, out=squared[ahead])
+            np.minimum(squared[behind], previous[ahead] + term, out=squared[behind])
+    distance = np.sqrt(squared)
+    distance[distance > reach] = np.inf
+    return distance
 
 
 def line_order(coords: np.ndarray,

@@ -14,24 +14,32 @@ from functools import partial
 from typing import Callable
 
 
+def error_message(exc: BaseException) -> str:
+    """``str(exc)``, but a ``KeyError``'s first argument as it is: its
+    ``str`` is the argument's repr, quotes included."""
+    if isinstance(exc, KeyError) and exc.args:
+        return str(exc.args[0])
+    return str(exc)
+
+
 def _reported(failed: list[tuple[str, Exception]]) -> Exception:
     """The first of the ``(case_id, exception)`` failures, its message
     (or, when empty, its type's name) led by its case id and, when more
     cases failed, followed by the ids of all of them.  It keeps its type,
     or the nearest base type whose message can be set."""
     case_id, exc = failed[0]
-    message = str(exc) or type(exc).__name__
+    message = error_message(exc) or type(exc).__name__
     if not message.startswith(f"{case_id}: "):
         message = f"{case_id}: {message}"
     if len(failed) > 1:
         message += f" ({len(failed)} cases failed: {', '.join(c for c, _ in failed)})"
-    if message == str(exc):
+    if message == error_message(exc):
         return exc
     try:
         return type(exc)(message)
     except TypeError:  # a type that cannot be built from one message
         exc.args = (message,)
-    if str(exc) == message:
+    if error_message(exc) == message:
         return exc
     # its message ignores args, as numpy's _ArrayMemoryError's does: the
     # nearest base type that carries the message (BaseException always)
@@ -40,7 +48,7 @@ def _reported(failed: list[tuple[str, Exception]]) -> Exception:
             reported = base(message)
         except TypeError:
             continue
-        if str(reported) == message:
+        if error_message(reported) == message:
             return reported
 
 

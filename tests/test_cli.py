@@ -258,10 +258,10 @@ def _fresh_run(argv: list[str]) -> dict:
 
 
 def test_per_command_scipy_import_sets(pipeline, tmp_path):
-    """extract-features and rank run on numpy alone: they load no
-    scipy.ndimage, scipy.sparse or scipy.spatial.  The commands that
-    label hold scipy.ndimage before their first map_ordered call, so a
-    pool's forked workers inherit it."""
+    """Every command but synth runs on numpy alone: it loads no
+    scipy.ndimage, scipy.sparse or scipy.spatial.  synth, whose noise is
+    a Gaussian filter, holds scipy.ndimage before its first map_ordered
+    call, so a pool's forked workers inherit it."""
     corpus = pipeline["corpus"]
     preds, images, gt = (str(corpus / d) for d in ("preds", "images", "gt"))
     recipe = _write_recipe(tmp_path)
@@ -271,10 +271,6 @@ def test_per_command_scipy_import_sets(pipeline, tmp_path):
         "extract-features": ["extract-features", "--preds", preds,
                              "--images", images, "--out", str(tmp_path / "f")],
         "rank": ["rank", f"raw={raw}", f"post={post}", "--out", str(tmp_path / "r")],
-    }
-    labelling = {
-        "synth": ["synth", "--config", str(recipe), "--cases", "1",
-                  "--out", str(tmp_path / "s")],
         "fit-policy": ["fit-policy", "--preds", preds, "--images", images,
                        "--gt", gt, "--out", str(tmp_path / "fit"),
                        "--features", str(pipeline["features"] / "features.csv"),
@@ -290,10 +286,10 @@ def test_per_command_scipy_import_sets(pipeline, tmp_path):
         assert [m for m in run["loaded"]
                 if m.split(".")[1] in ("ndimage", "sparse", "spatial")] == [], command
         assert not any(run["at_calls"]), command
-    for command, argv in labelling.items():
-        run = _fresh_run(argv)
-        assert run["code"] == 0, command
-        assert run["at_calls"] and all(run["at_calls"]), command
+    run = _fresh_run(["synth", "--config", str(recipe), "--cases", "1",
+                      "--out", str(tmp_path / "s")])
+    assert run["code"] == 0
+    assert run["at_calls"] and all(run["at_calls"])
 
 
 def test_run_record_is_added_after_success(pipeline, tmp_path, monkeypatch):
@@ -516,8 +512,9 @@ def test_bad_nested_recipe_entry_writes_nothing(tmp_path, override):
 def test_bad_inputs_are_found_before_out_is_created(pipeline, tmp_path, caplog):
     """A missing ground-truth or image directory or metric CSV (exit 3),
     a feature table that is not one, or does not cover the corpus, and a
-    metric CSV that is not one, or whose columns differ from the other
-    candidate's (exit 4), fail before ``--out`` exists."""
+    metric CSV that is not one, whose columns differ from the other
+    candidate's, or that holds a cell that is not a number (exit 4), fail
+    before ``--out`` exists."""
     corpus = pipeline["corpus"]
     preds, images, gt = (str(corpus / sub) for sub in ("preds", "images", "gt"))
     missing = str(tmp_path / "missing")
@@ -546,7 +543,10 @@ def test_bad_inputs_are_found_before_out_is_created(pipeline, tmp_path, caplog):
             ("empty.csv", [], "empty.csv: not a metrics CSV"),
             ("short.csv", metrics[:-1] + [metrics[-1].rsplit(",", 1)[0]], "short.csv: row 6"),
             ("narrow.csv", [line.rsplit(",", 1)[0] for line in metrics],
-             "candidate bad, case case-0000: metric columns")):
+             "candidate bad, case case-0000: metric columns"),
+            ("word.csv", metrics[:1] + [metrics[1].rsplit(",", 1)[0] + ",abc"] + metrics[2:],
+             f"word.csv: case 'case-0000', column {metrics[0].rsplit(',', 1)[1]!r}: "
+             "not a number: 'abc'")):
         (tmp_path / name).write_text("".join(line + "\n" for line in lines))
         caplog.clear()
         with caplog.at_level(logging.ERROR):
@@ -843,7 +843,9 @@ def test_evaluate_rejects_a_spacing_mismatch(tmp_path, corpus, caplog, threads):
     MemoryError,
     # numpy's own, whose message ignores its args; building it allocates nothing
     lambda: _ArrayMemoryError((10 ** 5,) * 3, np.dtype("u1")),
-), ids=("plain", "numpy"))
+    # its str() is its key's repr, quotes included
+    lambda: KeyError("count"),
+), ids=("plain", "numpy", "key"))
 def test_worker_memory_error_exits_4_naming_the_case(tmp_path, monkeypatch, caplog,
                                                      threads, error):
     from gliopost import cli
@@ -864,6 +866,18 @@ def test_worker_memory_error_exits_4_naming_the_case(tmp_path, monkeypatch, capl
     assert len(errors) == 1
     assert errors[0].startswith("case-0001: ")
     assert errors[0] != "case-0001: "
+
+
+def test_reported_key_error_leads_with_the_case_id():
+    """A ``KeyError``'s ``str`` is its key's repr, so the message is
+    built from the key itself."""
+    from gliopost.parallel import _reported, error_message
+
+    reported = _reported([("case-0001", KeyError("count"))])
+    assert type(reported) is KeyError
+    assert error_message(reported) == "case-0001: count"
+    both = _reported([("case-0001", KeyError("count")), ("case-0003", KeyError("x"))])
+    assert error_message(both) == "case-0001: count (2 cases failed: case-0001, case-0003)"
 
 
 # -- rank --------------------------------------------------------------------------------

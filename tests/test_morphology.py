@@ -1,11 +1,15 @@
 """Connected components, dilation, boundaries, and distance transforms,
-checked against the brute-force oracles."""
+checked against the brute-force oracles and against scipy.ndimage."""
+
+import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from gliopost.morphology import (
     OFFSETS_6,
@@ -248,6 +252,92 @@ def test_edt_respects_triangle_inequality():
     d = euclidean_distance_transform(mask, Spacing(1.0, 1.0, 1.0))
     # neighbor voxels differ by at most the step length
     assert np.abs(np.diff(d, axis=0)).max() <= 1.0 + 1e-9
+
+
+# -- scipy.ndimage as the oracle ---------------------------------------------------
+# The kernels above run on numpy alone; each must give what scipy.ndimage
+# gives, ids, boxes and distances included.
+
+_STRUCTURES = {6: ndimage.generate_binary_structure(3, 1), 26: np.ones((3, 3, 3), bool)}
+
+
+@st.composite
+def _masks(draw, max_side=9):
+    """A mask of any density in [0.05, 0.6], often one voxel thick along
+    some axis."""
+    shape = [draw(st.integers(1, max_side)) for _ in range(3)]
+    thin = draw(st.sampled_from((None, 0, 1, 2)))
+    if thin is not None:
+        shape[thin] = 1
+    density = draw(st.floats(0.05, 0.6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).random(shape) < density
+
+
+@settings(max_examples=300, deadline=None)
+@given(_masks(), st.sampled_from((6, 26)))
+def test_components_equal_ndimage_label(mask, connectivity):
+    """The same ids as ``ndimage.label`` on the transposed mask, whose C
+    order is the mask's x-fastest order, and the boxes of
+    ``find_objects``."""
+    want, count = ndimage.label(mask.T, _STRUCTURES[connectivity])
+    want = want.T
+    cc = connected_components(mask, connectivity)
+    assert cc.count == count
+    assert np.array_equal(cc.labels, want)
+    assert cc.sizes.tolist() == [0, *np.bincount(want.ravel(), minlength=count + 1)[1:]]
+    boxes = [[[s.start for s in obj], [s.stop for s in obj]]
+             for obj in ndimage.find_objects(want)]
+    assert cc.corners.tolist() == boxes
+
+
+@settings(max_examples=200, deadline=None)
+@given(_masks(), st.sampled_from((6, 26)), st.integers(0, 3))
+def test_dilate_equals_binary_dilation(mask, connectivity, iterations):
+    want = (ndimage.binary_dilation(mask, _STRUCTURES[connectivity], iterations)
+            if iterations else mask)
+    assert np.array_equal(dilate(mask, iterations, connectivity), want)
+
+
+def test_dilate_stops_once_the_mask_stops_growing():
+    mask = np.zeros((9, 9, 9), dtype=bool)
+    mask[4, 4, 4] = True
+    start = time.perf_counter()
+    assert dilate(mask, 10**9, connectivity=6).all()
+    assert time.perf_counter() - start < 1.0
+
+
+_SPACINGS = st.tuples(*[st.sampled_from((0.5, 0.9375, 1.0, 1.25, 1.5, 2.5, 0.7))] * 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_masks(max_side=11), _SPACINGS, st.data())
+def test_edt_equals_ndimage_within_reach(mask, spacing, data):
+    """``distance_transform_edt``'s value wherever it is within
+    ``reach``, +inf elsewhere.  ``reach`` is often the exact length of
+    an offset, formed as the transform forms it."""
+    offset = data.draw(st.tuples(*[st.integers(0, 3)] * 3))
+    exact = math.sqrt(sum((k * s) * (k * s) for k, s in zip(offset, spacing)))
+    reach = data.draw(st.sampled_from((exact, math.inf, 0.5, 1.0, 3.0)))
+    got = euclidean_distance_transform(mask, Spacing(*spacing), reach)
+    if not mask.any():
+        assert np.isinf(got).all()
+        return
+    want = ndimage.distance_transform_edt(~mask, sampling=spacing)
+    within = want <= reach
+    assert np.array_equal(got[within], want[within])
+    assert np.isinf(got[~within]).all()
+
+
+def test_edt_large_reach_is_bounded_by_the_box():
+    """A reach far beyond the box costs one shift per voxel along each
+    axis, not one per offset of a ball."""
+    mask = np.zeros((40, 40, 40), dtype=bool)
+    mask[3, 30, 17] = True
+    start = time.perf_counter()
+    got = euclidean_distance_transform(mask, Spacing(1.0, 1.0, 1.0), 1e6)
+    assert time.perf_counter() - start < 1.0
+    assert np.array_equal(got, ndimage.distance_transform_edt(~mask))
 
 
 # -- line order ------------------------------------------------------------------
