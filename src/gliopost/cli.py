@@ -15,10 +15,12 @@ When the command succeeds, that file is rewritten with a ``run`` record:
 wall time, peak RSS and the package, numpy and scipy versions (and, for
 ``apply``, ``clustered_cases``: how many cases needed their cluster).
 
-Only ``synth`` loads ``scipy.ndimage``, for its Gaussian noise, and
-loads it before its process pool forks, so the workers inherit it
-instead of importing it one by one.  Every other command runs on numpy
-alone.
+A command imports only the package modules it runs, before its process
+pool forks, so the workers inherit them: ``evaluate`` imports ``metrics``,
+``rank`` also ``ranking``, ``extract-features`` ``radiomics``,
+``fit-policy`` and ``apply`` ``policy``, and ``synth`` ``synth`` and
+``scipy.ndimage`` (for its noise).  Every other command runs on numpy
+alone; bare ``scipy`` is imported for its version in the run record.
 
 Exit codes: 0 success, 2 bad configuration, 3 I/O failure, 4 invalid data
 or out of memory.
@@ -34,6 +36,7 @@ import resource
 import sys
 import time
 from dataclasses import dataclass
+from importlib import import_module
 from pathlib import Path
 from typing import Callable
 
@@ -41,48 +44,9 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .metrics import (
-    DEFAULT_CONNECTIVITY,
-    DEFAULT_DILATION_ITERS,
-    DEFAULT_TOLERANCES_MM,
-    RankObjective,
-    evaluate_case,
-    read_metrics_csv,
-    write_metrics_csv,
-)
 from .nifti import atomic_open
 from .parallel import error_message, map_ordered
-from .policy import (
-    DEFAULT_CUTOFF_GRID,
-    DEFAULT_PCC_GRID,
-    DEFAULT_TOP_CONFUSIONS,
-    apply_policy,
-    fit_policy_report,
-    load_policy,
-    save_policy,
-    training_features,
-    write_confusion_csv,
-    write_fit_report,
-)
-from .radiomics import (
-    DEFAULT_BIN_COUNT,
-    DEFAULT_BIN_WIDTH,
-    ExtractionSettings,
-    FeatureMatrix,
-    extract_case_features,
-    read_feature_csv,
-    write_feature_csv,
-    write_manifest,
-)
-from .ranking import rank_candidates, write_ranking_csv
-from .synth import SynthConfig, case_name, generate_case, save_case, write_inventory
-from .volume import (
-    SEQUENCES,
-    discover_case_ids,
-    load_case_bundle,
-    save_nifti,
-    seg_filename,
-)
+from .volume import SEQUENCES, discover_case_ids, load_case_bundle, save_nifti, seg_filename
 
 log = logging.getLogger(__name__)
 
@@ -175,6 +139,7 @@ def _k_range(value) -> tuple[int, ...]:
 
 
 def _tolerances(value) -> tuple[float, ...]:
+    from .metrics import RankObjective
     return RankObjective.check_tolerances(_floats(value))
 
 
@@ -208,14 +173,22 @@ class _Opt:
     dest: str
     flag: str | None  # None: settable through --config only
     coerce: Callable
-    default: object  # _REQUIRED marks options that must be supplied
+    default: object  # _REQUIRED: must be supplied; a callable: see _defaults
     help: str = ""
     choices: tuple = ()
     positional: bool = False
 
 
-_SYNTH_RECIPE = SynthConfig().to_dict()
-_RECIPE_KEYS = tuple(_SYNTH_RECIPE)
+def _from(path: str, make: Callable = lambda value: value) -> Callable:
+    """A default: ``make`` of the package's ``module.NAME``, read when a
+    command that has the option runs; no other command imports it."""
+    module, _, name = path.rpartition(".")
+    return lambda: make(getattr(import_module(f".{module}", __package__), name))
+
+
+def _recipe(key: str) -> Callable:
+    return _from("synth.SynthConfig", lambda config: config().to_dict()[key])
+
 
 # options that several commands share
 _PREDS = _Opt("preds", "--preds", _str, _REQUIRED, "directory of predicted masks")
@@ -225,10 +198,10 @@ _OUT = _Opt("out", "--out", _str, _REQUIRED, "output directory")
 _TASK = _Opt("task", "--task", _str, "gli-pre", "challenge task", choices=TASKS)
 _THREADS = _Opt("threads", "--threads", _threads, 1, "worker processes")
 _EXTRACTION_OPTS = (
-    _Opt("bin_width", "--bin-width", _bin_width, DEFAULT_BIN_WIDTH,
+    _Opt("bin_width", "--bin-width", _bin_width, _from("radiomics.DEFAULT_BIN_WIDTH"),
          "intensity bin width for first-order features"),
-    _Opt("bin_count", "--bin-count", _at_least(1, "bin count"), DEFAULT_BIN_COUNT,
-         "gray-level count for texture features"),
+    _Opt("bin_count", "--bin-count", _at_least(1, "bin count"),
+         _from("radiomics.DEFAULT_BIN_COUNT"), "gray-level count for texture features"),
     _Opt("sequences", "--sequences", _strs, list(SEQUENCES),
          "sequence names to extract from"),
 )
@@ -236,35 +209,33 @@ _EXTRACTION_OPTS = (
 _SYNTH_SPEC = (
     _Opt("out", "--out", _str, _REQUIRED, "corpus directory to create"),
     _Opt("cases", "--cases", _int, _REQUIRED, "number of cases to generate"),
-    _Opt("seed", "--seed", _at_least(0, "seed"), _SYNTH_RECIPE["seed"], "corpus seed"),
+    _Opt("seed", "--seed", _at_least(0, "seed"), _recipe("seed"), "corpus seed"),
     _Opt("start_index", "--start-index", _at_least(0, "start index"), 0,
          "index of the first case"),
-    _Opt("dims", "--dims", _ints, _SYNTH_RECIPE["dims"],
-         "grid size as X,Y,Z voxels"),
-    _Opt("spacing", "--spacing", _floats, _SYNTH_RECIPE["spacing"],
+    _Opt("dims", "--dims", _ints, _recipe("dims"), "grid size as X,Y,Z voxels"),
+    _Opt("spacing", "--spacing", _floats, _recipe("spacing"),
          "voxel spacing in mm as DX,DY,DZ"),
-    _Opt("lesion_count", "--lesion-count", _ints,
-         _SYNTH_RECIPE["lesion_count"], "inclusive MIN,MAX lesions per case"),
-    _Opt("lesion_radius", "--lesion-radius", _floats,
-         _SYNTH_RECIPE["lesion_radius"], "lesion radius range in voxels"),
-    _Opt("axis_scale", "--axis-scale", _floats, _SYNTH_RECIPE["axis_scale"],
+    _Opt("lesion_count", "--lesion-count", _ints, _recipe("lesion_count"),
+         "inclusive MIN,MAX lesions per case"),
+    _Opt("lesion_radius", "--lesion-radius", _floats, _recipe("lesion_radius"),
+         "lesion radius range in voxels"),
+    _Opt("axis_scale", "--axis-scale", _floats, _recipe("axis_scale"),
          "per-axis ellipsoid scale range"),
-    _Opt("shells", None, _passthrough, _SYNTH_RECIPE["shells"]),
-    _Opt("islands", None, _passthrough, _SYNTH_RECIPE["islands"]),
-    _Opt("swap", None, _passthrough, _SYNTH_RECIPE["swap"]),
-    _Opt("jitter", "--jitter", _int, _SYNTH_RECIPE["jitter"],
+    _Opt("shells", None, _passthrough, _recipe("shells")),
+    _Opt("islands", None, _passthrough, _recipe("islands")),
+    _Opt("swap", None, _passthrough, _recipe("swap")),
+    _Opt("jitter", "--jitter", _int, _recipe("jitter"),
          "boundary voxels to drop from each prediction"),
-    _Opt("island_margin", "--island-margin", _int,
-         _SYNTH_RECIPE["island_margin"],
+    _Opt("island_margin", "--island-margin", _int, _recipe("island_margin"),
          "minimum Chebyshev distance from islands to true voxels"),
     _Opt("lesion_separation", "--lesion-separation", _float,
-         _SYNTH_RECIPE["lesion_separation"],
+         _recipe("lesion_separation"),
          "minimum gap between lesion bounding spheres"),
-    _Opt("noise_sigma", "--noise-sigma", _float,
-         _SYNTH_RECIPE["noise_sigma"], "smoothing sigma of image noise"),
+    _Opt("noise_sigma", "--noise-sigma", _float, _recipe("noise_sigma"),
+         "smoothing sigma of image noise"),
     _Opt("noise_amplitude", "--noise-amplitude", _float,
-         _SYNTH_RECIPE["noise_amplitude"], "standard deviation of image noise"),
-    _Opt("sequences", "--sequences", _strs, _SYNTH_RECIPE["sequences"],
+         _recipe("noise_amplitude"), "standard deviation of image noise"),
+    _Opt("sequences", "--sequences", _strs, _recipe("sequences"),
          "sequence names to synthesize"),
     _THREADS,
 )
@@ -278,12 +249,13 @@ _FIT_SPEC = (
          "k-means restarts per k"),
     _Opt("k_range", "--k-range", _k_range, [],
          "cluster counts to try (empty: 2..10 as data allows)"),
-    _Opt("pcc_grid", "--pcc-grid", _pcc_grid, list(DEFAULT_PCC_GRID),
+    _Opt("pcc_grid", "--pcc-grid", _pcc_grid, _from("policy.DEFAULT_PCC_GRID", list),
          "candidate component-size thresholds"),
-    _Opt("cutoff_grid", "--cutoff-grid", _cutoff_grid, list(DEFAULT_CUTOFF_GRID),
+    _Opt("cutoff_grid", "--cutoff-grid", _cutoff_grid,
+         _from("policy.DEFAULT_CUTOFF_GRID", list),
          "candidate relabel volume-ratio cutoffs"),
     _Opt("confusions", "--confusions", _at_least(1, "confusions"),
-         DEFAULT_TOP_CONFUSIONS,
+         _from("policy.DEFAULT_TOP_CONFUSIONS"),
          "how many confusion pairs become relabel candidates"),
     *_EXTRACTION_OPTS,
     _Opt("features", "--features", _str, None,
@@ -300,11 +272,11 @@ _APPLY_SPEC = (
 
 _EVALUATE_SPEC = (
     _PREDS, _GT, _OUT, _TASK,
-    _Opt("tolerances", "--tolerances", _tolerances, list(DEFAULT_TOLERANCES_MM),
-         "surface tolerances in mm"),
-    _Opt("dilation", "--dilation", _at_least(0, "dilation"), DEFAULT_DILATION_ITERS,
-         "lesion-merging dilation iterations"),
-    _Opt("connectivity", "--connectivity", _int, DEFAULT_CONNECTIVITY,
+    _Opt("tolerances", "--tolerances", _tolerances,
+         _from("metrics.DEFAULT_TOLERANCES_MM", list), "surface tolerances in mm"),
+    _Opt("dilation", "--dilation", _at_least(0, "dilation"),
+         _from("metrics.DEFAULT_DILATION_ITERS"), "lesion-merging dilation iterations"),
+    _Opt("connectivity", "--connectivity", _int, _from("metrics.DEFAULT_CONNECTIVITY"),
          "component connectivity (6 or 26)", choices=(6, 26)),
     _THREADS,
 )
@@ -317,12 +289,17 @@ _RANK_SPEC = (
 )
 
 
+def _defaults(spec: tuple[_Opt, ...]) -> dict:
+    """The default of each option that has one; a callable default is
+    called, so a command imports only the modules its own options name."""
+    return {opt.dest: opt.default() if callable(opt.default) else opt.default
+            for opt in spec if opt.default is not _REQUIRED}
+
+
 def _merge_config(ns: argparse.Namespace, spec: tuple[_Opt, ...]) -> dict:
     """Resolve option values: defaults, then --config JSON, then flags."""
     by_dest = {opt.dest: opt for opt in spec}
-    merged = {
-        opt.dest: opt.default for opt in spec if opt.default is not _REQUIRED
-    }
+    merged = _defaults(spec)
 
     config_path = getattr(ns, "config", None)
     if config_path is not None:
@@ -398,6 +375,7 @@ def _run_record(start: float) -> dict:
 # ---------------------------------------------------------------------------
 
 def _synth_case(item):
+    from .synth import generate_case, save_case
     cfg, index, out_dir = item
     bundle, inventory = generate_case(cfg, index)
     out = Path(out_dir)
@@ -406,6 +384,7 @@ def _synth_case(item):
 
 
 def _extract_features_case(item):
+    from .radiomics import extract_case_features
     case_id, pred_dir, images_dir, settings = item
     case = load_case_bundle(case_id, pred_dir, images_dir,
                             sequences=settings.sequences)
@@ -414,6 +393,7 @@ def _extract_features_case(item):
 
 def _apply_case(item):
     """Post-process one case; True when its cluster had to be computed."""
+    from .policy import apply_policy
     case_id, policy, pred_dir, images_dir, out_dir = item
     case = load_case_bundle(case_id, pred_dir, images_dir,
                             sequences=policy.settings.sequences)
@@ -423,6 +403,7 @@ def _apply_case(item):
 
 
 def _evaluate_metrics_case(item):
+    from .metrics import evaluate_case
     case_id, pred_dir, gt_dir, objective = item
     case = load_case_bundle(case_id, pred_dir, gt_dir=gt_dir)
     return evaluate_case(case.prediction, case.ground_truth, objective, case_id=case_id)
@@ -447,9 +428,11 @@ def _input_dir(path: str) -> None:
 
 
 def _cmd_synth(cfg: dict) -> dict:
+    import scipy.ndimage  # noqa: F401  (for the noise; before any pool forks)
+    from .synth import SynthConfig, case_name, write_inventory
     if cfg["cases"] < 0:
         raise ValueError(f"--cases must be >= 0, got {cfg['cases']}")
-    syn = SynthConfig.from_dict({key: cfg[key] for key in _RECIPE_KEYS})
+    syn = SynthConfig.from_dict({key: cfg[key] for key in SynthConfig().to_dict()})
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_run_config(out, "synth", cfg)
@@ -470,13 +453,14 @@ def _cmd_synth(cfg: dict) -> dict:
     return {}
 
 
-def _extraction_settings(cfg: dict) -> ExtractionSettings:
+def _extraction_settings(cfg: dict):
+    from .radiomics import ExtractionSettings
     return ExtractionSettings(bin_width=cfg["bin_width"], bin_count=cfg["bin_count"],
                               sequences=tuple(cfg["sequences"]))
 
 
-def _extract_matrix(cfg: dict, settings: ExtractionSettings,
-                    case_ids: list[str]) -> FeatureMatrix:
+def _extract_matrix(cfg: dict, settings, case_ids: list[str]):
+    from .radiomics import FeatureMatrix
     items = [(cid, cfg["preds"], cfg["images"], settings)
              for cid in case_ids]
     vectors = map_ordered(_extract_features_case, items, case_ids,
@@ -485,6 +469,7 @@ def _extract_matrix(cfg: dict, settings: ExtractionSettings,
 
 
 def _cmd_extract_features(cfg: dict) -> dict:
+    from .radiomics import write_feature_csv, write_manifest
     case_ids = _case_ids(cfg["preds"])
     _input_dir(cfg["images"])
     out = Path(cfg["out"])
@@ -500,6 +485,9 @@ def _cmd_extract_features(cfg: dict) -> dict:
 
 
 def _cmd_fit_policy(cfg: dict) -> dict:
+    from .policy import (fit_policy_report, save_policy, training_features,
+                         write_confusion_csv, write_fit_report)
+    from .radiomics import read_feature_csv
     case_ids = _case_ids(cfg["preds"])
     _input_dir(cfg["gt"])
     settings = _extraction_settings(cfg)
@@ -538,6 +526,7 @@ def _cmd_fit_policy(cfg: dict) -> dict:
 
 
 def _cmd_apply(cfg: dict) -> dict:
+    from .policy import load_policy
     policy = load_policy(cfg["policy"])  # fail before any output
     case_ids = _case_ids(cfg["preds"])
     _input_dir(cfg["images"])
@@ -553,6 +542,7 @@ def _cmd_apply(cfg: dict) -> dict:
 
 
 def _cmd_evaluate(cfg: dict) -> dict:
+    from .metrics import RankObjective, write_metrics_csv
     case_ids = _case_ids(cfg["preds"])
     _input_dir(cfg["gt"])
     objective = RankObjective(
@@ -574,6 +564,8 @@ def _cmd_evaluate(cfg: dict) -> dict:
 
 
 def _cmd_rank(cfg: dict) -> dict:
+    from .metrics import read_metrics_csv
+    from .ranking import rank_candidates, write_ranking_csv
     per_candidate = {}
     for spec in cfg["csvs"]:
         if "=" in spec:
@@ -663,8 +655,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     try:
-        if ns.command == "synth":
-            import scipy.ndimage  # noqa: F401  (before any pool forks)
         extra = handler(cfg)
         _write_run_config(Path(cfg["out"]), ns.command, cfg,
                           run=_run_record(start) | extra)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .morphology import distinct_ids
+
 DEFAULT_K_RANGE = tuple(range(2, 11))
 DEFAULT_RESTARTS = 10
 DEFAULT_MAX_ITER = 300
@@ -243,7 +245,7 @@ def silhouette(points: np.ndarray, assignments: np.ndarray) -> float:
     """
     points = np.asarray(points, dtype=np.float64)
     assignments = np.asarray(assignments)
-    cluster_ids = np.unique(assignments)
+    cluster_ids = distinct_ids(assignments)
     if cluster_ids.size < 2:
         raise ValueError("silhouette needs at least 2 clusters")
     dist = np.sqrt(_pairwise_sq_distances(points, points))

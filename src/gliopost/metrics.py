@@ -22,6 +22,7 @@ from .morphology import (
     boundary_voxels,
     connected_components,
     dilate,
+    distinct_ids,
     euclidean_distance_transform,
     nonzero_box,
     padded_box,
@@ -273,7 +274,7 @@ class RegionScorer:
             box = padded_box(corners[c - 1:c], dilation_iters, owner.shape)
             dilated = dilate(gt_cc.labels[box] == c, dilation_iters, connectivity)
             owners = owner[box]
-            for o in np.unique(owners[dilated]):
+            for o in distinct_ids(owners[dilated]):
                 if o and find(o) != find(c):
                     parent[find(o)] = find(c)
             owners[dilated] = c
@@ -365,7 +366,7 @@ class RegionScorer:
         """``score(pred_mask)`` for a ``pred_mask`` that is a subset of the
         mask ``base`` was matched from, computed from ``base`` (see the
         class docstring)."""
-        touched = np.unique(base.labels[base.mask & ~pred_mask])
+        touched = distinct_ids(base.labels[base.mask & ~pred_mask])
         if touched.size == 0:
             return self._summary(base.dice, base.nsd, base.n_fp)
         dice, nsd, n_fp = list(base.dice), list(base.nsd), base.n_fp

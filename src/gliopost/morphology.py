@@ -1,5 +1,5 @@
 """Connectivity, dilation, boundary extraction, exact EDT, line order,
-and the padded box of a set of voxels.
+the padded box of a set of voxels and the distinct ids in a list.
 
 The geometric kernel under small-component removal, the surface
 distance metric and the radiomic runs and diameters.  Everything
@@ -76,6 +76,12 @@ class ComponentLabeling:
     voxels: np.ndarray
     box: tuple[slice, ...]
     corners: np.ndarray
+
+
+def distinct_ids(ids: np.ndarray) -> np.ndarray:
+    """``np.unique(ids)``'s sorted values, as intp, for non-negative
+    integer ids, without the ``numpy.ma`` import ``np.unique`` makes."""
+    return np.flatnonzero(np.bincount(ids))
 
 
 def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

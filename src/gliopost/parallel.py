@@ -9,7 +9,6 @@ every case that failed.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Callable
 
@@ -68,10 +67,11 @@ def map_ordered(worker: Callable, items: list, case_ids: list[str],
         raise ValueError(f"threads must be >= 1, got {threads}")
     pool = None
     if threads > 1 and len(items) > 1:
-        # the platform's default start method: on Linux a forked worker
-        # inherits numpy and scipy instead of importing them again, which
-        # would cost more than a small grid search; no caller has started
-        # a thread by then
+        # imported only for a pool.  The platform's default start method:
+        # a forked worker (Linux) inherits the modules its command imported
+        # before the pool started, cheaper than importing them again; no
+        # caller has started a thread by then
+        from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=min(threads, len(items)))
         calls = [pool.submit(worker, item).result for item in items]
     else:

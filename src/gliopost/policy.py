@@ -421,6 +421,8 @@ def fit_relabel_rules(
     for src, dst in pairs:
         if src == dst:
             raise ValueError(f"candidate pair with src == dst: {src}")
+    if not pairs:  # nothing to search: no worker need load a case
+        return []
     best, _ = _grid_search(cases, n_clusters, pairs, cutoffs,
                            lambda cluster, pair, c: ({}, [RelabelRule(cluster, *pair, c)]),
                            objective, threads)

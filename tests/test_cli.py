@@ -231,25 +231,35 @@ def test_flags_override_config_file(tmp_path):
 _PROBE = """
 import json, sys
 sys.path.insert(0, {src!r})
-from gliopost import cli, parallel
+from gliopost import parallel
 at_calls = []
 real = parallel.map_ordered
 def probe(*args, **kwargs):
     at_calls.append("scipy.ndimage" in sys.modules)
     return real(*args, **kwargs)
-for name, module in list(sys.modules.items()):
-    if name.startswith("gliopost") and getattr(module, "map_ordered", None) is real:
-        module.map_ordered = probe
+# patched before cli, or any module a command imports later, binds it
+parallel.map_ordered = probe
+from gliopost import cli
 code = cli.main({argv!r})
-print(json.dumps({{"code": code, "at_calls": at_calls,
-                   "loaded": sorted(m for m in sys.modules if m.startswith("scipy."))}}))
+print(json.dumps({{
+    "code": code, "at_calls": at_calls,
+    "unprobed": sorted(n for n, m in list(sys.modules.items())
+                       if n.startswith("gliopost") and getattr(m, "map_ordered", None) is real),
+    "loaded": sorted(m for m in sys.modules if m.startswith("scipy.")),
+    "package": sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("gliopost.")),
+    "numpy_ma": sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")),
+    "pool": "concurrent.futures.process" in sys.modules,
+}}))
 """
 
 
 def _fresh_run(argv: list[str]) -> dict:
-    """``main(argv)`` in a new interpreter: its exit code, the scipy
-    modules loaded when it returned, and, for each ``map_ordered`` call,
-    whether ``scipy.ndimage`` was loaded by then."""
+    """``main(argv)`` in a new interpreter: its exit code; the scipy
+    modules, the package's modules and the ``numpy.ma`` modules loaded
+    when it returned; whether ``concurrent.futures.process`` was; for
+    each ``map_ordered`` call, whether ``scipy.ndimage`` was loaded by
+    then; and the package modules still bound to the unprobed
+    ``map_ordered``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", _PROBE.format(src=src, argv=argv)],
                          check=True, capture_output=True, text=True,
@@ -258,15 +268,28 @@ def _fresh_run(argv: list[str]) -> dict:
 
 
 def test_per_command_scipy_import_sets(pipeline, tmp_path):
-    """Every command but synth runs on numpy alone: it loads no
-    scipy.ndimage, scipy.sparse or scipy.spatial.  synth, whose noise is
-    a Gaussian filter, holds scipy.ndimage before its first map_ordered
-    call, so a pool's forked workers inherit it."""
+    """Each command loads only what it runs.  Every command but synth
+    runs on numpy alone: it loads no scipy.ndimage, scipy.sparse or
+    scipy.spatial, and only synth loads gliopost.synth.  synth, whose
+    noise is a Gaussian filter, holds scipy.ndimage before its first
+    map_ordered call, so a pool's forked workers inherit it.  evaluate
+    loads metrics and what metrics imports, rank also ranking.  At one
+    thread no command loads the process pool.  Only feature extraction
+    (np.percentile) loads a numpy.ma module that a bare ``import numpy``
+    does not: fit-policy here reads precomputed features, and apply
+    extracts them only for a case that needs its cluster, which none
+    here does."""
     corpus = pipeline["corpus"]
     preds, images, gt = (str(corpus / d) for d in ("preds", "images", "gt"))
     recipe = _write_recipe(tmp_path)
     raw = str(pipeline["raw_metrics"] / "metrics.csv")
     post = str(pipeline["post_metrics"] / "metrics.csv")
+    bare_numpy = json.loads(subprocess.run(
+        [sys.executable, "-c", "import json, sys, numpy; print(json.dumps(sorted("
+                               "m for m in sys.modules"
+                               " if m == 'numpy.ma' or m.startswith('numpy.ma.'))))"],
+        check=True, capture_output=True, text=True).stdout)
+    evaluate_set = ["cli", "metrics", "morphology", "nifti", "parallel", "volume"]
     numpy_only = {
         "extract-features": ["extract-features", "--preds", preds,
                              "--images", images, "--out", str(tmp_path / "f")],
@@ -286,26 +309,39 @@ def test_per_command_scipy_import_sets(pipeline, tmp_path):
         assert [m for m in run["loaded"]
                 if m.split(".")[1] in ("ndimage", "sparse", "spatial")] == [], command
         assert not any(run["at_calls"]), command
+        assert bool(run["at_calls"]) == (command != "rank"), command
+        assert run["unprobed"] == [], command
+        assert "synth" not in run["package"], command
+        assert not run["pool"], command
+        if command != "extract-features":
+            assert run["numpy_ma"] == bare_numpy, command
+        if command == "evaluate":
+            assert run["package"] == evaluate_set
+        if command == "rank":
+            assert run["package"] == sorted(evaluate_set + ["ranking"])
     run = _fresh_run(["synth", "--config", str(recipe), "--cases", "1",
                       "--out", str(tmp_path / "s")])
     assert run["code"] == 0
     assert run["at_calls"] and all(run["at_calls"])
+    assert run["unprobed"] == []
+    assert "synth" in run["package"]
+    assert not run["pool"]
 
 
 def test_run_record_is_added_after_success(pipeline, tmp_path, monkeypatch):
-    from gliopost import cli
+    from gliopost import ranking
 
     out = tmp_path / "rank"
     raw = str(pipeline["raw_metrics"] / "metrics.csv")
     post = str(pipeline["post_metrics"] / "metrics.csv")
     echoes = []
-    real = cli.write_ranking_csv
+    real = ranking.write_ranking_csv
 
     def snapshot(*args, **kwargs):
         echoes.append(json.loads((out / "run-config.json").read_text()))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "write_ranking_csv", snapshot)
+    monkeypatch.setattr(ranking, "write_ranking_csv", snapshot)
     assert main(["rank", f"identity={raw}", f"fitted={post}",
                  "--out", str(out)]) == 0
     (echo,) = echoes
@@ -578,11 +614,11 @@ def test_apply_is_thread_invariant(pipeline, tmp_path):
 
 
 def test_apply_loads_the_policy_once(pipeline, tmp_path, monkeypatch, caplog):
-    from gliopost import cli
+    from gliopost import policy
 
     calls = []
-    real = cli.load_policy
-    monkeypatch.setattr(cli, "load_policy",
+    real = policy.load_policy
+    monkeypatch.setattr(policy, "load_policy",
                         lambda path: calls.append(path) or real(path))
     corpus = pipeline["corpus"]
     with caplog.at_level(logging.INFO, logger="gliopost.cli"):
@@ -848,16 +884,16 @@ def test_evaluate_rejects_a_spacing_mismatch(tmp_path, corpus, caplog, threads):
 ), ids=("plain", "numpy", "key"))
 def test_worker_memory_error_exits_4_naming_the_case(tmp_path, monkeypatch, caplog,
                                                      threads, error):
-    from gliopost import cli
+    from gliopost import synth
 
-    real = cli.generate_case
+    real = synth.generate_case
 
     def generate(cfg, index):
         if index == 1:
             raise error()
         return real(cfg, index)
 
-    monkeypatch.setattr(cli, "generate_case", generate)
+    monkeypatch.setattr(synth, "generate_case", generate)
     recipe = _write_recipe(tmp_path)
     with caplog.at_level(logging.ERROR):
         assert main(["synth", "--config", str(recipe), "--out", str(tmp_path / "out"),

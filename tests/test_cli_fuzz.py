@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from gliopost.cli import _COMMANDS, _REQUIRED, main
+from gliopost.cli import _COMMANDS, _defaults, main
 
 RECIPE = {
     "seed": 5,
@@ -63,8 +63,7 @@ def _base_document(command: str, root: Path) -> dict:
     """Every option of ``command`` at its default, but for the inputs,
     which name the corpus, and for small grids and a small recipe."""
     spec = _COMMANDS[command][0]
-    doc = {opt.dest: opt.default for opt in spec
-           if opt.default is not _REQUIRED and opt.default is not None}
+    doc = {dest: value for dest, value in _defaults(spec).items() if value is not None}
     data = root / "corpus"
     paths = {"preds": data / "preds", "images": data / "images", "gt": data / "gt",
              "policy": root / "fit" / "policy.json",

@@ -18,6 +18,7 @@ from gliopost.morphology import (
     boundary_voxels,
     connected_components,
     dilate,
+    distinct_ids,
     euclidean_distance_transform,
     line_order,
     nonzero_box,
@@ -58,6 +59,23 @@ def test_nonzero_box_is_the_box_of_nonzero(grid, pad):
     want = padded_box(coords, pad, grid.shape) if coords[0].size else None
     assert nonzero_box(grid, pad) == want
     assert nonzero_box(grid.astype(bool), pad) == want
+
+
+# int32: component ids (the owner grid, a labeling's labels); intp: the
+# k-means assignments silhouette takes
+@settings(max_examples=200, deadline=None)
+@example(np.zeros(0, dtype=np.int32))
+@example(np.zeros(0, dtype=np.intp))
+@given(st.sampled_from((np.int32, np.intp)).flatmap(
+    lambda dtype: hnp.arrays(dtype, st.integers(0, 40),
+                             elements=st.integers(0, 5) | st.integers(0, 2 ** 16))))
+def test_distinct_ids_equal_np_unique(ids):
+    """The sorted distinct values of non-negative ids, as ``np.unique``
+    gives them, empty for no ids."""
+    want = np.unique(ids)
+    got = distinct_ids(ids)
+    assert got.dtype == np.intp
+    assert got.tolist() == want.tolist()
 
 
 def test_components_empty_mask():

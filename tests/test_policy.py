@@ -876,13 +876,17 @@ def test_fit_policy_end_to_end_removes_islands(tmp_path):
 
 
 def test_fit_loads_cases_only_in_its_workers(tmp_path, monkeypatch):
-    """At two threads the fitting process never loads a case; in process
-    each of the two grid searches loads every case once."""
+    """At two threads the fitting process never loads a case.  In process
+    the threshold search loads every case once, and the relabel search
+    loads it once more only when there is a candidate pair: the island
+    corpus has none; with its cores predicted as label 1 it has one."""
     from gliopost import policy as policy_module
 
-    cases = _island_bundles()
-    args = _write_training(tmp_path, cases)
-    features = _features(cases)
+    def swapped(case):
+        pred = case.prediction.data.copy()
+        pred[case.ground_truth.data == 3] = 1
+        return replace(case, prediction=_lm(pred))
+
     calls = []
     real = policy_module.load_case_bundle
 
@@ -891,12 +895,21 @@ def test_fit_loads_cases_only_in_its_workers(tmp_path, monkeypatch):
         return real(*a, **k)
 
     monkeypatch.setattr(policy_module, "load_case_bundle", counting)
-    pooled, _ = fit_policy_report(*args, features, k_range=(2,), restarts=3,
-                                  seed=5, threads=2)
-    assert calls == []
-    serial, _ = fit_policy_report(*args, features, k_range=(2,), restarts=3, seed=5)
-    assert sorted(calls) == sorted(2 * args[0])
-    assert (pooled.thresholds, pooled.rules) == (serial.thresholds, serial.rules)
+    islands = _island_bundles()
+    for name, cases, loads in (("islands", islands, 1),
+                               ("swapped", [swapped(c) for c in islands], 2)):
+        (tmp_path / name).mkdir()
+        args = _write_training(tmp_path / name, cases)
+        features = _features(cases)
+        calls.clear()
+        pooled, _ = fit_policy_report(*args, features, k_range=(2,), restarts=3,
+                                      seed=5, threads=2)
+        assert calls == []
+        serial, report = fit_policy_report(*args, features, k_range=(2,), restarts=3,
+                                           seed=5)
+        assert bool(report.candidates) == (loads == 2), name
+        assert sorted(calls) == sorted(loads * args[0]), name
+        assert (pooled.thresholds, pooled.rules) == (serial.thresholds, serial.rules)
 
 
 @pytest.mark.parametrize("threads", (1, 2))
