@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import resource
 import sys
 import time
@@ -46,7 +45,8 @@ import scipy
 from . import __version__
 from .nifti import atomic_open
 from .parallel import error_message, map_ordered
-from .volume import SEQUENCES, discover_case_ids, load_case_bundle, save_nifti, seg_filename
+from .volume import (SEQUENCES, check, discover_case_ids, load_case_bundle, save_nifti,
+                     seg_filename)
 
 log = logging.getLogger(__name__)
 
@@ -71,22 +71,14 @@ class _ConfigError(Exception):
 
 def _int(value) -> int:
     """An integer that fits in 64 bits, as numpy and scipy take them."""
-    if isinstance(value, str):
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected an integer, got {value!r}")
-    if not -2 ** 63 <= value < 2 ** 63:
-        raise ValueError(f"expected a 64-bit integer, got {value}")
-    return value
+    value = int(value) if isinstance(value, str) else value
+    return check("value", value, "integer", -2 ** 63, 2 ** 63 - 1)
 
 
 def _at_least(low: int, name: str) -> Callable:
     """An integer option's coercion that rejects values below ``low``."""
     def coerce(value) -> int:
-        number = _int(value)
-        if number < low:
-            raise ValueError(f"{name} must be >= {low}, got {number}")
-        return number
+        return check(name, _int(value), "integer", low)
     coerce.__name__ = name.replace(" ", "_")  # argparse names it in errors
     return coerce
 
@@ -95,20 +87,13 @@ _threads = _at_least(1, "threads")
 
 
 def _float(value) -> float:
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ValueError(f"expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        return float(value)
-    raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _bin_width(value) -> float:
-    width = _float(value)
-    if not (math.isfinite(width) and width > 0):
-        raise ValueError(f"bin width must be finite and > 0, got {width}")
-    return width
+    return check("bin width", _float(value), "number", above=0)
 
 
 def _str(value) -> str:
@@ -430,8 +415,7 @@ def _input_dir(path: str) -> None:
 def _cmd_synth(cfg: dict) -> dict:
     import scipy.ndimage  # noqa: F401  (for the noise; before any pool forks)
     from .synth import SynthConfig, case_name, write_inventory
-    if cfg["cases"] < 0:
-        raise ValueError(f"--cases must be >= 0, got {cfg['cases']}")
+    check("--cases", cfg["cases"], "integer", 0)
     syn = SynthConfig.from_dict({key: cfg[key] for key in SynthConfig().to_dict()})
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -472,10 +456,10 @@ def _cmd_extract_features(cfg: dict) -> dict:
     from .radiomics import write_feature_csv, write_manifest
     case_ids = _case_ids(cfg["preds"])
     _input_dir(cfg["images"])
+    settings = _extraction_settings(cfg)
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _write_run_config(out, "extract-features", cfg)
-    settings = _extraction_settings(cfg)
     matrix = _extract_matrix(cfg, settings, case_ids)
     write_feature_csv(out / "features.csv", matrix)
     write_manifest(out / "feature-manifest.json", settings)

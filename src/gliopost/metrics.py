@@ -11,7 +11,6 @@ with false positives scoring 0.  A region empty in both masks scores 1.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -28,7 +27,7 @@ from .morphology import (
     padded_box,
 )
 from .nifti import atomic_open
-from .volume import LabelMap, Spacing
+from .volume import JsonConfig, LabelMap, Spacing, check
 
 DEFAULT_DILATION_ITERS = 3
 DEFAULT_CONNECTIVITY = 26
@@ -58,11 +57,12 @@ REGIONS_POST_TREATMENT = (ET, TC, WT, NETC, SNFH, RC)
 
 
 @dataclass(frozen=True)
-class RankObjective:
+class RankObjective(JsonConfig):
     """How a case is scored: the regions, the NSD tolerances in mm, the
     dilation that merges ground-truth components into lesions and the
     component connectivity.  Construction checks every field, so every
-    scorer built from it can rely on them."""
+    scorer built from it can rely on them.  JSON holds the regions by
+    name."""
 
     regions: tuple[RegionSpec, ...] = REGIONS_PRE_TREATMENT
     tolerances: tuple[float, ...] = DEFAULT_TOLERANCES_MM
@@ -70,19 +70,17 @@ class RankObjective:
     connectivity: int = DEFAULT_CONNECTIVITY
 
     def __post_init__(self):
-        if not isinstance(self.connectivity, int) or self.connectivity not in (6, 26):
+        if check("connectivity", self.connectivity, "integer") not in (6, 26):
             raise ValueError(f"connectivity must be 6 or 26, got {self.connectivity!r}")
-        iters = self.dilation_iters
-        if isinstance(iters, bool) or not isinstance(iters, int) or iters < 0:
-            raise ValueError(f"dilation_iters must be an integer >= 0, got {iters!r}")
+        check("dilation_iters", self.dilation_iters, "integer", 0)
         self.check_tolerances(self.tolerances)
 
     @staticmethod
     def check_tolerances(tolerances: tuple[float, ...]) -> tuple[float, ...]:
-        """``tolerances`` if each is finite and > 0 and they are distinct
-        as the metric names print them (``LW_NSD@<tol:g>``)."""
-        if not all(math.isfinite(tol) and tol > 0 for tol in tolerances):
-            raise ValueError(f"tolerances must be finite and > 0, got {list(tolerances)}")
+        """``tolerances`` if each is a finite number > 0 and they are
+        distinct as the metric names print them (``LW_NSD@<tol:g>``)."""
+        for tol in tolerances:
+            check("tolerances", tol, "number", above=0)
         if len({f"{tol:g}" for tol in tolerances}) != len(tolerances):
             raise ValueError(f"tolerances must be distinct, got {list(tolerances)}")
         return tolerances
@@ -99,21 +97,18 @@ class RankObjective:
         return [f"{metric}_{r.name}" for r in regions for metric in self.metrics]
 
     def to_dict(self) -> dict:
-        return {
-            "regions": [r.name for r in self.regions],
-            "tolerances": list(self.tolerances),
-            "dilation_iters": self.dilation_iters,
-            "connectivity": self.connectivity,
-        }
+        return dict(super().to_dict(), regions=[r.name for r in self.regions])
 
-    @staticmethod
-    def from_dict(d: dict) -> "RankObjective":
-        return RankObjective(
-            regions=tuple(REGIONS_BY_NAME[n] for n in d["regions"]),
-            tolerances=tuple(float(t) for t in d["tolerances"]),
-            dilation_iters=d["dilation_iters"],
-            connectivity=d["connectivity"],
-        )
+    @classmethod
+    def from_dict(cls, d: dict) -> "RankObjective":
+        if isinstance(d, dict) and "regions" in d:
+            names = d["regions"]
+            if not (isinstance(names, list)
+                    and all(isinstance(n, str) and n in REGIONS_BY_NAME for n in names)):
+                raise ValueError(f"regions must be a list of {list(REGIONS_BY_NAME)},"
+                                 f" got {names!r}")
+            d = dict(d, regions=[REGIONS_BY_NAME[n] for n in names])
+        return super().from_dict(d)
 
     @staticmethod
     def for_task(task: str) -> "RankObjective":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import Spacing
+from .volume import Spacing, check
 
 #: the 26-neighborhood offsets, and the 13 unique directions modulo sign
 #: (lexicographically positive half), in a fixed documented order
@@ -190,8 +190,7 @@ def dilate(mask: np.ndarray, iterations: int, connectivity: int = 26) -> np.ndar
     """Binary dilation by the connectivity neighborhood, ``iterations``
     times (fewer once the mask stops growing); voxels beyond the grid
     are background."""
-    if iterations < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
+    check("iterations", iterations, "integer", 0)
     if connectivity not in (6, 26):
         raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
     mask = np.asarray(mask, dtype=bool)

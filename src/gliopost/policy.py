@@ -44,7 +44,8 @@ from .radiomics import (
     feature_names,
 )
 from .ranking import rank_candidates
-from .volume import MAX_LABEL, TUMOR_LABELS, CaseBundle, LabelMap, load_case_bundle
+from .volume import (MAX_LABEL, TUMOR_LABELS, CaseBundle, JsonConfig, LabelMap, check,
+                     load_case_bundle)
 
 POLICY_VERSION = "1"
 DEFAULT_PCC_GRID = (0, 10, 20, 50, 75, 100, 150, 200, 300, 500, 750, 1000)
@@ -54,9 +55,11 @@ WT_LABELS = tuple(sorted(WT.labels))
 
 
 @dataclass(frozen=True)
-class RelabelRule:
+class RelabelRule(JsonConfig):
     """Convert all src voxels to dst when volume(src)/volume(WT) is
-    below the cutoff, per cluster."""
+    below the cutoff, per cluster.  Construction checks that the cluster
+    is an integer, src and dst distinct tumor labels and the cutoff a
+    number in [0, 1]."""
 
     cluster: int
     src: int
@@ -64,29 +67,12 @@ class RelabelRule:
     cutoff: float
 
     def __post_init__(self):
+        check("relabel rule cluster", self.cluster, "integer")
+        check("relabel rule src", self.src, "integer", 1, MAX_LABEL)
+        check("relabel rule dst", self.dst, "integer", 1, MAX_LABEL)
+        check("relabel rule cutoff", self.cutoff, "number", 0, 1)
         if self.src == self.dst:
             raise ValueError("relabel rule with src == dst")
-        if not (1 <= self.src <= MAX_LABEL and 1 <= self.dst <= MAX_LABEL):
-            raise ValueError(f"labels out of range: {self.src} -> {self.dst}")
-        if not 0.0 <= self.cutoff <= 1.0:
-            raise ValueError(f"cutoff outside [0, 1]: {self.cutoff}")
-
-    def to_dict(self) -> dict:
-        return {
-            "cluster": self.cluster,
-            "src": self.src,
-            "dst": self.dst,
-            "cutoff": self.cutoff,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "RelabelRule":
-        return RelabelRule(
-            cluster=int(d["cluster"]),
-            src=int(d["src"]),
-            dst=int(d["dst"]),
-            cutoff=float(d["cutoff"]),
-        )
 
 
 @dataclass
@@ -189,8 +175,7 @@ def top_confusions(cm: np.ndarray, n: int = DEFAULT_TOP_CONFUSIONS) -> list[tupl
     Equal counts are ordered by (true label, predicted label); zero
     entries never qualify.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check("n", n, "integer", 1)
     cm = np.asarray(cm)
     entries = []
     for g in TUMOR_LABELS:
@@ -412,9 +397,7 @@ def fit_relabel_rules(
     """
     cutoffs = tuple(sorted({float(c) for c in cutoff_grid}))
     for c in cutoffs:
-        if not 0.0 <= c <= 1.0:  # NaN included
-            raise ValueError(f"cutoff grid values must be finite and in [0, 1],"
-                             f" got {c}")
+        check("cutoff grid values", c, "number", 0, 1)
     if not cutoffs or cutoffs[0] != 0.0:
         raise ValueError(f"cutoff grid must contain 0, got {list(cutoffs)}")
     pairs = [(src, dst) for src, dst in candidates]

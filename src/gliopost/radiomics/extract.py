@@ -18,7 +18,7 @@ import numpy as np
 
 from ..metrics import WT, region_mask
 from ..nifti import atomic_open
-from ..volume import SEQUENCES, CaseBundle
+from ..volume import SEQUENCES, CaseBundle, JsonConfig, check
 from .firstorder import DEFAULT_BIN_WIDTH, FIRSTORDER_FEATURE_NAMES, firstorder_features
 from .shape import SHAPE_FEATURE_NAMES, shape_features
 from .texture import (
@@ -54,33 +54,19 @@ MANIFEST_VERSION = 1
 
 
 @dataclass(frozen=True)
-class ExtractionSettings:
-    """Knobs that change feature values; recorded in the manifest."""
+class ExtractionSettings(JsonConfig):
+    """Knobs that change feature values; recorded in the manifest.
+    Construction checks them: a bin width that is a finite number > 0, a
+    bin count that is an integer >= 1 and distinct sequence names."""
 
     bin_width: float = DEFAULT_BIN_WIDTH
     bin_count: int = DEFAULT_BIN_COUNT
     sequences: tuple[str, ...] = SEQUENCES
 
     def __post_init__(self):
-        if not (np.isfinite(self.bin_width) and self.bin_width > 0):
-            raise ValueError(f"bin_width must be finite and > 0, got {self.bin_width}")
-        if self.bin_count < 1:
-            raise ValueError(f"bin_count must be >= 1, got {self.bin_count}")
-
-    def to_dict(self) -> dict:
-        return {
-            "bin_width": self.bin_width,
-            "bin_count": self.bin_count,
-            "sequences": list(self.sequences),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ExtractionSettings":
-        return ExtractionSettings(
-            bin_width=float(d["bin_width"]),
-            bin_count=int(d["bin_count"]),
-            sequences=tuple(d["sequences"]),
-        )
+        check("bin_width", self.bin_width, "number", above=0)
+        check("bin_count", self.bin_count, "integer", 1)
+        check("sequences", self.sequences, "names")
 
 
 def feature_names(settings: ExtractionSettings = ExtractionSettings()) -> tuple[str, ...]:

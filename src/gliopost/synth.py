@@ -13,9 +13,7 @@ exactly (when boundary jitter is disabled).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +24,11 @@ from .volume import (
     MAX_LABEL,
     SEQUENCES,
     CaseBundle,
+    JsonConfig,
     LabelMap,
     ScalarVolume,
     Spacing,
+    check,
     seg_filename,
     seq_filename,
 )
@@ -39,16 +39,20 @@ _LABEL_SHIFT = {0: 0.0, 1: 35.0, 2: 20.0, 3: 55.0, 4: -25.0}
 
 
 @dataclass(frozen=True)
-class ShellSpec:
+class ShellSpec(JsonConfig):
     """One concentric shell: voxels with normalized radius up to a
     fraction sampled from ``outer`` get this label (innermost first)."""
 
     label: int
     outer: tuple[float, float]
 
+    def __post_init__(self):
+        check("shell label", self.label, "integer", 0, MAX_LABEL)
+        check(f"shell {self.label} outer range", self.outer, "number range")
+
 
 @dataclass(frozen=True)
-class IslandSpec:
+class IslandSpec(JsonConfig):
     """False-positive islands of one label; count and voxel size are
     sampled per case from the inclusive ranges."""
 
@@ -56,9 +60,14 @@ class IslandSpec:
     count: tuple[int, int]
     size: tuple[int, int]
 
+    def __post_init__(self):
+        check("island label", self.label, "integer", 0, MAX_LABEL)
+        check(f"island {self.label} count range", self.count, "integer range", 0)
+        check(f"island {self.label} size range", self.size, "integer range", 1)
+
 
 @dataclass(frozen=True)
-class SwapSpec:
+class SwapSpec(JsonConfig):
     """Relabel src to dst when the ground-truth volume ratio
     volume(src)/volume(WT) falls below the trigger."""
 
@@ -66,9 +75,18 @@ class SwapSpec:
     dst: int
     trigger: float
 
+    def __post_init__(self):
+        check("swap src label", self.src, "integer", 0, MAX_LABEL)
+        check("swap dst label", self.dst, "integer", 0, MAX_LABEL)
+        check("swap trigger", self.trigger, "number")
+
 
 @dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(JsonConfig):
+    """A corpus recipe.  Construction checks every field, the specs
+    theirs; ``from_dict`` reads the recipe ``to_dict`` writes, an absent
+    top-level key taking its default."""
+
     seed: int = 0
     dims: tuple[int, int, int] = (64, 64, 64)
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
@@ -90,143 +108,24 @@ class SynthConfig:
     sequences: tuple[str, ...] = SEQUENCES
 
     def __post_init__(self):
-        if len(self.dims) != 3 or min(self.dims) < 1:
-            raise ValueError(f"dims must be 3 sizes >= 1, got {list(self.dims)}")
-        if len(self.spacing) != 3 or not all(0 < s < np.inf for s in self.spacing):
-            raise ValueError(f"spacing must be 3 finite values > 0,"
-                             f" got {list(self.spacing)}")
-        ints = [("lesion count", self.lesion_count)]
-        ints += [(f"island {s.label} {field}", getattr(s, field))
-                 for s in self.islands for field in ("count", "size")]
-        reals = [("lesion radius", self.lesion_radius), ("axis scale", self.axis_scale)]
-        reals += [(f"shell {s.label} outer", s.outer) for s in self.shells]
-        for kind, named in ((Integral, ints), (Real, reals)):
-            for name, pair in named:
-                if not (isinstance(pair, tuple) and len(pair) == 2
-                        and all(_finite(v, kind) for v in pair)):
-                    raise ValueError(f"{name} range must be MIN,MAX, two finite"
-                                     f" {kind.__name__.lower()} numbers, got {pair!r}")
-        labels = [("shell", s.label) for s in self.shells]
-        labels += [("island", s.label) for s in self.islands]
-        if self.swap is not None:
-            labels += [("swap src", self.swap.src), ("swap dst", self.swap.dst)]
-            if not _finite(self.swap.trigger, Real):
-                raise ValueError(f"swap trigger must be a finite number,"
-                                 f" got {self.swap.trigger!r}")
-        for name, label in labels:
-            if not (_finite(label, Integral) and 0 <= label <= MAX_LABEL):
-                raise ValueError(f"{name} label must be an integer in"
-                                 f" [0, {MAX_LABEL}], got {label!r}")
-        if self.lesion_count[0] < 0 or self.lesion_count[0] > self.lesion_count[1]:
-            raise ValueError(f"bad lesion count range {self.lesion_count}")
-        if self.lesion_radius[0] <= 0 or self.lesion_radius[0] > self.lesion_radius[1]:
-            raise ValueError(f"bad lesion radius range {self.lesion_radius}")
+        check("seed", self.seed, "integer", 0)
+        check("dims", self.dims, "integer", 1, count=3)
+        check("spacing", self.spacing, "number", above=0, count=3)
+        check("lesion count range", self.lesion_count, "integer range", 0)
+        check("lesion radius range", self.lesion_radius, "number range", above=0)
+        check("axis scale range", self.axis_scale, "number range")
         if not self.shells:
             raise ValueError("at least one shell required")
-        for spec in self.islands:
-            if spec.size[0] < 1 or spec.size[0] > spec.size[1]:
-                raise ValueError(f"bad island size range {spec.size}")
-            if spec.count[0] < 0 or spec.count[0] > spec.count[1]:
-                raise ValueError(f"bad island count range {spec.count}")
-        for name, low, kind in (("jitter", 0, Integral), ("island_margin", 1, Integral),
-                                ("lesion_separation", 0, Real), ("noise_sigma", 0, Real),
-                                ("noise_amplitude", 0, Real)):
-            value = getattr(self, name)
-            if not (_finite(value, kind) and value >= low):
-                what = "an integer" if kind is Integral else "a finite number"
-                raise ValueError(f"{name.replace('_', ' ')} must be {what} >= {low},"
-                                 f" got {value!r}")
-        # each name becomes part of a file name (``seq_filename``)
-        names = self.sequences
-        if not (names and all(isinstance(s, str) and s and "/" not in s and "\\" not in s
-                              for s in names) and len(set(names)) == len(names)):
-            raise ValueError(f"sequences must be distinct non-empty names without a"
-                             f" path separator, got {list(names)!r}")
+        check("jitter", self.jitter, "integer", 0)
+        check("island margin", self.island_margin, "integer", 1)
+        check("lesion separation", self.lesion_separation, "number", 0)
+        check("noise sigma", self.noise_sigma, "number", 0)
+        check("noise amplitude", self.noise_amplitude, "number", 0)
+        check("sequences", self.sequences, "names")
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "dims": list(self.dims),
-            "spacing": list(self.spacing),
-            "lesion_count": list(self.lesion_count),
-            "lesion_radius": list(self.lesion_radius),
-            "axis_scale": list(self.axis_scale),
-            "shells": [
-                {"label": s.label, "outer": list(s.outer)} for s in self.shells
-            ],
-            "islands": [
-                {"label": s.label, "count": list(s.count), "size": list(s.size)}
-                for s in self.islands
-            ],
-            "swap": (
-                {"src": self.swap.src, "dst": self.swap.dst, "trigger": self.swap.trigger}
-                if self.swap
-                else None
-            ),
-            "jitter": self.jitter,
-            "island_margin": self.island_margin,
-            "lesion_separation": self.lesion_separation,
-            "noise_sigma": self.noise_sigma,
-            "noise_amplitude": self.noise_amplitude,
-            "sequences": list(self.sequences),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "SynthConfig":
-        """The recipe ``d`` as ``to_dict`` writes it; absent top-level keys
-        take their defaults.  A shell, island or swap entry that is not an
-        object with exactly its fields raises ValueError."""
-        base = SynthConfig()
-        swap = d.get("swap", None)
-        return SynthConfig(
-            seed=int(d.get("seed", base.seed)),
-            dims=tuple(d.get("dims", base.dims)),
-            spacing=tuple(d.get("spacing", base.spacing)),
-            lesion_count=tuple(d.get("lesion_count", base.lesion_count)),
-            lesion_radius=tuple(d.get("lesion_radius", base.lesion_radius)),
-            axis_scale=tuple(d.get("axis_scale", base.axis_scale)),
-            shells=tuple(ShellSpec(*_entry(s, "shell", ("label", "outer")))
-                         for s in _entries(d.get("shells", []), "shells"))
-            or base.shells,
-            islands=tuple(IslandSpec(*_entry(s, "island", ("label", "count", "size")))
-                          for s in _entries(d.get("islands", []), "islands")),
-            swap=SwapSpec(*_entry(swap, "swap", ("src", "dst", "trigger")))
-            if swap is not None
-            else None,
-            jitter=int(d.get("jitter", base.jitter)),
-            island_margin=int(d.get("island_margin", base.island_margin)),
-            lesion_separation=float(d.get("lesion_separation", base.lesion_separation)),
-            noise_sigma=float(d.get("noise_sigma", base.noise_sigma)),
-            noise_amplitude=float(d.get("noise_amplitude", base.noise_amplitude)),
-            sequences=tuple(d.get("sequences", base.sequences)),
-        )
-
-
-def _finite(value, kind: type) -> bool:
-    """Whether ``value`` is a finite number of ``kind`` (``Integral`` or
-    ``Real``), bools and integers beyond the float range excluded."""
-    try:
-        return (isinstance(value, kind) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:
-        return False
-
-
-def _entries(value, name: str) -> list:
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a list, got {value!r}")
-    return list(value)
-
-
-def _entry(entry, kind: str, keys: tuple[str, ...]) -> list:
-    """The values of a recipe's ``kind`` entry under ``keys``, ranges as
-    tuples; ``SynthConfig`` checks them."""
-    if not isinstance(entry, dict) or set(entry) != set(keys):
-        got = sorted(entry) if isinstance(entry, dict) else entry
-        raise ValueError(f"{kind} entry must be an object with keys {list(keys)},"
-                         f" got {got!r}")
-    return [tuple(entry[k]) if isinstance(entry[k], (list, tuple)) else entry[k]
-            for k in keys]
+    @classmethod
+    def from_dict(cls, d: dict) -> "SynthConfig":
+        return super().from_dict({**SynthConfig().to_dict(), **d})
 
 
 def case_name(index: int) -> str:
@@ -434,8 +333,7 @@ def corrupt_prediction(
 def generate_case(cfg: SynthConfig, index: int) -> tuple[CaseBundle, dict]:
     """Deterministic case for (cfg.seed, index): ground truth, images,
     corrupted prediction, and the corruption inventory."""
-    if index < 0:
-        raise ValueError(f"index must be >= 0, got {index}")
+    check("index", index, "integer", 0)
     rng = np.random.default_rng([cfg.seed, index])
     spacing = Spacing(*cfg.spacing)
     gt_data = _paint_ground_truth(cfg, rng)

@@ -9,12 +9,18 @@ Conventions used throughout the package:
 * label grids carry values in {0..4}: 0 background, 1 NETC, 2 SNFH,
   3 ET, 4 RC;
 * all physical quantities are in millimetres.
+
+It also holds the one field check, ``check``, and the one JSON builder,
+``JsonConfig.from_dict``, of the package's configuration classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from numbers import Integral, Real
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -27,6 +33,106 @@ TUMOR_LABELS = (1, 2, 3, 4)
 #: (t1n = precontrast T1, t1c = contrast-enhanced T1, t2w = T2, t2f = FLAIR)
 SEQUENCES = ("t1n", "t1c", "t2w", "t2f")
 
+# ---------------------------------------------------------------------------
+# configuration: one field check and one JSON builder
+# ---------------------------------------------------------------------------
+
+#: per number kind: its type and how a message names one and several
+_NUMBERS = {"integer": (Integral, "an integer", "integers"),
+            "number": (Real, "a finite number", "finite numbers")}
+
+
+def _number(value, kind: type, low, high, above) -> bool:
+    try:
+        return (isinstance(value, kind) and not isinstance(value, bool)
+                and math.isfinite(value)
+                and (low is None or value >= low) and (high is None or value <= high)
+                and (above is None or value > above))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def check(name: str, value, kind: str, low=None, high=None, *, above=None,
+          count: int | None = None):
+    """``value`` if it is of ``kind``, else ValueError naming ``name``.
+
+    ``kind`` is ``"integer"`` (bools excluded) or ``"number"`` (a finite
+    real, bools excluded), each at least ``low``, at most ``high`` and
+    above ``above`` where given; a tuple of ``count`` of them; a range,
+    ``"integer range"`` or ``"number range"``: a tuple MIN, MAX of them
+    with MIN <= MAX; or ``"names"``: a non-empty tuple of distinct
+    non-empty strings without a path separator (each becomes part of a
+    file name).  Nothing is converted: 2.0 is not an integer and "1" not
+    a number.
+    """
+    pair = kind.endswith(" range")
+    count = 2 if pair else count
+    if kind == "names":
+        ok = (isinstance(value, tuple) and value
+              and all(isinstance(s, str) and s and "/" not in s and "\\" not in s
+                      for s in value)
+              and len(set(value)) == len(value))
+    else:
+        number, one, many = _NUMBERS[kind.removesuffix(" range")]
+        values = (value,) if count is None else value
+        ok = ((count is None or isinstance(value, tuple) and len(value) == count)
+              and all(_number(v, number, low, high, above) for v in values)
+              and (not pair or value[0] <= value[1]))
+    if not ok:
+        what = ("distinct non-empty names without a path separator" if kind == "names"
+                else f"MIN,MAX with MIN <= MAX, {many}" if pair
+                else one if count is None else f"{count} {many}")
+        what += (f" in [{low}, {high}]" if high is not None else
+                 f" >= {low}" if low is not None else
+                 f" > {above}" if above is not None else "")
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _from_json(name: str, hint, value):
+    """``value`` for the field ``name`` typed ``hint``: an array becomes a
+    tuple, and where ``hint`` names a dataclass (an entry) the value must
+    be an object, built as one, one already, or None where ``hint``
+    allows it.  A list of entries must be an array; any other value is
+    kept as it is, for the field's own check."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if isinstance(value, (list, tuple)):
+            # an item of ``shells`` is a shell entry
+            return tuple(_from_json(name.removesuffix("s"), args[0], v) for v in value)
+        if is_dataclass(args[0]):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        return value
+    spec = next((t for t in (hint, *args) if is_dataclass(t)), None)
+    if spec is None or isinstance(value, spec) or (value is None and type(None) in args):
+        return value
+    return _build(spec, value, f"{name} entry")
+
+
+def _build(cls: type, doc, name: str):
+    names = [f.name for f in fields(cls)]
+    if not (isinstance(doc, dict) and doc.keys() == set(names)):
+        got = list(doc) if isinstance(doc, dict) else doc
+        raise ValueError(f"{name} must be an object with keys {names}, got {got!r}")
+    hints = get_type_hints(cls)
+    return cls(**{key: _from_json(key, hints[key], doc[key]) for key in names})
+
+
+class JsonConfig:
+    """A frozen dataclass that checks its own fields and is read from and
+    written to JSON: ``to_dict`` is ``dataclasses.asdict`` (``json.dump``
+    writes tuples as arrays) and ``from_dict`` builds one back."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, doc: dict):
+        """The instance the JSON object ``doc`` describes, which must hold
+        exactly the class's fields.  No value is cast, so the class's
+        checks see what the JSON held."""
+        return _build(cls, doc, cls.__name__)
+
 
 @dataclass(frozen=True)
 class Spacing:
@@ -37,9 +143,8 @@ class Spacing:
     dz: float
 
     def __post_init__(self):
-        for name, v in (("dx", self.dx), ("dy", self.dy), ("dz", self.dz)):
-            if not np.isfinite(v) or v <= 0:
-                raise ValueError(f"spacing {name} must be positive and finite, got {v}")
+        for name in ("dx", "dy", "dz"):
+            check(f"spacing {name}", getattr(self, name), "number", above=0)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.dx, self.dy, self.dz)

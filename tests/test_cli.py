@@ -545,6 +545,18 @@ def test_bad_nested_recipe_entry_writes_nothing(tmp_path, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sequences", ("t1n,t1n", "a/b"))
+def test_bad_sequences_are_found_before_out_is_created(tmp_path, corpus, sequences):
+    """extract-features and fit-policy reject repeated or path-like
+    sequence names, as synth does: exit 4 before ``--out`` exists."""
+    out = tmp_path / "out"
+    inputs = ["--preds", str(corpus / "preds"), "--images", str(corpus / "images"),
+              "--sequences", sequences, "--out", str(out)]
+    assert main(["extract-features", *inputs]) == 4
+    assert main(["fit-policy", *inputs, "--gt", str(corpus / "gt")]) == 4
+    assert not out.exists()
+
+
 def test_bad_inputs_are_found_before_out_is_created(pipeline, tmp_path, caplog):
     """A missing ground-truth or image directory or metric CSV (exit 3),
     a feature table that is not one, or does not cover the corpus, and a
@@ -704,6 +716,12 @@ def _malformed(doc, case):
         doc["metric_config"]["dilation_iters"] = -1
     elif case == "tolerance-negative":
         doc["metric_config"]["tolerances"] = [-1]
+    elif case == "rule-src-fraction":
+        doc["relabel_rules"] = [{"cluster": 0, "src": 3.9, "dst": 1, "cutoff": 0.05}]
+    elif case == "bin-count-fraction":
+        doc["feature_manifest"]["settings"]["bin_count"] = 32.9
+    elif case == "settings-unknown-key":
+        doc["feature_manifest"]["settings"]["bin_size"] = 1
     return doc
 
 
@@ -711,7 +729,8 @@ def _malformed(doc, case):
                                   "relabel-rules-string", "settings-null",
                                   "bin-width-nan", "bin-count-zero", "connectivity-7",
                                   "connectivity-6.5", "dilation-negative",
-                                  "tolerance-negative"])
+                                  "tolerance-negative", "rule-src-fraction",
+                                  "bin-count-fraction", "settings-unknown-key"])
 def test_apply_malformed_policy_is_invalid(tmp_path, pipeline, caplog, case):
     doc = json.loads((pipeline["fit"] / "policy.json").read_text())
     policy = tmp_path / "policy.json"

@@ -246,7 +246,7 @@ def test_lesionwise_matches_brute_force(spacing):
 def test_nsd_validation():
     # a scorer's tolerances are checked once, when its objective is built
     for tol in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="tolerances must be finite and > 0"):
+        with pytest.raises(ValueError, match="tolerances must be a finite number > 0"):
             RankObjective(tolerances=(tol,))
     mask = np.zeros((3, 3, 3), dtype=bool)
     mask[1, 1, 1] = True

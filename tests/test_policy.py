@@ -1053,13 +1053,33 @@ def test_load_policy_rejects_tampered_manifest(tmp_path):
         ("tolerances", lambda d: d["metric_config"].update(tolerances=[-1])),
         ("tolerances", lambda d: d["metric_config"].update(tolerances=[0.5, float("nan")])),
         ("tolerances", lambda d: d["metric_config"].update(tolerances=[1, 1.0])),
+        # no number is truncated or cast, and no key is ignored
+        ("cluster", lambda d: d["relabel_rules"][0].update(cluster=0.7)),
+        ("src", lambda d: d["relabel_rules"][0].update(src=3.9)),
+        ("dst", lambda d: d["relabel_rules"][0].update(dst="1")),
+        ("cutoff", lambda d: d["relabel_rules"][0].update(cutoff="0.05")),
+        ("bin_count", lambda d: d["feature_manifest"]["settings"].update(bin_count=32.9)),
+        ("bin_width", lambda d: d["feature_manifest"]["settings"].update(bin_width=True)),
+        ("sequences", lambda d: d["feature_manifest"]["settings"].update(
+            sequences=["t1n", "t1n"])),
+        ("ExtractionSettings", lambda d: d["feature_manifest"]["settings"].update(x=1)),
+        ("RelabelRule", lambda d: d["relabel_rules"][0].update(x=1)),
+        ("RelabelRule", lambda d: d["relabel_rules"][0].pop("cutoff")),
+        ("RankObjective", lambda d: d["metric_config"].update(x=1)),
+        ("RankObjective", lambda d: d["metric_config"].pop("connectivity")),
+        ("regions", lambda d: d["metric_config"].update(regions=["ET", "XX"])),
     ],
     ids=["mean-width", "std-width", "center-width", "components-width",
          "centroid-width", "centroid-count", "threshold-cluster",
          "rule-cluster-high", "rule-cluster-negative",
          "connectivity-7", "connectivity-6.5", "connectivity-string",
          "dilation-negative", "dilation-float", "dilation-bool",
-         "tolerance-negative", "tolerance-nan", "tolerances-repeated"],
+         "tolerance-negative", "tolerance-nan", "tolerances-repeated",
+         "rule-cluster-fraction", "rule-src-fraction", "rule-dst-string",
+         "rule-cutoff-string", "bin-count-fraction", "bin-width-bool",
+         "sequences-repeated", "settings-unknown-key", "rule-unknown-key",
+         "rule-missing-key", "metric-config-unknown-key",
+         "metric-config-missing-key", "region-unknown"],
 )
 def test_load_policy_rejects_inconsistent_fields(tmp_path, field, mutate):
     path = tmp_path / "policy.json"

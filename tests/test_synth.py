@@ -82,6 +82,15 @@ def test_config_validation():
     ({"sequences": ["t1n", "t1n"]}, "sequences must be distinct"),
     ({"sequences": ["a/b"]}, "without a path separator"),
     ({"sequences": ["t1n", ""]}, "sequences must be distinct non-empty names"),
+    ({"seed": -3}, "seed must be an integer >= 0"),
+    ({"seed": 5.7}, "seed must be an integer"),
+    ({"dims": [64.5, 64, 64]}, "dims must be 3 integers >= 1"),
+    ({"dims": [64, 64]}, "dims must be 3 integers >= 1"),
+    ({"jitter": 1.0}, "jitter must be an integer"),
+    ({"noise_sigma": "2"}, "noise sigma must be a finite number"),
+    ({"lesion_count": [1, True]}, "lesion count range"),
+    ({"swap": {"src": 3, "dst": 1, "trigger": 0.1, "x": 0}}, "swap entry must be an object"),
+    ({"noise": 2.0}, "SynthConfig must be an object with keys"),
 ))
 def test_from_dict_checks_nested_entries(override, message):
     recipe = dict(SynthConfig().to_dict(), **override)

@@ -1,9 +1,19 @@
-"""Grid types, validation rules, and corpus-layout helpers."""
+"""Grid types, validation rules, corpus-layout helpers, and the field
+check and JSON builder of the configuration classes."""
+
+import json
+import math
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
 
+from gliopost.metrics import RankObjective
 from gliopost.nifti import NiftiError, RawNifti, write_nifti
+from gliopost.policy import RelabelRule
+from gliopost.radiomics import ExtractionSettings
+from gliopost.synth import IslandSpec, SwapSpec, SynthConfig
 from gliopost.volume import (
     CaseBundle,
     LabelMap,
@@ -219,3 +229,62 @@ def test_load_case_bundle_missing_files(tmp_path):
         load_case_bundle("missing-id", preds)
     with pytest.raises(FileNotFoundError, match="missing ground truth"):
         load_case_bundle("case-9", preds, gt_dir=tmp_path / "empty-gt")
+
+
+# -- configuration classes -------------------------------------------------------------
+
+CONFIGS = (
+    SynthConfig(seed=11, dims=(24, 24, 24), islands=(IslandSpec(3, (1, 2), (3, 8)),),
+                swap=SwapSpec(3, 1, 0.085), jitter=2),
+    ExtractionSettings(bin_width=10.0, bin_count=16, sequences=("t1c", "t2f")),
+    RelabelRule(cluster=1, src=3, dst=1, cutoff=0.05),
+    RankObjective.for_task("gli-post"),
+)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: type(c).__name__)
+def test_config_round_trips_through_json(config):
+    doc = json.loads(json.dumps(config.to_dict()))
+    assert type(config).from_dict(doc) == config
+
+
+# An integer and a real field of each class, as paths into its JSON; a
+# SynthConfig's top-level keys have defaults, so its swap entry stands in.
+FIELDS = (
+    (CONFIGS[0], ("swap", "src"), ("swap", "trigger")),
+    (CONFIGS[1], ("bin_count",), ("bin_width",)),
+    (CONFIGS[2], ("src",), ("cutoff",)),
+    (CONFIGS[3], ("dilation_iters",), ("tolerances", 0)),
+)
+MISSING = object()
+
+
+def _rejections():
+    for config, integer, real in FIELDS:
+        name = type(config).__name__
+        for path in (integer, real):
+            key = path if isinstance(path[-1], str) else path[:-1]
+            bad = {"bool": True, "string": "1", "nan": math.nan, "missing": MISSING}
+            if path is integer:
+                bad["fraction"] = 2.5
+            for what, value in bad.items():
+                yield pytest.param(config, key if value is MISSING else path, value,
+                                   key[-1], id=f"{name}-{key[-1]}-{what}")
+        yield pytest.param(config, (*integer[:-1], "extra"), 0, "extra",
+                           id=f"{name}-unknown-key")
+
+
+@pytest.mark.parametrize("config, path, value, named", _rejections())
+def test_config_rejects_bad_fields(config, path, value, named):
+    """No value is cast and no key is ignored or defaulted: a bool, a
+    fraction for an integer, a string, NaN, a missing and an unknown key
+    each raise ValueError naming the key."""
+    doc = json.loads(json.dumps(config.to_dict()))
+    *parents, key = path
+    node = reduce(getitem, parents, doc)
+    if value is MISSING:
+        del node[key]
+    else:
+        node[key] = value
+    with pytest.raises(ValueError, match=named):
+        type(config).from_dict(doc)
