@@ -43,7 +43,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .nifti import atomic_open
+from .nifti import write_json
 from .parallel import error_message, map_ordered
 from .volume import (SEQUENCES, check, discover_case_ids, load_case_bundle, save_nifti,
                      seg_filename)
@@ -129,19 +129,13 @@ def _tolerances(value) -> tuple[float, ...]:
 
 
 def _pcc_grid(value) -> tuple[int, ...]:
-    grid = _ints(value)
-    if any(t < 0 for t in grid) or 0 not in grid:
-        raise ValueError(f"pcc grid must be integers >= 0 and contain 0,"
-                         f" got {list(grid)}")
-    return grid
+    from .policy import check_grid
+    return check_grid("pcc grid", _ints(value), "integer")
 
 
 def _cutoff_grid(value) -> tuple[float, ...]:
-    grid = _floats(value)
-    if not all(0 <= c <= 1 for c in grid) or 0 not in grid:  # NaN fails
-        raise ValueError(f"cutoff grid must be finite values in [0, 1] and"
-                         f" contain 0, got {list(grid)}")
-    return grid
+    from .policy import check_grid
+    return check_grid("cutoff grid", _floats(value), "number", 1)
 
 
 def _strs(value) -> tuple[str, ...]:
@@ -331,9 +325,7 @@ def _write_run_config(out_dir: Path, command: str, cfg: dict,
     doc = {"command": command, "config": echo}
     if run is not None:
         doc["run"] = run
-    with atomic_open(out_dir / "run-config.json") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "run-config.json", doc)
 
 
 def _peak_rss_mb(who: int) -> float:

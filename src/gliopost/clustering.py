@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .morphology import distinct_ids
+from .volume import JsonConfig, check
 
 DEFAULT_K_RANGE = tuple(range(2, 11))
 DEFAULT_RESTARTS = 10
@@ -22,7 +23,7 @@ DEFAULT_VARIANCE_TARGET = 0.90
 
 
 @dataclass(frozen=True)
-class StandardizationStats:
+class StandardizationStats(JsonConfig):
     """Per-feature mean and population std of the training corpus.
 
     Zero-variance features carry the std sentinel 1 so they pass
@@ -36,19 +37,9 @@ class StandardizationStats:
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         return (rows - self.mean) / self.std
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @staticmethod
-    def from_dict(d: dict) -> "StandardizationStats":
-        return StandardizationStats(
-            mean=np.asarray(d["mean"], dtype=np.float64),
-            std=np.asarray(d["std"], dtype=np.float64),
-        )
-
 
 @dataclass(frozen=True)
-class PcaModel:
+class PcaModel(JsonConfig):
     """Principal directions (rows) with their explained-variance ratios.
 
     ``components`` holds only the retained directions; projection is
@@ -67,27 +58,12 @@ class PcaModel:
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
         return (rows - self.center) @ self.components.T
 
-    def to_dict(self) -> dict:
-        return {
-            "center": self.center.tolist(),
-            "components": self.components.tolist(),
-            "explained_variance_ratio": self.explained_variance_ratio.tolist(),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "PcaModel":
-        return PcaModel(
-            center=np.asarray(d["center"], dtype=np.float64),
-            components=np.asarray(d["components"], dtype=np.float64),
-            explained_variance_ratio=np.asarray(
-                d["explained_variance_ratio"], dtype=np.float64
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class ClusterModel:
-    """k-means result: centroids in PCA space plus the selection record."""
+class ClusterModel(JsonConfig):
+    """k-means result: centroids in PCA space plus the selection record.
+    Construction checks that k is an integer >= 1, the seed an integer >=
+    0, the silhouette a number in [-1, 1] and the inertia one >= 0."""
 
     k: int
     centroids: np.ndarray
@@ -95,24 +71,11 @@ class ClusterModel:
     seed: int
     inertia: float
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "centroids": self.centroids.tolist(),
-            "silhouette": self.silhouette,
-            "seed": self.seed,
-            "inertia": self.inertia,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ClusterModel":
-        return ClusterModel(
-            k=int(d["k"]),
-            centroids=np.asarray(d["centroids"], dtype=np.float64),
-            silhouette=float(d["silhouette"]),
-            seed=int(d["seed"]),
-            inertia=float(d["inertia"]),
-        )
+    def __post_init__(self):
+        check("k", self.k, "integer", 1)
+        check("seed", self.seed, "integer", 0)
+        check("silhouette", self.silhouette, "number", -1, 1)
+        check("inertia", self.inertia, "number", 0)
 
 
 def fit_standardizer(values: np.ndarray) -> StandardizationStats:

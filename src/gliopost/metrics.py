@@ -10,7 +10,6 @@ with false positives scoring 0.  A region empty in both masks scores 1.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -25,8 +24,9 @@ from .morphology import (
     euclidean_distance_transform,
     nonzero_box,
     padded_box,
+    union_roots,
 )
-from .nifti import atomic_open
+from .nifti import read_case_table, write_case_table
 from .volume import JsonConfig, LabelMap, Spacing, check
 
 DEFAULT_DILATION_ITERS = 3
@@ -79,6 +79,9 @@ class RankObjective(JsonConfig):
     def check_tolerances(tolerances: tuple[float, ...]) -> tuple[float, ...]:
         """``tolerances`` if each is a finite number > 0 and they are
         distinct as the metric names print them (``LW_NSD@<tol:g>``)."""
+        if not isinstance(tolerances, tuple):
+            raise ValueError(f"tolerances must be a list of finite numbers > 0,"
+                             f" got {tolerances!r}")
         for tol in tolerances:
             check("tolerances", tol, "number", above=0)
         if len({f"{tol:g}" for tol in tolerances}) != len(tolerances):
@@ -253,37 +256,25 @@ class RegionScorer:
 
         # merge gt components whose dilations overlap (transitively): each
         # voxel of the owner grid holds the last component whose dilation
-        # covered it, and all components covering a voxel share one root
-        parent = list(range(gt_cc.count + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        # covered it, and each component is joined to the owners it meets
         owner = np.zeros(gt_cc.labels.shape, dtype=np.int32)
-        corners = gt_cc.corners
+        corners, edges = gt_cc.corners, []
         for c in range(1, gt_cc.count + 1):
             # the dilation never leaves the component's box padded by its reach
             box = padded_box(corners[c - 1:c], dilation_iters, owner.shape)
             dilated = dilate(gt_cc.labels[box] == c, dilation_iters, connectivity)
             owners = owner[box]
-            for o in distinct_ids(owners[dilated]):
-                if o and find(o) != find(c):
-                    parent[find(o)] = find(c)
+            edges += [(o, c) for o in distinct_ids(owners[dilated]).tolist() if o]
             owners[dilated] = c
-
-        groups: dict[int, list[int]] = {}
-        for c in range(1, gt_cc.count + 1):
-            groups.setdefault(find(c), []).append(c)
-        # lesion ids numbered by smallest member component id
-        self.lesion_members: list[tuple[int, ...]] = sorted(
-            (tuple(g) for g in groups.values()), key=min
-        )
-        lesion_of = np.zeros(gt_cc.count + 1, dtype=np.int32)
-        for lid, members in enumerate(self.lesion_members, start=1):
-            lesion_of[list(members)] = lid
+        root = union_roots(gt_cc.count + 1, *np.array(edges, dtype=np.intp).reshape(-1, 2).T)
+        # each lesion is rooted at its smallest component, so numbering the
+        # roots in order numbers the lesions by their smallest member
+        is_root = np.zeros(gt_cc.count + 1, dtype=bool)
+        is_root[root[1:]] = True
+        lesion_of = np.cumsum(is_root, dtype=np.int32)[root]
+        self.lesion_members: list[tuple[int, ...]] = [
+            tuple(np.flatnonzero(lesion_of == lid).tolist())
+            for lid in range(1, int(is_root.sum()) + 1)]
         # distinct lesions have disjoint dilated masks by construction, so
         # the owner's lesion is the dilated lesion map
         self._owner = owner
@@ -493,33 +484,13 @@ def write_metrics_csv(path: str | Path, rows: list[CaseMetrics]) -> None:
     if not rows:
         raise ValueError("no metrics rows to write")
     columns = list(rows[0].values.keys())
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["case_id"] + columns)
-        for row in rows:
-            if list(row.values.keys()) != columns:
-                raise ValueError(f"case {row.case_id}: inconsistent metric columns")
-            writer.writerow([row.case_id] + [repr(row.values[c]) for c in columns])
+    for row in rows:
+        if list(row.values.keys()) != columns:
+            raise ValueError(f"case {row.case_id}: inconsistent metric columns")
+    write_case_table(path, columns, [(row.case_id, row.values.values()) for row in rows])
 
 
 def read_metrics_csv(path: str | Path) -> list[CaseMetrics]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "case_id":
-            raise ValueError(f"{path}: not a metrics CSV (missing case_id column)")
-        columns = header[1:]
-        rows = []
-        for rec in reader:
-            if len(rec) != len(header):
-                raise ValueError(f"{path}: row {len(rows) + 1} has {len(rec)}"
-                                 f" fields, expected {len(header)}")
-            values = {}
-            for c, v in zip(columns, rec[1:]):
-                try:
-                    values[c] = float(v)
-                except ValueError:
-                    raise ValueError(f"{path}: case {rec[0]!r}, column {c!r}: "
-                                     f"not a number: {v!r}") from None
-            rows.append(CaseMetrics(case_id=rec[0], values=values))
-    return rows
+    columns, case_ids, rows = read_case_table(path, "metrics CSV")
+    return [CaseMetrics(case_id=case_id, values=dict(zip(columns, values)))
+            for case_id, values in zip(case_ids, rows)]

@@ -1,8 +1,9 @@
 """Connectivity, dilation, boundary extraction, exact EDT, line order,
-the padded box of a set of voxels and the distinct ids in a list.
+the padded box of a set of voxels, the distinct ids in a list and the
+union-find of a graph.
 
 The geometric kernel under small-component removal, the surface
-distance metric and the radiomic runs and diameters.  Everything
+distance metric and the radiomic runs, zones and diameters.  Everything
 operates on boolean (x, y, z) grids or voxel index lists and is pure: no
 function mutates its input.  Scoring, the fit, ``apply`` and the
 radiomics work inside boxes of voxels, each of them a ``padded_box``.
@@ -96,6 +97,30 @@ def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return line[0::2], edge[0::2], edge[1::2]
 
 
+def union_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each of ``n`` nodes, the smallest node of its connected
+    component in the graph of the edges ``(a[i], b[i])``.
+
+    In rounds until no edge joins two roots, every root an edge meets
+    is hooked onto the smallest root across its edges (``np.minimum.at``),
+    then pointer jumping brings every node to its root.  Every parent is
+    at most its node, so no hook makes a cycle; an edge whose ends share
+    a root stays joined, so later rounds skip it."""
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        if not apart.any():
+            return root
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+
+
 def _run_roots(line: np.ndarray, first: np.ndarray, last: np.ndarray,
                shape: tuple[int, ...], connectivity: int) -> np.ndarray:
     """For each run of ``_runs``, the smallest index of a run in its
@@ -104,9 +129,7 @@ def _run_roots(line: np.ndarray, first: np.ndarray, last: np.ndarray,
     Runs on neighbouring lines join when their z-ranges overlap (6) or
     touch (26); each run looks only at the lines ahead of it, whose runs
     it finds by binary search on sorted ``(line, first)`` and ``(line,
-    last)`` keys.  The joins are unioned by hooking each root onto the
-    smallest root it meets (``np.minimum.at``), then pointer jumping,
-    until no join spans two roots."""
+    last)`` keys, and the joins are unioned by ``union_roots``."""
     y_size, width = shape[1], shape[2] + 1
     starts, stops = line * width + first, line * width + last
     y = line % y_size
@@ -127,20 +150,7 @@ def _run_roots(line: np.ndarray, first: np.ndarray, last: np.ndarray,
         run = np.repeat(np.arange(line.size), count)
         left.append(run)
         right.append(lo[run] + np.arange(run.size) - (np.cumsum(count) - count)[run])
-    left, right = np.concatenate(left), np.concatenate(right)
-    root = np.arange(line.size)
-    while True:
-        a, b = root[left], root[right]
-        apart = a != b
-        if not apart.any():
-            return root
-        a, b = a[apart], b[apart]
-        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
+    return union_roots(line.size, np.concatenate(left), np.concatenate(right))
 
 
 def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentLabeling:

@@ -8,12 +8,16 @@ in memory here as well.
 
 ``atomic_open`` also lives here, at the bottom of the import graph:
 every output file, volumes and the ``run-config.json`` echo included, is
-written through it.
+written through it.  So do the package's one JSON writer, ``write_json``,
+and its one reader and writer of per-case CSV tables, ``read_case_table``
+and ``write_case_table``.
 """
 
 from __future__ import annotations
 
+import csv
 import gzip
+import json
 import os
 import uuid
 import zlib
@@ -278,3 +282,45 @@ def atomic_open(path: str | Path, newline: str | None = None,
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, doc) -> None:
+    """``doc`` as JSON, indented by 2 with sorted keys and a final newline."""
+    with atomic_open(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_case_table(path: str | Path, columns, rows, key: str = "case_id") -> None:
+    """A CSV table: the header ``key`` and ``columns``, then per ``(id,
+    values)`` of ``rows`` a line of the id and the ``repr`` of each value,
+    which reads back exactly."""
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([key, *columns])
+        writer.writerows([name, *(repr(float(v)) for v in values)] for name, values in rows)
+
+
+def read_case_table(path: str | Path, what: str) -> tuple[list, list, list]:
+    """``(columns, case_ids, rows)`` of a ``write_case_table`` CSV, with
+    each row's values as floats.  A file without the ``case_id`` column
+    (a ``what``), a row of the wrong width or a cell that is not a number
+    raises ValueError naming ``path`` and, for a cell, its case and
+    column."""
+    with open(path, newline="") as fh:
+        header, *records = list(csv.reader(fh)) or [None]
+    if not header or header[0] != "case_id":
+        raise ValueError(f"{path}: not a {what} (missing case_id column)")
+    columns, rows = header[1:], []
+    for rec in records:
+        if len(rec) != len(header):
+            raise ValueError(f"{path}: row {len(rows) + 1} has {len(rec)}"
+                             f" fields, expected {len(header)}")
+        rows.append([])
+        for column, cell in zip(columns, rec[1:]):
+            try:
+                rows[-1].append(float(cell))
+            except ValueError:
+                raise ValueError(f"{path}: case {rec[0]!r}, column {column!r}: "
+                                 f"not a number: {cell!r}") from None
+    return columns, [rec[0] for rec in records], rows

@@ -35,7 +35,7 @@ from .metrics import (
     case_box,
 )
 from .morphology import connected_components, nonzero_box
-from .nifti import atomic_open
+from .nifti import atomic_open, write_json
 from .parallel import map_ordered
 from .radiomics import (
     ExtractionSettings,
@@ -347,6 +347,18 @@ def _grid_search(cases: list[FitCase], n_clusters: int, keys, grid: tuple, edit,
     return best, results
 
 
+def check_grid(name: str, grid: tuple, kind: str, high=None) -> tuple:
+    """``grid`` if each of its values is a ``kind`` (see ``check``) >= 0
+    and at most ``high`` where given, and 0 is one of them:
+    ``_grid_search``'s ties go to the smallest value, so the edit that
+    changes nothing is always a candidate."""
+    for value in grid:
+        check(f"{name} values", value, kind, 0, high)
+    if 0 not in grid:
+        raise ValueError(f"{name} must contain 0, got {list(grid)}")
+    return grid
+
+
 def fit_component_thresholds(
     cases: list[FitCase],
     n_clusters: int,
@@ -362,11 +374,7 @@ def fit_component_thresholds(
     search; the other regions are identical across candidates and would
     contribute equal ranks to every candidate.
     """
-    grid = tuple(sorted({int(t) for t in grid}))
-    if grid and grid[0] < 0:
-        raise ValueError(f"threshold grid values must be >= 0, got {grid[0]}")
-    if not grid or grid[0] != 0:
-        raise ValueError(f"threshold grid must contain 0, got {list(grid)}")
+    grid = tuple(sorted(set(check_grid("threshold grid", grid, "integer"))))
     best, results = _grid_search(cases, n_clusters, TUMOR_LABELS, grid,
                                  lambda cluster, label, t: ({label: t}, []),
                                  objective, threads)
@@ -395,11 +403,7 @@ def fit_relabel_rules(
     are expected to be the component-filtered ones.  Every cutoff
     becomes a ``RelabelRule``, so each must be finite and in [0, 1].
     """
-    cutoffs = tuple(sorted({float(c) for c in cutoff_grid}))
-    for c in cutoffs:
-        check("cutoff grid values", c, "number", 0, 1)
-    if not cutoffs or cutoffs[0] != 0.0:
-        raise ValueError(f"cutoff grid must contain 0, got {list(cutoffs)}")
+    cutoffs = tuple(sorted(set(check_grid("cutoff grid", cutoff_grid, "number", 1))))
     pairs = [(src, dst) for src, dst in candidates]
     for src, dst in pairs:
         if src == dst:
@@ -654,10 +658,7 @@ def _policy_document(policy: PostProcessPolicy) -> dict:
 
 
 def save_policy(policy: PostProcessPolicy, path: str | Path) -> None:
-    doc = _policy_document(policy)
-    with atomic_open(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, _policy_document(policy))
 
 
 def load_policy(path: str | Path) -> PostProcessPolicy:
@@ -680,7 +681,8 @@ def load_policy(path: str | Path) -> PostProcessPolicy:
             pca=PcaModel.from_dict(doc["pca"]),
             kmeans=ClusterModel.from_dict(doc["kmeans"]),
             thresholds={
-                int(cluster): {int(label): int(t) for label, t in labels.items()}
+                int(cluster): {int(label): check("pcc_thresholds value", t, "integer", 0)
+                               for label, t in labels.items()}
                 for cluster, labels in doc["pcc_thresholds"].items()
             },
             rules=[RelabelRule.from_dict(r) for r in doc["relabel_rules"]],

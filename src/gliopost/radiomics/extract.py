@@ -9,15 +9,13 @@ fewer than two voxels produce the all-zero sentinel vector.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ..metrics import WT, region_mask
-from ..nifti import atomic_open
+from ..nifti import read_case_table, write_case_table, write_json
 from ..volume import SEQUENCES, CaseBundle, JsonConfig, check
 from .firstorder import DEFAULT_BIN_WIDTH, FIRSTORDER_FEATURE_NAMES, firstorder_features
 from .shape import SHAPE_FEATURE_NAMES, shape_features
@@ -174,39 +172,19 @@ def extract_case_features(
 # ---------------------------------------------------------------------------
 
 def write_feature_csv(path: str | Path, matrix: FeatureMatrix) -> None:
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["case_id"] + list(matrix.names))
-        for i, case_id in enumerate(matrix.case_ids):
-            writer.writerow([case_id] + [repr(v) for v in matrix.values[i].tolist()])
+    write_case_table(path, matrix.names, zip(matrix.case_ids, matrix.values.tolist()))
 
 
 def read_feature_csv(path: str | Path) -> FeatureMatrix:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "case_id":
-            raise ValueError(f"{path}: not a feature CSV")
-        names = tuple(header[1:])
-        case_ids = []
-        rows = []
-        for rec in reader:
-            if len(rec) != len(header):
-                raise ValueError(f"{path}: row {len(rows) + 1} has {len(rec)}"
-                                 f" fields, expected {len(header)}")
-            case_ids.append(rec[0])
-            rows.append([float(v) for v in rec[1:]])
+    names, case_ids, rows = read_case_table(path, "feature CSV")
     values = np.array(rows, dtype=np.float64).reshape(len(case_ids), len(names))
-    return FeatureMatrix(names=names, case_ids=case_ids, values=values)
+    return FeatureMatrix(names=tuple(names), case_ids=case_ids, values=values)
 
 
 def write_manifest(path: str | Path, settings: ExtractionSettings) -> None:
-    doc = {
+    write_json(path, {
         "version": MANIFEST_VERSION,
         "feature_names": list(feature_names(settings)),
         "settings": settings.to_dict(),
         "connectivity": 26,
-    }
-    with atomic_open(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })

@@ -28,10 +28,8 @@ scales with the region's voxels, not with its bounding box:
   voxel of an equal-level pair, so the run lengths are the gaps between
   consecutive starts.
 * A zone is a connected component of the graph of equal-level pairs over
-  all 13 offsets, found by union-find on the voxel list: every edge
-  whose ends have different roots hooks the larger root onto the
-  smaller, and pointer jumping then brings every voxel to its root, in
-  rounds until no edge joins two roots.
+  all 13 offsets, found by union-find on the voxel list
+  (``morphology.union_roots``).
 
 Run-length, size-zone and dependence matrices share one set of
 statistics (``_size_matrix_features``): each has gray levels as rows and
@@ -53,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..morphology import OFFSETS_13, line_order, padded_box
+from ..morphology import OFFSETS_13, line_order, padded_box, union_roots
 
 DEFAULT_BIN_COUNT = 32
 COARSENESS_MAX = 1.0e6
@@ -266,34 +264,6 @@ def _level_size_counts(levels: np.ndarray, sizes: np.ndarray, ng: int) -> np.nda
     return flat.reshape(ng, width)
 
 
-def _component_roots(n: int, pairs) -> np.ndarray:
-    """For each of ``n`` nodes, the root of its connected component of the
-    graph whose edges are the per-offset ``(a, b)`` arrays ``pairs``, in
-    each of which no node is the larger end of two edges (as in
-    ``neighbour_pairs``).  Every parent is at most its node, so hooking
-    the larger root onto the smaller never makes a cycle."""
-    parent = np.arange(n)
-    # the first hooking round, when every node is a root: within one
-    # offset each larger end is distinct, so a plain assignment hooks it
-    for a, b in pairs:
-        hi = np.maximum(a, b)
-        parent[hi] = np.minimum(parent[hi], np.minimum(a, b))
-    a, b = _concat(pairs)
-    while True:
-        while True:
-            grand = parent[parent]
-            if np.array_equal(grand, parent):
-                break
-            parent = grand
-        ra, rb = parent[a], parent[b]
-        split = ra != rb
-        if not split.any():
-            return parent
-        # a joined edge stays joined, so later rounds skip it
-        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
-        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-
-
 def glcm_counts(table: PairTable) -> list[np.ndarray]:
     """Symmetric co-occurrence counts, one matrix per table offset."""
     ng = table.ng
@@ -322,7 +292,7 @@ def glrlm_counts(table: PairTable) -> list[np.ndarray]:
 def glszm_counts(table: PairTable) -> np.ndarray:
     """Size-zone counts; a zone is a component of the equal-level pair
     graph over all table offsets (26-connected with the default 13)."""
-    roots = _component_roots(table.levels.size, table.same)
+    roots = union_roots(table.levels.size, *_concat(table.same))
     sizes = np.bincount(roots)
     zones = np.flatnonzero(sizes)
     return _level_size_counts(table.levels[zones], sizes[zones], table.ng)

@@ -10,14 +10,13 @@ to (n + 1) / 2.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .metrics import CaseMetrics
-from .nifti import atomic_open
+from .nifti import write_case_table
 
 
 @dataclass
@@ -101,8 +100,5 @@ def rank_candidates(per_candidate: dict[str, list[CaseMetrics]]) -> RankingResul
 def write_ranking_csv(path: str | Path, result: RankingResult) -> None:
     """Summary CSV: one row per candidate with its mean-rank score."""
     ordered = sorted(result.candidates, key=lambda n: (result.scores[n], n))
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["candidate_id", "ranking_score"])
-        for name in ordered:
-            writer.writerow([name, repr(result.scores[name])])
+    write_case_table(path, ["ranking_score"], [(n, [result.scores[n]]) for n in ordered],
+                     key="candidate_id")

@@ -12,14 +12,13 @@ exactly (when boundary jitter is disabled).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .morphology import dilate, padded_box
-from .nifti import atomic_open
+from .nifti import write_json
 from .volume import (
     MAX_LABEL,
     SEQUENCES,
@@ -370,7 +369,5 @@ def write_inventory(out_dir: str | Path, cfg: SynthConfig,
                     case_inventories: dict[str, dict]) -> dict:
     doc = {"config": cfg.to_dict(),
            "cases": dict(sorted(case_inventories.items()))}
-    with atomic_open(Path(out_dir) / "inventory.json") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(Path(out_dir) / "inventory.json", doc)
     return doc

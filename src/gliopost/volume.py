@@ -17,6 +17,8 @@ It also holds the one field check, ``check``, and the one JSON builder,
 from __future__ import annotations
 
 import math
+import reprlib
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from numbers import Integral, Real
 from pathlib import Path
@@ -91,10 +93,23 @@ def check(name: str, value, kind: str, low=None, high=None, *, above=None,
 
 def _from_json(name: str, hint, value):
     """``value`` for the field ``name`` typed ``hint``: an array becomes a
-    tuple, and where ``hint`` names a dataclass (an entry) the value must
-    be an object, built as one, one already, or None where ``hint``
-    allows it.  A list of entries must be an array; any other value is
-    kept as it is, for the field's own check."""
+    tuple, or a float64 array where ``hint`` is ``np.ndarray``, for which
+    the value must be an array of finite numbers (a bool is not one); and
+    where ``hint`` names a dataclass (an entry) the value must be an
+    object, built as one, one already, or None where ``hint`` allows it.
+    A list of entries must be an array; any other value is kept as it
+    is, for the field's own check."""
+    if hint is np.ndarray:
+        flat = value if isinstance(value, list) else [None]
+        while flat and all(isinstance(row, list) for row in flat):
+            flat = [v for row in flat for v in row]
+        if set(map(type, flat)) <= {int, float}:  # no bool, no str
+            with suppress(ValueError, OverflowError):  # ragged rows, a huge integer
+                array = np.array(value, dtype=np.float64)
+                if np.isfinite(array).all():
+                    return array
+        raise ValueError(f"{name} must be an array of finite numbers,"
+                         f" got {reprlib.repr(value)}")
     args = get_args(hint)
     if get_origin(hint) is tuple:
         if isinstance(value, (list, tuple)):
@@ -120,11 +135,13 @@ def _build(cls: type, doc, name: str):
 
 class JsonConfig:
     """A frozen dataclass that checks its own fields and is read from and
-    written to JSON: ``to_dict`` is ``dataclasses.asdict`` (``json.dump``
-    writes tuples as arrays) and ``from_dict`` builds one back."""
+    written to JSON: ``to_dict`` is ``dataclasses.asdict`` with arrays as
+    lists (``json.dump`` writes tuples as arrays) and ``from_dict`` builds
+    one back."""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {key: value.tolist() if isinstance(value, np.ndarray) else value
+                for key, value in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, doc: dict):

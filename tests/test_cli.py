@@ -603,6 +603,24 @@ def test_bad_inputs_are_found_before_out_is_created(pipeline, tmp_path, caplog):
     assert not out.exists()
 
 
+def test_fit_policy_names_a_feature_cell_that_is_not_a_number(pipeline, tmp_path, caplog):
+    corpus = pipeline["corpus"]
+    lines = (pipeline["features"] / "features.csv").read_text().splitlines()
+    column = lines[0].split(",")[2]
+    cells = lines[2].split(",")
+    cells[2] = "abc"
+    features = tmp_path / "features.csv"
+    features.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
+    out = tmp_path / "out"
+    with caplog.at_level(logging.ERROR):
+        assert main(["fit-policy", "--preds", str(corpus / "preds"),
+                     "--images", str(corpus / "images"), "--gt", str(corpus / "gt"),
+                     "--features", str(features), "--out", str(out)]) == 4
+    assert (f"{features}: case {cells[0]!r}, column {column!r}: not a number: 'abc'"
+            in caplog.text)
+    assert not out.exists()
+
+
 # -- apply -------------------------------------------------------------------------------
 
 def test_apply_restores_ground_truth_here(pipeline):
@@ -722,6 +740,20 @@ def _malformed(doc, case):
         doc["feature_manifest"]["settings"]["bin_count"] = 32.9
     elif case == "settings-unknown-key":
         doc["feature_manifest"]["settings"]["bin_size"] = 1
+    elif case == "tolerances-number":
+        doc["metric_config"]["tolerances"] = 5
+    elif case == "tolerances-string":
+        doc["metric_config"]["tolerances"] = "nan"
+    elif case == "k-fraction":
+        doc["kmeans"]["k"] = 2.7
+    elif case == "seed-fraction":
+        doc["kmeans"]["seed"] = 1.9
+    elif case == "silhouette-string":
+        doc["kmeans"]["silhouette"] = "0.5"
+    elif case == "mean-string":
+        doc["standardizer"]["mean"] = ["1.5"]
+    elif case == "center-bool":
+        doc["pca"]["center"] = [True]
     return doc
 
 
@@ -730,7 +762,10 @@ def _malformed(doc, case):
                                   "bin-width-nan", "bin-count-zero", "connectivity-7",
                                   "connectivity-6.5", "dilation-negative",
                                   "tolerance-negative", "rule-src-fraction",
-                                  "bin-count-fraction", "settings-unknown-key"])
+                                  "bin-count-fraction", "settings-unknown-key",
+                                  "tolerances-number", "tolerances-string",
+                                  "k-fraction", "seed-fraction", "silhouette-string",
+                                  "mean-string", "center-bool"])
 def test_apply_malformed_policy_is_invalid(tmp_path, pipeline, caplog, case):
     doc = json.loads((pipeline["fit"] / "policy.json").read_text())
     policy = tmp_path / "policy.json"

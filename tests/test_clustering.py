@@ -233,17 +233,53 @@ def test_kmeans_validation():
         fit_kmeans(points, k_range=(0, 1))
 
 
-def test_cluster_model_round_trip_dict():
-    model = ClusterModel(
+def _cluster_model():
+    return ClusterModel(
         k=2,
         centroids=np.array([[0.0, 1.0], [2.0, 3.0]]),
         silhouette=0.9,
         seed=4,
         inertia=1.5,
     )
+
+
+def test_cluster_model_round_trip_dict():
+    model = _cluster_model()
     back = ClusterModel.from_dict(model.to_dict())
     assert (back.k, back.silhouette, back.seed, back.inertia) == (2, 0.9, 4, 1.5)
     assert np.array_equal(back.centroids, model.centroids)
+
+
+@pytest.mark.parametrize("field, value", (
+    ("k", 2.7), ("k", 0), ("k", True), ("seed", 1.9), ("seed", -1),
+    ("silhouette", "0.5"), ("silhouette", 1.5), ("silhouette", float("nan")),
+    ("inertia", -1.0), ("inertia", "1"),
+))
+def test_cluster_model_checks_its_scalars(field, value):
+    """No scalar is truncated or cast: each must be of its kind and range."""
+    doc = dict(_cluster_model().to_dict(), **{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        ClusterModel.from_dict(doc)
+
+
+@pytest.mark.parametrize("value", (
+    ["1.5"], [True], [1.0, None], "1.5", 1.5, None, {"0": 1.0}, [float("nan")],
+    [float("inf")], [[1.0], [2.0, 3.0]], [[1.0], 2.0], [[1.0, "2"]], [10 ** 400],
+), ids=repr)
+def test_array_fields_take_only_arrays_of_finite_numbers(value):
+    """An array field reads a JSON array of numbers, nested to any depth,
+    and nothing else: no bool or string is cast."""
+    with pytest.raises(ValueError, match="mean must be an array of finite numbers"):
+        StandardizationStats.from_dict({"mean": value, "std": [1.0]})
+
+
+def test_array_fields_read_as_float64():
+    stats = StandardizationStats.from_dict({"mean": [1, 2.5], "std": []})
+    assert stats.mean.dtype == stats.std.dtype == np.float64
+    assert stats.mean.tolist() == [1.0, 2.5] and stats.std.shape == (0,)
+    model = PcaModel.from_dict({"center": [0], "components": [[1, 0], [0, 1]],
+                                "explained_variance_ratio": [0.5, 0.5]})
+    assert model.components.dtype == np.float64 and model.components.shape == (2, 2)
 
 
 # -- assignment --------------------------------------------------------------------

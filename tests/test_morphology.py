@@ -23,6 +23,7 @@ from gliopost.morphology import (
     line_order,
     nonzero_box,
     padded_box,
+    union_roots,
 )
 from gliopost.volume import Spacing
 
@@ -141,6 +142,23 @@ def test_components_match_union_find(connectivity):
             for voxel in comp:
                 assert cc.labels[voxel] == comp_id
         assert not cc.labels[~mask].any()
+
+
+def test_union_find_on_paths_in_shuffled_order():
+    """A path whose node ids are shuffled leaves many roots after each
+    hooking round (spatial chains, numbered in C order, take one or two
+    rounds), so this drives the union-find through several rounds; two
+    paths must come out as two components, each rooted at its smallest id."""
+    rng = np.random.default_rng(149)
+    for n in (2, 100, 3000):
+        ids = rng.permutation(2 * n)
+        first, second = ids[:n], ids[n:]
+        a = np.concatenate([first[:-1], second[1:]])
+        b = np.concatenate([first[1:], second[:-1]])
+        roots = union_roots(2 * n, a, b)
+        assert (roots[first] == first.min()).all()
+        assert (roots[second] == second.min()).all()
+    assert union_roots(3, np.zeros(0, np.intp), np.zeros(0, np.intp)).tolist() == [0, 1, 2]
 
 
 def test_component_ids_follow_scan_order():

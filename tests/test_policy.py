@@ -191,6 +191,11 @@ def test_fit_component_thresholds_grid_must_contain_zero(tmp_path):
         fit_component_thresholds(cases, 1, grid=(10, 20))
     with pytest.raises(ValueError, match=">= 0, got -5"):
         fit_component_thresholds(cases, 1, grid=(-5, 0))
+    # a fraction or a bool is rejected, not read as an integer (which
+    # would also turn 0.5 into the required 0)
+    for grid in ((0.5, 10.7), (0, 10.7), (0, True)):
+        with pytest.raises(ValueError, match="threshold grid values must be an integer"):
+            fit_component_thresholds(cases, 1, grid=grid)
 
 
 def test_fit_component_thresholds_cluster_errors(tmp_path):
@@ -290,6 +295,10 @@ def test_fit_relabel_rules_validation(tmp_path):
     # every cutoff becomes a RelabelRule, so each is checked up front
     for bad in (-0.5, 2.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=rf"in \[0, 1\], got {bad}"):
+            fit_relabel_rules(cases, 1, candidates=[(1, 3)], cutoff_grid=(0.0, bad))
+    # no cutoff is cast: a bool is not 1.0 and a string not a number
+    for bad in (True, "0.5"):
+        with pytest.raises(ValueError, match=rf"a finite number in \[0, 1\], got {bad!r}"):
             fit_relabel_rules(cases, 1, candidates=[(1, 3)], cutoff_grid=(0.0, bad))
 
 
@@ -1068,6 +1077,20 @@ def test_load_policy_rejects_tampered_manifest(tmp_path):
         ("RankObjective", lambda d: d["metric_config"].update(x=1)),
         ("RankObjective", lambda d: d["metric_config"].pop("connectivity")),
         ("regions", lambda d: d["metric_config"].update(regions=["ET", "XX"])),
+        ("tolerances must be a list", lambda d: d["metric_config"].update(tolerances=5)),
+        ("tolerances must be a list",
+         lambda d: d["metric_config"].update(tolerances="nan")),
+        ("k must be an integer", lambda d: d["kmeans"].update(k=2.7)),
+        ("seed must be an integer", lambda d: d["kmeans"].update(seed=1.9)),
+        ("silhouette", lambda d: d["kmeans"].update(silhouette="0.5")),
+        ("inertia", lambda d: d["kmeans"].update(inertia=-1.0)),
+        ("mean must be an array", lambda d: d["standardizer"].update(mean=["1.5"])),
+        ("center must be an array", lambda d: d["pca"].update(center=[True])),
+        ("centroids must be an array",
+         lambda d: d["kmeans"].update(centroids=[[float("nan")]])),
+        ("PcaModel", lambda d: d["pca"].pop("explained_variance_ratio")),
+        ("pcc_thresholds value", lambda d: d["pcc_thresholds"]["0"].update({"3": 2.7})),
+        ("pcc_thresholds value", lambda d: d["pcc_thresholds"]["0"].update({"3": "2"})),
     ],
     ids=["mean-width", "std-width", "center-width", "components-width",
          "centroid-width", "centroid-count", "threshold-cluster",
@@ -1079,7 +1102,10 @@ def test_load_policy_rejects_tampered_manifest(tmp_path):
          "rule-cutoff-string", "bin-count-fraction", "bin-width-bool",
          "sequences-repeated", "settings-unknown-key", "rule-unknown-key",
          "rule-missing-key", "metric-config-unknown-key",
-         "metric-config-missing-key", "region-unknown"],
+         "metric-config-missing-key", "region-unknown", "tolerances-number",
+         "tolerances-string", "k-fraction", "seed-fraction", "silhouette-string",
+         "inertia-negative", "mean-string", "center-bool", "centroid-nan",
+         "pca-missing-key", "threshold-fraction", "threshold-string"],
 )
 def test_load_policy_rejects_inconsistent_fields(tmp_path, field, mutate):
     path = tmp_path / "policy.json"

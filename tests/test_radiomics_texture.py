@@ -12,7 +12,6 @@ from gliopost.radiomics.texture import (
     COARSENESS_MAX,
     GLCM_FEATURE_NAMES,
     PairTable,
-    _component_roots,
     discretize,
     glcm_counts,
     glcm_features,
@@ -518,19 +517,3 @@ def test_winding_paths_are_one_zone(path):
     levels[::2] *= 2
     _assert_runs_and_zones_match(levels)
 
-
-def test_union_find_on_paths_in_shuffled_order():
-    """A path whose node ids are shuffled leaves many roots after each
-    hooking round (spatial chains, numbered in C order, take one or two
-    rounds), so this drives the union-find through several rounds; two
-    paths must come out as two components, each rooted at its smallest id."""
-    rng = np.random.default_rng(149)
-    for n in (2, 100, 3000):
-        ids = rng.permutation(2 * n)
-        first, second = ids[:n], ids[n:]
-        a = np.concatenate([first[:-1], second[1:]])
-        b = np.concatenate([first[1:], second[:-1]])
-        # every other edge of a path: no node is the larger end of two
-        roots = _component_roots(2 * n, [(a[0::2], b[0::2]), (a[1::2], b[1::2])])
-        assert (roots[first] == first.min()).all()
-        assert (roots[second] == second.min()).all()
