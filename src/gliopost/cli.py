@@ -294,8 +294,12 @@ def _merge_config(ns: argparse.Namespace, spec: tuple[_Opt, ...]) -> dict:
         for key, value in raw.items():
             if key not in by_dest:
                 raise _ConfigError(f"{config_path}: unknown option {key!r}")
+            opt = by_dest[key]
+            if value is None and opt.default is None:
+                merged[key] = None  # the default, as a run-config.json echo gives it
+                continue
             try:
-                merged[key] = by_dest[key].coerce(value)
+                merged[key] = opt.coerce(value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise _ConfigError(f"{config_path}: option {key!r}: {exc}")
 

@@ -66,16 +66,15 @@ class ComponentLabeling:
     ``labels`` holds component ids (0 = background) numbered 1..count by
     the first-encountered voxel in scan order (x fastest).  ``sizes[c]``
     is the voxel count of component c, and ``sizes[0]`` is 0.  ``voxels``
-    holds the flat (C order) indices of the foreground voxels, and
-    ``box`` the box they span; ``corners[c - 1]`` holds the start and
-    the stop of component c's box, shape (count, 2, 3).
+    holds the flat (C order) indices of the foreground voxels;
+    ``corners[c - 1]`` holds the start and the stop of component c's box,
+    shape (count, 2, 3).
     """
 
     labels: np.ndarray  # int32 grid
     sizes: np.ndarray
     count: int
     voxels: np.ndarray
-    box: tuple[slice, ...]
     corners: np.ndarray
 
 
@@ -169,7 +168,6 @@ def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentL
     if not voxels.size:
         return ComponentLabeling(labels=labels, sizes=np.zeros(1, dtype=np.intp),
                                  count=0, voxels=voxels,
-                                 box=(slice(0, 0),) * mask.ndim,
                                  corners=np.zeros((0, 2, mask.ndim), dtype=np.intp))
     box = padded_box(np.unravel_index(voxels, mask.shape), 0, mask.shape)
     crop = mask[box]
@@ -193,7 +191,7 @@ def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentL
     np.maximum.at(hi, run_id, np.stack((x + 1, y + 1, last), axis=1))
     corners = np.stack((lo[1:], hi[1:]), axis=1) + [b.start for b in box]
     return ComponentLabeling(labels=labels, sizes=sizes, count=roots.size,
-                             voxels=voxels, box=box, corners=corners)
+                             voxels=voxels, corners=corners)
 
 
 def dilate(mask: np.ndarray, iterations: int, connectivity: int = 26) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import gzip
 import json
+import math
 import os
 import uuid
 import zlib
@@ -304,9 +305,9 @@ def write_case_table(path: str | Path, columns, rows, key: str = "case_id") -> N
 def read_case_table(path: str | Path, what: str) -> tuple[list, list, list]:
     """``(columns, case_ids, rows)`` of a ``write_case_table`` CSV, with
     each row's values as floats.  A file without the ``case_id`` column
-    (a ``what``), a row of the wrong width or a cell that is not a number
-    raises ValueError naming ``path`` and, for a cell, its case and
-    column."""
+    (a ``what``), a row of the wrong width or a cell that is not a finite
+    number raises ValueError naming ``path`` and, for a cell, its case
+    and column."""
     with open(path, newline="") as fh:
         header, *records = list(csv.reader(fh)) or [None]
     if not header or header[0] != "case_id":
@@ -319,8 +320,11 @@ def read_case_table(path: str | Path, what: str) -> tuple[list, list, list]:
         rows.append([])
         for column, cell in zip(columns, rec[1:]):
             try:
-                rows[-1].append(float(cell))
+                value = float(cell)
             except ValueError:
+                value = math.nan  # not a number at all
+            if not math.isfinite(value):
                 raise ValueError(f"{path}: case {rec[0]!r}, column {column!r}: "
-                                 f"not a number: {cell!r}") from None
+                                 f"not a finite number: {cell!r}")
+            rows[-1].append(value)
     return columns, [rec[0] for rec in records], rows

@@ -2,9 +2,9 @@
 
 A policy bundles the feature manifest, the clustering model, per-cluster
 minimum component sizes per label, and per-cluster ratio-triggered
-relabel rules.  Both stages are fitted by grid search, scoring candidate
-outputs with the rank-based objective so that the selected policy never
-ranks worse than leaving predictions untouched.
+relabel rules.  Both stages are fitted by grid search: per cluster and
+per label or pair, the chosen value's mean rank over the cluster's cases
+is at most that of the value 0, the no-op that every grid holds.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .clustering import (
 from .metrics import (
     DEFAULT_CONNECTIVITY,
     WT,
-    CaseMetrics,
     CaseScorer,
     RankObjective,
     RegionSpec,
@@ -43,7 +42,7 @@ from .radiomics import (
     extract_case_features,
     feature_names,
 )
-from .ranking import rank_candidates
+from .ranking import tie_averaged_ranks
 from .volume import (MAX_LABEL, TUMOR_LABELS, CaseBundle, JsonConfig, LabelMap, check,
                      load_case_bundle)
 
@@ -259,12 +258,14 @@ def _regions(objective: RankObjective, edits: dict) -> list[RegionSpec]:
 
 def _search_table(item) -> tuple[dict, dict, np.ndarray]:
     """``(table, moved, confusion)`` for one case, loaded here.
-    ``table[key][value]``: the scores of the case after ``apply``'s own
-    edit ``edits[key][value]``, a ``(thresholds, rules)`` pair carried out
-    by ``_actions`` and ``_carry_out``, over the key's ``_regions``.  Each
-    key labels only the labels it thresholds, so one label's component
-    grid is alive at a time.  Each distinct action tuple, across keys, is
-    carried out once and scored once, in one ``CaseScorer.score`` call.
+    ``table[key]``: the scores of the case after ``apply``'s own edits
+    ``edits[key]``, ``(thresholds, rules)`` pairs carried out by
+    ``_actions`` and ``_carry_out``, as a float64 array with a row per
+    value, in order, and a column per ``objective.columns`` of the key's
+    ``_regions``.  Each key labels only the labels it thresholds, so one
+    label's component grid is alive at a time.  Each distinct action
+    tuple, across keys, is carried out once and scored once, in one
+    ``CaseScorer.score`` call.
     ``moved[key][value]``: the ground-truth labels of the voxels that edit
     removes.  ``confusion``: the case's (ground truth, prediction) counts.
     """
@@ -301,8 +302,8 @@ def _search_table(item) -> tuple[dict, dict, np.ndarray]:
          for actions, grid in grids.items()])))
     for key, by_value in table.items():
         columns = objective.columns(_regions(objective, edits[key]))
-        table[key] = {value: {c: scores[actions][c] for c in columns}
-                      for value, actions in by_value.items()}
+        table[key] = np.array([[scores[actions][c] for c in columns]
+                               for actions in by_value.values()], dtype=np.float64)
     return table, moved, confusion
 
 
@@ -335,15 +336,11 @@ def _grid_search(cases: list[FitCase], n_clusters: int, keys, grid: tuple, edit,
     best = {}
     for cluster in range(n_clusters):
         best[cluster] = dict.fromkeys(keys, grid[0])
-        members = [(case, table) for case, (table, _, _) in zip(cases, results)
+        members = [table for case, (table, _, _) in zip(cases, results)
                    if case.cluster == cluster]
         for key in searched:
-            result = rank_candidates({
-                value: [CaseMetrics(case.case_id, table[key][value])
-                        for case, table in members]
-                for value in grid
-            })
-            best[cluster][key] = min(grid, key=lambda value: (result.scores[value], value))
+            ranks = tie_averaged_ranks(np.hstack([table[key] for table in members]))
+            best[cluster][key] = min(zip(ranks.mean(axis=1), grid))[1]
     return best, results
 
 

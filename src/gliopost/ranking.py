@@ -1,11 +1,12 @@
 """Rank-based comparison of candidate segmentation outputs.
 
 Candidates are compared cell by cell, where a cell is one (case, metric
-column) pair.  Within a cell the candidates receive descending ranks
-(highest metric value gets rank 1); tied values share the average of the
-ranks they span.  A candidate's score is the mean of its ranks over all
-cells, so lower is better and the scores of n candidates always average
-to (n + 1) / 2.
+column) pair.  Ranks are taken down the columns of a (candidates x
+cells) array: within a cell the candidates receive descending ranks
+(highest metric value gets rank 1), and tied values share the average of
+the ranks they span.  A candidate's score is the mean of its ranks over
+all cells, so lower is better and the scores of n candidates always
+average to (n + 1) / 2.
 """
 
 from __future__ import annotations
@@ -29,25 +30,21 @@ class RankingResult:
 
 
 def tie_averaged_ranks(values: np.ndarray) -> np.ndarray:
-    """Descending ranks with ties sharing the average rank.
-
-    The largest value gets rank 1.  Equal values all get the mean of the
-    rank positions they occupy, e.g. two candidates tied for first both
-    rank 1.5.
+    """Descending ranks down each column of ``values`` (a 1-d input is one
+    column): the largest value gets rank 1, and equal values share the
+    mean of the rank positions they span, e.g. two tied for first both
+    rank 1.5.  A value's rank is counted: the values above it, plus half
+    of one more than the values equal to it, itself included.  So every
+    rank is a half-integer and a sum of ranks is exact in any order.  A
+    value that is not finite raises ValueError, as counting would rank
+    NaN above every number.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValueError("expected a 1-d value vector")
-    n = values.size
-    order = np.argsort(-values, kind="stable")
-    ranks = np.empty(n, dtype=float)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    if not np.isfinite(values).all():
+        raise ValueError("cannot rank a value that is not finite")
+    ranks = np.full(values.shape, 0.5)
+    for row in values:  # one candidate at a time: no candidates^2 x cells cube
+        ranks += (row > values) + 0.5 * (row == values)
     return ranks
 
 
@@ -60,39 +57,30 @@ def rank_candidates(per_candidate: dict[str, list[CaseMetrics]]) -> RankingResul
     """
     if len(per_candidate) < 2:
         raise ValueError("ranking needs at least two candidates")
-    names = tuple(per_candidate.keys())
-
-    by_case: dict[str, dict[str, CaseMetrics]] = {}
-    reference = None
+    names = tuple(per_candidate)
+    by_name: dict[str, dict[str, dict[str, float]]] = {}
     for name, rows in per_candidate.items():
-        seen = set()
+        by_name[name] = {}
         for row in rows:
-            if row.case_id in seen:
+            if row.case_id in by_name[name]:
                 raise ValueError(f"candidate {name}: duplicate case {row.case_id}")
-            seen.add(row.case_id)
-            by_case.setdefault(row.case_id, {})[name] = row
-        if reference is None:
-            reference = seen
-        elif seen != reference:
+            by_name[name][row.case_id] = row.values
+        if by_name[name].keys() != by_name[names[0]].keys():
             raise ValueError(f"candidate {name} covers different cases")
 
-    case_ids = sorted(by_case)
+    case_ids = sorted(by_name[names[0]])
     if not case_ids:
         raise ValueError("no cases to rank")
-    columns = list(per_candidate[names[0]][0].values.keys())
+    columns = list(per_candidate[names[0]][0].values)
     for name, rows in per_candidate.items():
         for row in rows:
             if row.values.keys() != set(columns):
                 raise ValueError(f"candidate {name}, case {row.case_id}: metric columns"
                                  f" differ from those of {names[0]}")
 
-    rank_cols = []
-    for case_id in case_ids:
-        rows = by_case[case_id]
-        for col in columns:
-            values = np.array([rows[name].values[col] for name in names])
-            rank_cols.append(tie_averaged_ranks(values))
-    table = np.column_stack(rank_cols)
+    table = tie_averaged_ranks([[by_name[name][case_id][col]
+                                 for case_id in case_ids for col in columns]
+                                for name in names])
     scores = {name: float(table[i].mean()) for i, name in enumerate(names)}
     return RankingResult(candidates=names, scores=scores, rank_table=table)
 

@@ -366,8 +366,7 @@ def save_case(bundle: CaseBundle, images_dir: Path, preds_dir: Path, gt_dir: Pat
 
 
 def write_inventory(out_dir: str | Path, cfg: SynthConfig,
-                    case_inventories: dict[str, dict]) -> dict:
+                    case_inventories: dict[str, dict]) -> None:
     doc = {"config": cfg.to_dict(),
            "cases": dict(sorted(case_inventories.items()))}
     write_json(Path(out_dir) / "inventory.json", doc)
-    return doc

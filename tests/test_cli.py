@@ -561,8 +561,8 @@ def test_bad_inputs_are_found_before_out_is_created(pipeline, tmp_path, caplog):
     """A missing ground-truth or image directory or metric CSV (exit 3),
     a feature table that is not one, or does not cover the corpus, and a
     metric CSV that is not one, whose columns differ from the other
-    candidate's, or that holds a cell that is not a number (exit 4), fail
-    before ``--out`` exists."""
+    candidate's, or that holds a cell that is not a finite number (exit
+    4), fail before ``--out`` exists."""
     corpus = pipeline["corpus"]
     preds, images, gt = (str(corpus / sub) for sub in ("preds", "images", "gt"))
     missing = str(tmp_path / "missing")
@@ -587,14 +587,16 @@ def test_bad_inputs_are_found_before_out_is_created(pipeline, tmp_path, caplog):
     rank = ["rank", "--out", str(out), f"identity={raw}"]
     assert main(rank + [f"gone={missing}"]) == 3
     metrics = raw.read_text().splitlines()
+    words = [(f"{cell}.csv", metrics[:1] + [metrics[1].rsplit(",", 1)[0] + "," + cell]
+              + metrics[2:], f"{cell}.csv: case 'case-0000', column "
+              f"{metrics[0].rsplit(',', 1)[1]!r}: not a finite number: {cell!r}")
+             for cell in ("abc", "nan", "inf", "-inf")]
     for name, lines, named in (
             ("empty.csv", [], "empty.csv: not a metrics CSV"),
             ("short.csv", metrics[:-1] + [metrics[-1].rsplit(",", 1)[0]], "short.csv: row 6"),
             ("narrow.csv", [line.rsplit(",", 1)[0] for line in metrics],
              "candidate bad, case case-0000: metric columns"),
-            ("word.csv", metrics[:1] + [metrics[1].rsplit(",", 1)[0] + ",abc"] + metrics[2:],
-             f"word.csv: case 'case-0000', column {metrics[0].rsplit(',', 1)[1]!r}: "
-             "not a number: 'abc'")):
+            *words):
         (tmp_path / name).write_text("".join(line + "\n" for line in lines))
         caplog.clear()
         with caplog.at_level(logging.ERROR):
@@ -607,18 +609,42 @@ def test_fit_policy_names_a_feature_cell_that_is_not_a_number(pipeline, tmp_path
     corpus = pipeline["corpus"]
     lines = (pipeline["features"] / "features.csv").read_text().splitlines()
     column = lines[0].split(",")[2]
-    cells = lines[2].split(",")
-    cells[2] = "abc"
-    features = tmp_path / "features.csv"
-    features.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
     out = tmp_path / "out"
-    with caplog.at_level(logging.ERROR):
-        assert main(["fit-policy", "--preds", str(corpus / "preds"),
-                     "--images", str(corpus / "images"), "--gt", str(corpus / "gt"),
-                     "--features", str(features), "--out", str(out)]) == 4
-    assert (f"{features}: case {cells[0]!r}, column {column!r}: not a number: 'abc'"
-            in caplog.text)
-    assert not out.exists()
+    for cell in ("abc", "nan"):
+        cells = lines[2].split(",")
+        cells[2] = cell
+        features = tmp_path / f"{cell}.csv"
+        features.write_text("\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n")
+        caplog.clear()
+        with caplog.at_level(logging.ERROR):
+            assert main(["fit-policy", "--preds", str(corpus / "preds"),
+                         "--images", str(corpus / "images"), "--gt", str(corpus / "gt"),
+                         "--features", str(features), "--out", str(out)]) == 4
+        assert (f"{features}: case {cells[0]!r}, column {column!r}: "
+                f"not a finite number: {cell!r}" in caplog.text)
+        assert not out.exists()
+
+
+def test_each_config_echo_replays(pipeline, tmp_path):
+    """Each command's ``run-config.json`` echo, given a new ``out``,
+    replays through ``--config`` to the same outputs, ``fit-policy``'s
+    ``"features": null`` (extract) included."""
+    metrics = [f"{name}={pipeline[name] / 'metrics.csv'}"
+               for name in ("raw_metrics", "post_metrics")]
+    ranked = tmp_path / "ranked"
+    assert main(["rank", *metrics, "--out", str(ranked)]) == 0
+    runs = [pipeline[name] for name in ("corpus", "features", "fit", "applied",
+                                        "raw_metrics")] + [ranked]
+    echoes = [json.loads((run / "run-config.json").read_text()) for run in runs]
+    assert [echo["command"] for echo in echoes] == [
+        "synth", "extract-features", "fit-policy", "apply", "evaluate", "rank"]
+    assert echoes[2]["config"]["features"] is None
+    for run, echo in zip(runs, echoes):
+        replay = tmp_path / "replay" / echo["command"]
+        config = tmp_path / f"{echo['command']}.json"
+        config.write_text(json.dumps(dict(echo["config"], out=str(replay))))
+        assert main([echo["command"], "--config", str(config)]) == 0, echo["command"]
+        assert _tree_bytes(replay) == _tree_bytes(run), echo["command"]
 
 
 # -- apply -------------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def _base_document(command: str, root: Path) -> dict:
     """Every option of ``command`` at its default, but for the inputs,
     which name the corpus, and for small grids and a small recipe."""
     spec = _COMMANDS[command][0]
-    doc = {dest: value for dest, value in _defaults(spec).items() if value is not None}
+    doc = _defaults(spec)
     data = root / "corpus"
     paths = {"preds": data / "preds", "images": data / "images", "gt": data / "gt",
              "policy": root / "fit" / "policy.json",

@@ -21,6 +21,7 @@ from gliopost.clustering import (
 from gliopost.metrics import (
     REGIONS_POST_TREATMENT,
     REGIONS_PRE_TREATMENT,
+    CaseMetrics,
     CaseScorer,
     RegionScorer,
     evaluate_case,
@@ -32,6 +33,7 @@ from gliopost.policy import (
     PostProcessPolicy,
     RankObjective,
     RelabelRule,
+    _grid_search,
     _search_table,
     apply_component_thresholds,
     apply_policy,
@@ -44,6 +46,7 @@ from gliopost.policy import (
     write_confusion_csv,
 )
 from gliopost.morphology import connected_components
+from gliopost.ranking import rank_candidates
 from gliopost.radiomics import (
     ExtractionSettings,
     FeatureMatrix,
@@ -300,6 +303,33 @@ def test_fit_relabel_rules_validation(tmp_path):
     for bad in (True, "0.5"):
         with pytest.raises(ValueError, match=rf"a finite number in \[0, 1\], got {bad!r}"):
             fit_relabel_rules(cases, 1, candidates=[(1, 3)], cutoff_grid=(0.0, bad))
+
+
+def test_the_fit_promises_no_worse_than_zero_per_key_and_no_more(monkeypatch):
+    """Per cluster and key, the grid search's winner has the lowest mean
+    rank over the grid, so at most the mean rank of 0.  That is all: the
+    winner among 0, A and B can lose to 0 when the two are ranked alone."""
+    from gliopost import policy as policy_module
+
+    scores = {0: (0.9, 0.9, 0.9, 0.1, 0.1),  # per case, one column
+              1: (0.5, 0.5, 0.5, 0.9, 0.9),  # A
+              2: (0.1, 0.1, 0.1, 0.5, 0.5)}  # B
+    cases = [FitCase(f"case-{i}", "", "", 0) for i in range(5)]
+    tables = {case.case_id: np.array([[scores[value][i]] for value in scores])
+              for i, case in enumerate(cases)}
+    monkeypatch.setattr(policy_module, "_search_table",
+                        lambda item: ({1: tables[item[0].case_id]}, {}, None))
+    best, _ = _grid_search(cases, 1, (1,), (0, 1, 2),
+                           lambda cluster, label, t: ({label: t}, []), RankObjective(), 1)
+    assert best == {0: {1: 1}}
+
+    def rows(value):
+        return [CaseMetrics(case.case_id, {"m": scores[value][i]})
+                for i, case in enumerate(cases)]
+
+    assert rank_candidates({v: rows(v) for v in (0, 1, 2)}).scores == {0: 1.8, 1: 1.6,
+                                                                         2: 2.6}
+    assert rank_candidates({v: rows(v) for v in (0, 1)}).scores == {0: 1.4, 1: 1.6}
 
 
 def test_relabel_rule_validation():
@@ -735,22 +765,26 @@ def test_fit_tables_score_the_reference_output(drawn):
     assert np.array_equal(confusion, tally_confusion([(pred.data, gt.data)]))
     assert list(table) == list(moved) == list(edits)
 
-    def check(key, value, want, regions):
-        assert table[key][value] == scorer.score([(want, regions)])[0], (key, value)
+    def check(key, row, want, regions):
+        """Row ``row`` of ``table[key]`` holds the scores of ``want`` in
+        the order of the columns of ``regions``."""
+        value = list(edits[key])[row]
+        assert table[key].dtype == np.float64
+        assert table[key].shape == (len(edits[key]), len(objective.columns(regions)))
+        assert table[key][row].tolist() == list(
+            scorer.score([(want, regions)])[0].values()), (key, value)
         removed = (crop != 0) & (want == 0)
         assert np.array_equal(moved[key][value],
                               np.bincount(scorer.gt[removed], minlength=5)), (key, value)
 
     for label in searched:
-        assert sorted(table[label]) == list(grid)
-        for t in grid:
+        for row, t in enumerate(grid):
             want = naive_postprocess(crop, {label: t}, [], objective.connectivity)
-            check(label, t, want, affected(label))
+            check(label, row, want, affected(label))
     for src, dst in pairs:
-        assert sorted(table[(src, dst)]) == list(cutoffs)
-        for c in cutoffs:
+        for row, c in enumerate(cutoffs):
             want = naive_postprocess(crop, {}, [RelabelRule(0, src, dst, c)])
-            check((src, dst), c, want, affected(src, dst))
+            check((src, dst), row, want, affected(src, dst))
 
 
 @pytest.mark.parametrize("connectivity", (6, 26))

@@ -4,6 +4,9 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gliopost.metrics import CaseMetrics
 from gliopost.ranking import (
@@ -34,6 +37,32 @@ def test_tie_averaged_ranks_match_counting_oracle():
         n = int(rng.integers(1, 9))
         vals = rng.integers(0, 4, size=n) / 3.0  # force frequent ties
         assert tie_averaged_ranks(vals).tolist() == brute_tie_ranks(vals.tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(0, 6)),
+                  elements=st.sampled_from((0.0, 0.25, 1 / 3, 0.5, 1.0))))
+def test_tie_averaged_ranks_count_down_each_column(values):
+    """A 2-d input is ranked column by column, as the counting oracle
+    ranks each column alone; few distinct values force ties."""
+    ranks = tie_averaged_ranks(values)
+    assert ranks.shape == values.shape
+    for column, ranked in zip(values.T, ranks.T):
+        assert ranked.tolist() == brute_tie_ranks(column.tolist())
+
+
+def test_tie_averaged_ranks_edge_inputs():
+    assert tie_averaged_ranks([]).shape == (0,)
+    assert tie_averaged_ranks(np.zeros((0, 3))).shape == (0, 3)
+    assert tie_averaged_ranks([[0.5], [0.9]]).tolist() == [[2.0], [1.0]]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            tie_averaged_ranks([0.5, bad, 0.9])
+        with pytest.raises(ValueError, match="not finite"):
+            tie_averaged_ranks([[0.5, 0.1], [0.2, bad]])
+    rows = _rows({"c1": {"m": 0.5}})
+    with pytest.raises(ValueError, match="not finite"):
+        rank_candidates({"a": rows, "b": _rows({"c1": {"m": np.nan}})})
 
 
 def test_tie_averaged_ranks_sum_is_fixed():
