@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .morphology import dilate, padded_box
+from .morphology import boundary_voxels, dilate, nonzero_box, padded_box
 from .nifti import write_json
 from .volume import (
     MAX_LABEL,
@@ -238,11 +238,12 @@ def _grow_island(
 ) -> list[tuple[int, int, int]] | None:
     """Random 6-connected blob of exactly ``size`` voxels inside the
     allowed region, or None when no seed admits one."""
-    free = np.argwhere(allowed)
-    if free.shape[0] == 0:
+    free = np.flatnonzero(allowed)
+    if free.size == 0:
         return None
     for _ in range(tries):
-        seed = tuple(int(v) for v in free[int(rng.integers(free.shape[0]))])
+        seed = tuple(int(v) for v in np.unravel_index(free[int(rng.integers(free.size))],
+                                                      allowed.shape))
         chosen = {seed}
         frontier = set(_open_neighbours(seed, allowed, chosen))
         while len(chosen) < size and frontier:
@@ -314,15 +315,18 @@ def corrupt_prediction(
                     {"label": spec.label, "voxels": [list(map(int, v)) for v in voxels]}
                 )
 
-    if cfg.jitter > 0:
-        # lossy corruption: random foreground boundary voxels are erased
-        from .morphology import boundary_voxels
-
+    # lossy corruption: random foreground boundary voxels are erased.
+    # Erasing only shrinks the foreground, so its box padded by one
+    # background voxel holds every later boundary, and the box's C-order
+    # scan lists them in the grid's C order.
+    box = nonzero_box(pred, 1) if cfg.jitter > 0 else None
+    if box is not None:
+        start = [b.start for b in box]
         for _ in range(cfg.jitter):
-            surf = np.argwhere(boundary_voxels(pred > 0))
+            surf = np.argwhere(boundary_voxels(pred[box] > 0))
             if surf.shape[0] == 0:
                 break
-            v = tuple(int(x) for x in surf[int(rng.integers(surf.shape[0]))])
+            v = tuple(int(x) for x in surf[int(rng.integers(surf.shape[0]))] + start)
             inventory["jitter"].append([*v, int(pred[v])])
             pred[v] = 0
 

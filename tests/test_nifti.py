@@ -7,6 +7,7 @@ from the module under test.
 
 import gzip
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -14,6 +15,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gliopost.nifti import NiftiError, Orientation, RawNifti, read_nifti, write_nifti
+
+# every orientation field set away from its default
+ORIENT = Orientation(
+    qform_code=1,
+    sform_code=2,
+    qfac=-1.0,
+    quatern=(0.5, 0.25, 0.125),
+    qoffset=(-96.0, -128.0, -74.0),
+    srow_x=(0.0, 1.0, 0.0, -96.0),
+    srow_y=(-1.0, 0.0, 0.0, -128.0),
+    srow_z=(0.0, 0.0, 1.0, -74.0),
+)
 
 
 def _round_trip(tmp_path, data, spacing=(1.0, 1.0, 1.0), name="vol.nii.gz", orient=None):
@@ -72,20 +85,59 @@ def test_rewrite_is_byte_identical(tmp_path):
     assert (tmp_path / "a.nii.gz").read_bytes() == (tmp_path / "c.nii.gz").read_bytes()
 
 
+def test_gz_is_one_member_holding_header_and_voxels(tmp_path):
+    data = np.arange(3 * 4 * 5, dtype=np.float32).reshape(3, 4, 5)
+    raw = RawNifti(data=data, spacing=(1.0, 1.5, 2.0))
+    write_nifti(raw, tmp_path / "vol.nii")
+    write_nifti(raw, tmp_path / "vol.nii.gz")
+    packed = (tmp_path / "vol.nii.gz").read_bytes()
+    # gzip header (RFC 1952): deflate, no flags (so no file name), mtime 0
+    assert packed[:4] == b"\x1f\x8b\x08\x00"
+    assert packed[4:8] == b"\x00\x00\x00\x00"
+    member = zlib.decompressobj(31)
+    plain = member.decompress(packed)
+    assert member.eof and member.unused_data == b""
+    assert gzip.decompress(packed) == plain == (tmp_path / "vol.nii").read_bytes()
+    assert struct.unpack("<i", plain[:4]) == (348,)
+    assert struct.unpack("<f", plain[108:112]) == (352.0,)  # vox_offset
+    assert plain[352:] == data.tobytes(order="F")
+
+
+def test_level_9_gzipfile_volume_reads_back(tmp_path):
+    """The format of corpora written before the run-length writer, and of
+    other tools: a level-9 ``GzipFile`` with an mtime and a file name."""
+    data = np.random.default_rng(3).standard_normal((6, 5, 4)).astype(np.float32)
+    write_nifti(RawNifti(data=data, spacing=(1.0, 1.25, 2.5), orientation=ORIENT),
+                tmp_path / "vol.nii")
+    path = tmp_path / "old.nii.gz"
+    with gzip.GzipFile(path, mode="wb", compresslevel=9, mtime=1_700_000_000) as gz:
+        gz.write((tmp_path / "vol.nii").read_bytes())
+    back = read_nifti(path)
+    assert back.data.tobytes() == data.tobytes()
+    assert back.spacing == (1.0, 1.25, 2.5)
+    assert back.orientation == ORIENT
+
+
+def test_gz_size_guards_against_stored_blocks(tmp_path):
+    """Huffman coding alone writes this label map at 33 kB and stored
+    blocks at 262 kB; stored blocks write the noise 8% above level 9."""
+    grid = np.indices((64, 64, 64))
+    sphere = (((grid - 32) ** 2).sum(axis=0) <= 100).astype(np.uint8)
+    write_nifti(RawNifti(data=sphere, spacing=(1.0, 1.0, 1.0)), tmp_path / "mask.nii.gz")
+    assert (tmp_path / "mask.nii.gz").stat().st_size < 16_000
+
+    noise = np.random.default_rng(0).standard_normal((64, 64, 64)).astype(np.float32)
+    raw = RawNifti(data=noise, spacing=(1.0, 1.0, 1.0))
+    write_nifti(raw, tmp_path / "noise.nii")
+    write_nifti(raw, tmp_path / "noise.nii.gz")
+    level_9 = len(gzip.compress((tmp_path / "noise.nii").read_bytes(), 9))
+    assert (tmp_path / "noise.nii.gz").stat().st_size <= 1.01 * level_9
+
+
 def test_orientation_preserved(tmp_path):
-    orient = Orientation(
-        qform_code=1,
-        sform_code=2,
-        qfac=-1.0,
-        quatern=(0.5, 0.25, 0.125),
-        qoffset=(-96.0, -128.0, -74.0),
-        srow_x=(0.0, 1.0, 0.0, -96.0),
-        srow_y=(-1.0, 0.0, 0.0, -128.0),
-        srow_z=(0.0, 0.0, 1.0, -74.0),
-    )
     data = np.zeros((2, 2, 2), dtype=np.uint8)
-    back = _round_trip(tmp_path, data, orient=orient)
-    assert back.orientation == orient
+    back = _round_trip(tmp_path, data, orient=ORIENT)
+    assert back.orientation == ORIENT
 
 
 def test_scl_slope_and_inter_applied(tmp_path):

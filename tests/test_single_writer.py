@@ -1,7 +1,7 @@
-"""Artifacts are written atomically and JSON has one writer: in
-``src/gliopost`` every ``open`` in a write mode is inside
-``nifti.atomic_open``, and ``json.dump`` is called only inside
-``nifti.write_json``."""
+"""Artifacts are written atomically, and JSON and compressed volumes have
+one writer each: in ``src/gliopost`` every ``open`` in a write mode is
+inside ``nifti.atomic_open``, ``json.dump`` is called only inside
+``nifti.write_json``, and only ``nifti.write_nifti`` compresses."""
 
 import ast
 import re
@@ -11,6 +11,8 @@ import gliopost
 
 PACKAGE = Path(gliopost.__file__).parent
 MODE = re.compile(r"[rwxabt+]+")
+COMPRESSORS = {"zlib.compressobj", "compressobj", "zlib.compress", "gzip.compress",
+               "gzip.GzipFile", "GzipFile"}
 
 
 def _calls():
@@ -64,4 +66,13 @@ def test_json_is_dumped_only_by_write_json():
     assert ("nifti.py", "write_json") in {(m, f) for _, m, f in dumps}
     stray = [place for place, module, function in dumps
              if (module, function) != ("nifti.py", "write_json")]
+    assert not stray, stray
+
+
+def test_volumes_are_compressed_only_by_write_nifti():
+    packs = [(place, module, function) for place, module, function, call in _calls()
+             if _name(call) in COMPRESSORS or (_name(call) == "gzip.open" and _writes(call))]
+    assert ("nifti.py", "write_nifti") in {(m, f) for _, m, f in packs}
+    stray = [place for place, module, function in packs
+             if (module, function) != ("nifti.py", "write_nifti")]
     assert not stray, stray
