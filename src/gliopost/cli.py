@@ -18,9 +18,9 @@ wall time, peak RSS and the package, numpy and scipy versions (and, for
 A command imports only the package modules it runs, before its process
 pool forks, so the workers inherit them: ``evaluate`` imports ``metrics``,
 ``rank`` also ``ranking``, ``extract-features`` ``radiomics``,
-``fit-policy`` and ``apply`` ``policy``, and ``synth`` ``synth`` and
-``scipy.ndimage`` (for its noise).  Every other command runs on numpy
-alone; bare ``scipy`` is imported for its version in the run record.
+``fit-policy`` and ``apply`` ``policy``, and ``synth`` ``synth``.  Every
+command runs on numpy alone and loads no scipy subpackage; bare ``scipy``
+is imported only for its version in the run record.
 
 Exit codes: 0 success, 2 bad configuration, 3 I/O failure, 4 invalid data
 or out of memory.
@@ -409,7 +409,6 @@ def _input_dir(path: str) -> None:
 
 
 def _cmd_synth(cfg: dict) -> dict:
-    import scipy.ndimage  # noqa: F401  (for the noise; before any pool forks)
     from .synth import SynthConfig, case_name, write_inventory
     check("--cases", cfg["cases"], "integer", 0)
     syn = SynthConfig.from_dict({key: cfg[key] for key in SynthConfig().to_dict()})

@@ -8,10 +8,17 @@ swap, then receive false-positive islands grown by randomized BFS at a
 configurable Chebyshev distance from any true voxel.  The inventory
 records every injected voxel, so tests can reconstruct the ground truth
 exactly (when boundary jitter is disabled).
+
+Each sequence is its labels' intensities plus Gaussian-smoothed noise.
+The smoothing is numpy's: ``_gaussian_filter`` repeats the float64
+arithmetic of ``scipy.ndimage.gaussian_filter`` in its order, so a
+corpus is the same file for file as when ndimage smoothed it, and no
+``synth`` process imports ``scipy.ndimage``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -182,7 +189,9 @@ def _paint_ground_truth(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarra
     gt = np.zeros(cfg.dims, dtype=np.uint8)
     fractions = _sample_shell_fractions(cfg, rng)
     lesions = _place_lesions(cfg, rng)
-    grid = np.indices(cfg.dims, dtype=np.float64)
+    # one broadcast coordinate column per axis: each voxel's terms are the
+    # floats a full index grid gives, without the grid
+    grid = np.ogrid[tuple(slice(n) for n in cfg.dims)]
     for center, axes in lesions:
         rho = np.sqrt(
             ((grid[0] - center[0]) / axes[0]) ** 2
@@ -195,12 +204,79 @@ def _paint_ground_truth(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarra
     return gt
 
 
+# float64 elements in each of a correlation's three scratch blocks: the
+# three fit in a core's L2 cache
+_BLOCK = 1 << 15
+
+
+def _gaussian_filter(x: np.ndarray, sigma: float) -> np.ndarray:
+    """``scipy.ndimage.gaussian_filter(x, sigma)`` of a float64 array,
+    bit for bit: the kernel ``exp(-0.5 / sigma**2 * t**2)`` for ``t``
+    from ``-r`` to ``r``, ``r = int(4 sigma + 0.5)``, divided by its sum,
+    is correlated along axis 0, 1, 2, ... in turn with reflected edges.
+    As in ndimage, a sigma of at most 1e-15 filters nothing.  The result
+    is a new array; ``x`` is left as it is."""
+    out = np.array(x, dtype=np.float64, order="C")
+    if sigma <= 1e-15:
+        return out
+    radius = int(4.0 * sigma + 0.5)
+    phi = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    weights = (phi / phi.sum())[radius:].tolist()
+    for axis in range(out.ndim):
+        _correlate_axis(out, weights, axis)
+    return out
+
+
+def _correlate_axis(vol: np.ndarray, weights: list[float], axis: int) -> None:
+    """Correlate the C-contiguous ``vol`` in place along ``axis`` with
+    the symmetric kernel whose centre and right half are ``weights``, in
+    ndimage's ``correlate1d`` order: each output starts as ``x[i] w[0]``,
+    then ``(x[i - j] + x[i + j]) w[j]`` is added for j from the radius
+    down to 1, an index out of range reflecting with period 2n.
+
+    Lines are filtered a block at a time.  A block's lines are gathered
+    with their reflected margins into one flat buffer, so the window at
+    each offset is one contiguous slice; the outputs that straddle two
+    lines are computed and dropped.  Margins are at most n wide: the
+    period folds any longer offset back into them."""
+    n = vol.shape[axis]
+    radius = len(weights) - 1
+    margin = min(radius, n)
+    padded = n + 2 * margin
+    lines = vol.reshape(math.prod(vol.shape[:axis]), n, math.prod(vol.shape[axis + 1:]))
+    outer, _, inner = lines.shape
+    # buffer start, in lines, of the window at offset k
+    start = {k: margin + (k if abs(k) <= margin else (k + n) % (2 * n) - n)
+             for k in range(-radius, radius + 1)}
+    cols = max(1, min(inner, _BLOCK // padded))
+    rows = max(1, min(outer, _BLOCK // (padded * cols)))
+    buf, acc, tmp = (np.empty(rows * padded * cols) for _ in range(3))
+    for r in range(0, outer, rows):
+        for c in range(0, inner, cols):
+            block = lines[r:r + rows, :, c:c + cols]
+            nr, _, nc = block.shape
+            size = nr * padded * nc
+            span = size - 2 * margin * nc
+            lined = buf[:size].reshape(nr, padded, nc)
+            lined[:, margin:margin + n] = block
+            lined[:, :margin] = block[:, :margin][:, ::-1]
+            lined[:, margin + n:] = block[:, n - margin:][:, ::-1]
+
+            def window(k):
+                return buf[start[k] * nc:start[k] * nc + span]
+
+            total, term = acc[:span], tmp[:span]
+            np.multiply(window(0), weights[0], out=total)
+            for j in range(radius, 0, -1):
+                np.add(window(-j), window(j), out=term)
+                np.multiply(term, weights[j], out=term)
+                np.add(total, term, out=total)
+            block[...] = acc[:size].reshape(nr, padded, nc)[:, :n]
+
+
 def _make_sequences(
     cfg: SynthConfig, gt: np.ndarray, rng: np.random.Generator
 ) -> dict[str, np.ndarray]:
-    # imported here: importing the package must not load ndimage
-    from scipy import ndimage
-
     shifts = np.array([_LABEL_SHIFT[l] for l in range(5)])
     images = {}
     for seq in cfg.sequences:
@@ -208,7 +284,7 @@ def _make_sequences(
         img = base + shifts[gt]
         noise = rng.standard_normal(cfg.dims)
         if cfg.noise_sigma > 0:
-            noise = ndimage.gaussian_filter(noise, cfg.noise_sigma)
+            noise = _gaussian_filter(noise, cfg.noise_sigma)
         spread = noise.std()
         if spread > 0:
             img = img + noise * (cfg.noise_amplitude / spread)

@@ -268,17 +268,16 @@ def _fresh_run(argv: list[str]) -> dict:
 
 
 def test_per_command_scipy_import_sets(pipeline, tmp_path):
-    """Each command loads only what it runs.  Every command but synth
-    runs on numpy alone: it loads no scipy.ndimage, scipy.sparse or
-    scipy.spatial, and only synth loads gliopost.synth.  synth, whose
-    noise is a Gaussian filter, holds scipy.ndimage before its first
-    map_ordered call, so a pool's forked workers inherit it.  evaluate
-    loads metrics and what metrics imports, rank also ranking.  At one
-    thread no command loads the process pool.  Only feature extraction
-    (np.percentile) loads a numpy.ma module that a bare ``import numpy``
-    does not: fit-policy here reads precomputed features, and apply
-    extracts them only for a case that needs its cluster, which none
-    here does."""
+    """Each command loads only what it runs.  Every command, synth and
+    its Gaussian-smoothed noise included, runs on numpy alone: it loads
+    no scipy.ndimage, scipy.sparse or scipy.spatial, neither by its first
+    map_ordered call nor by its end, and only synth loads gliopost.synth.
+    evaluate loads metrics and what metrics imports, rank also ranking.
+    At one thread no command loads the process pool.  Only feature
+    extraction (np.percentile) loads a numpy.ma module that a bare
+    ``import numpy`` does not: fit-policy here reads precomputed
+    features, and apply extracts them only for a case that needs its
+    cluster, which none here does."""
     corpus = pipeline["corpus"]
     preds, images, gt = (str(corpus / d) for d in ("preds", "images", "gt"))
     recipe = _write_recipe(tmp_path)
@@ -290,7 +289,9 @@ def test_per_command_scipy_import_sets(pipeline, tmp_path):
                                " if m == 'numpy.ma' or m.startswith('numpy.ma.'))))"],
         check=True, capture_output=True, text=True).stdout)
     evaluate_set = ["cli", "metrics", "morphology", "nifti", "parallel", "volume"]
-    numpy_only = {
+    commands = {
+        "synth": ["synth", "--config", str(recipe), "--cases", "1",
+                  "--out", str(tmp_path / "s")],
         "extract-features": ["extract-features", "--preds", preds,
                              "--images", images, "--out", str(tmp_path / "f")],
         "rank": ["rank", f"raw={raw}", f"post={post}", "--out", str(tmp_path / "r")],
@@ -303,7 +304,7 @@ def test_per_command_scipy_import_sets(pipeline, tmp_path):
         "evaluate": ["evaluate", "--preds", preds, "--gt", gt,
                      "--out", str(tmp_path / "e")],
     }
-    for command, argv in numpy_only.items():
+    for command, argv in commands.items():
         run = _fresh_run(argv)
         assert run["code"] == 0, command
         assert [m for m in run["loaded"]
@@ -311,7 +312,7 @@ def test_per_command_scipy_import_sets(pipeline, tmp_path):
         assert not any(run["at_calls"]), command
         assert bool(run["at_calls"]) == (command != "rank"), command
         assert run["unprobed"] == [], command
-        assert "synth" not in run["package"], command
+        assert ("synth" in run["package"]) == (command == "synth"), command
         assert not run["pool"], command
         if command != "extract-features":
             assert run["numpy_ma"] == bare_numpy, command
@@ -319,13 +320,6 @@ def test_per_command_scipy_import_sets(pipeline, tmp_path):
             assert run["package"] == evaluate_set
         if command == "rank":
             assert run["package"] == sorted(evaluate_set + ["ranking"])
-    run = _fresh_run(["synth", "--config", str(recipe), "--cases", "1",
-                      "--out", str(tmp_path / "s")])
-    assert run["code"] == 0
-    assert run["at_calls"] and all(run["at_calls"])
-    assert run["unprobed"] == []
-    assert "synth" in run["package"]
-    assert not run["pool"]
 
 
 def test_run_record_is_added_after_success(pipeline, tmp_path, monkeypatch):

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from oracles import mask_of, union_find_components
 from test_policy_gate import CORPORA
@@ -16,6 +19,7 @@ from gliopost.synth import (
     ShellSpec,
     SwapSpec,
     SynthConfig,
+    _gaussian_filter,
     case_name,
     generate_case,
 )
@@ -267,6 +271,26 @@ def test_sequences_reflect_labels():
     # different sequences carry different base intensities
     t2w = bundle.sequences["t2w"].data
     assert abs(float(t2w[gt == 0].mean()) - 130.0) < 3.0
+
+
+@seed(5)
+@settings(max_examples=300, deadline=None, database=None)
+@given(shape=st.tuples(*[st.integers(1, 12)] * 3),
+       sigma=st.one_of(st.integers(1, 4), st.floats(0, 4, exclude_min=True)),
+       noise_seed=st.integers(0, 2**32 - 1))
+@example(shape=(3, 4, 5), sigma=1e-300, noise_seed=0)  # filters nothing
+@example(shape=(4, 5, 6), sigma=50, noise_seed=1)  # radius past every axis
+@example(shape=(64, 64, 64), sigma=2.0, noise_seed=2)  # a corpus's noise
+def test_gaussian_filter_equals_ndimage_bit_for_bit(shape, sigma, noise_seed):
+    """The noise smoothing gives ``ndimage.gaussian_filter``'s floats,
+    bit for bit, and leaves its input as it was."""
+    noise = np.random.default_rng(noise_seed).standard_normal(shape)
+    before = noise.copy()
+    got = _gaussian_filter(noise, sigma)
+    want = ndimage.gaussian_filter(noise, sigma)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(noise.view(np.uint64), before.view(np.uint64))
 
 
 def test_synth_command_layout_and_round_trip(tmp_path):
